@@ -35,8 +35,6 @@ from repro.check.oracles import (
 )
 from repro.check.runner import (
     CheckReport,
-    fuzz,
-    fuzz_engine_diff,
     run_engine_diff,
     run_engine_diff_index,
     run_fuzz_index,
@@ -72,8 +70,6 @@ __all__ = [
     "check_kernel_trace",
     "check_protocol",
     "CheckReport",
-    "fuzz",
-    "fuzz_engine_diff",
     "run_engine_diff",
     "run_engine_diff_index",
     "run_fuzz_index",

@@ -264,7 +264,7 @@ def run_scenario(scenario, collect_kernel_events=True, profile=None):
                      profile=profile)
 
 
-def run_engine_diff(scenario, noise_seed=None, profile=None):
+def run_engine_diff(scenario, noise_seed=None):
     """Lockstep fast-vs-reference differential for one scenario.
 
     Runs the identical middleware stack once per engine backend — with
@@ -280,27 +280,21 @@ def run_engine_diff(scenario, noise_seed=None, profile=None):
     into ``report.flight`` (keys ``reference`` / ``fast``) so the
     artifact shows what each backend saw near the split.
 
-    :param profile: optional
-        :class:`~repro.obs.profile.WallClockProfile` — each backend run
-        is timed under ``check.engine_diff.<backend>``.
     :returns: a :class:`CheckReport` whose divergences have kind
         ``engine_mismatch``.
     """
     if isinstance(scenario, dict):
         scenario = Scenario.from_dict(scenario)
-    if profile is None:
-        profile = NullProfile()
     report = CheckReport(scenario)
     if noise_seed is None:
         noise_seed = scenario.seed
 
     sides = {}
     for engine in ("reference", "fast"):
-        with profile.section(f"check.engine_diff.{engine}"):
-            sides[engine] = run_middleware(
-                scenario, engine=engine, cost_model="xeonphi",
-                noise_seed=noise_seed,
-            )
+        sides[engine] = run_middleware(
+            scenario, engine=engine, cost_model="xeonphi",
+            noise_seed=noise_seed,
+        )
     ref_events, ref_kernel, ref_crash = sides["reference"]
     fast_events, fast_kernel, fast_crash = sides["fast"]
     report.differential_ran = True
@@ -375,13 +369,13 @@ def _index_payload(index, seed, report, scenario, shrink=False,
 
 def run_fuzz_index(base_seed, index, fault_rate=0.0, shrink=True,
                    profile=None):
-    """Run ``index`` of a ``fuzz`` batch; farm-shardable.
+    """Run ``index`` of a check batch (:func:`repro.farm.farm_check`).
 
     The scenario seed comes from
     :func:`~repro.check.scenario.derive_run_seed`, so the payload is a
     pure function of ``(base_seed, index, fault_rate, shrink)`` — any
-    partition of a batch's indices across workers reproduces the
-    serial results exactly.
+    partition of a batch's indices across workers reproduces the same
+    results exactly.
     """
     from repro.check.scenario import derive_run_seed, generate_scenario
 
@@ -396,8 +390,7 @@ def run_fuzz_index(base_seed, index, fault_rate=0.0, shrink=True,
                           profile=profile)
 
 
-def run_engine_diff_index(base_seed, index, fault_rate=0.25,
-                          profile=None):
+def run_engine_diff_index(base_seed, index, fault_rate=0.25):
     """Run ``index`` of an engine-diff batch; farm-shardable (see
     :func:`run_fuzz_index`).  Engine-diff failures are not shrunk —
     the artifact's value is the two backends' flight rings."""
@@ -411,86 +404,8 @@ def run_engine_diff_index(base_seed, index, fault_rate=0.25,
     scenario = generate_scenario(seed, fault_rate=fault_rate,
                                  fault_sites=ENGINE_DIFF_FAULT_SITE_MENU)
     try:
-        report = run_engine_diff(scenario, profile=profile)
+        report = run_engine_diff(scenario)
     except Exception as error:  # checker bug — report, don't hide
         report = CheckReport(scenario)
         report.crash = f"checker error {type(error).__name__}: {error}"
     return _index_payload(index, seed, report, scenario)
-
-
-def fuzz_engine_diff(n_runs, seed=0, fault_rate=0.25, max_failures=5,
-                     on_progress=None, profile=None):
-    """Run ``n_runs`` generated scenarios through the engine
-    differential (:func:`run_engine_diff`).
-
-    Unlike :func:`fuzz`, faulted scenarios still run the differential —
-    both backends replay the same plan — so the default ``fault_rate``
-    is non-zero and the menu includes the hardware sites
-    (:data:`repro.check.scenario.ENGINE_DIFF_FAULT_SITE_MENU`).
-    """
-    failures = []
-    runs = 0
-    differential_runs = 0
-    for index in range(n_runs):
-        payload = run_engine_diff_index(seed, index,
-                                        fault_rate=fault_rate,
-                                        profile=profile)
-        runs += 1
-        differential_runs += payload["differential_ran"]
-        if not payload["ok"]:
-            failures.append(payload["artifact"])
-        if on_progress is not None:
-            on_progress(payload["seed"], payload)
-        if len(failures) >= max_failures:
-            break
-    return {
-        "runs": runs,
-        "differential_runs": differential_runs,
-        "failures": failures,
-    }
-
-
-def fuzz(n_runs, seed=0, fault_rate=0.0, shrink=True, max_failures=5,
-         on_progress=None, profile=None):
-    """Run ``n_runs`` generated scenarios derived from ``seed``.
-
-    Run ``k``'s scenario seed is ``derive_run_seed(seed, k)`` — an
-    independent, order-free stream per run (see
-    :mod:`repro.check.scenario`), so this serial loop and the farmed
-    version (``repro.farm.farm_check``) execute identical scenarios.
-
-    :param shrink: minimize each failing scenario and attach a repro
-        artifact (:func:`repro.check.shrink.make_artifact`).
-    :param max_failures: stop early after this many failures.  (The
-        farm disables the early stop and truncates after the merge
-        instead, keeping its report worker-count invariant.)
-    :param on_progress: optional ``f(seed, payload)`` callback —
-        ``payload`` is the JSON-ready per-run result (``ok``,
-        ``summary``, ``artifact`` on failure).
-    :param profile: optional
-        :class:`~repro.obs.profile.WallClockProfile` shared by every
-        run (``check.*`` sections; shrinking adds ``check.shrink``).
-    :returns: dict with ``runs``, ``failures`` (list of artifacts) and
-        ``differential_runs`` counts.
-    """
-    if profile is None:
-        profile = NullProfile()
-    failures = []
-    differential_runs = 0
-    runs = 0
-    for index in range(n_runs):
-        payload = run_fuzz_index(seed, index, fault_rate=fault_rate,
-                                 shrink=shrink, profile=profile)
-        runs += 1
-        differential_runs += payload["differential_ran"]
-        if not payload["ok"]:
-            failures.append(payload["artifact"])
-        if on_progress is not None:
-            on_progress(payload["seed"], payload)
-        if len(failures) >= max_failures:
-            break
-    return {
-        "runs": runs,
-        "differential_runs": differential_runs,
-        "failures": failures,
-    }

@@ -43,20 +43,23 @@ Commands
     lockstep and checked against trace oracles; failures are shrunk to
     replayable JSON repro artifacts (see docs/CHECKING.md).
 
-``farm``
-    Run a check batch, engine-diff batch, or fault campaign through
-    the parallel scenario farm with a live per-worker status line; the
-    merged report is byte-identical at any ``--workers`` count (see
-    docs/FARM.md).  ``farm status`` inspects farm checkpoints on disk
-    instead of running anything.
+``check``, ``faults`` and ``scale`` run their batches through the
+parallel scenario farm (docs/FARM.md): ``--workers`` (default 1,
+in-process) never changes the report bytes, and ``--checkpoint FILE``
+resumes an interrupted batch.  Without ``--out`` the report document
+alone goes to stdout; with it, farm progress and status lines do.
+Exit codes: 0 clean, 1 failures or errors, 2 quarantine, incomplete
+batch or refused checkpoint, 3 interrupted.
+
+``farm status``
+    Inspect farm checkpoints on disk without running anything.
 
 ``scale``
     Full-topology scale campaigns (docs/FARM.md "Full-topology
     sweeps"): fill a 57-core x 4-HT Xeon Phi (or any subset) with
     thousands of RMWP-schedulable tasks, one farm shard per core, or
     farm the fig-series sweep grid and the three ablations
-    (``--what sweep``).  Worker-count-invariant merged reports,
-    checkpoint/``--resume``, and a jobs/minute throughput line.
+    (``--what sweep``), with a jobs/minute throughput line.
 
 ``snapshot``
     Deterministic checkpoint/restore: run a program to completion, dump
@@ -197,24 +200,21 @@ def _add_faults_parser(subparsers):
     parser.add_argument("--list", action="store_true",
                         help="list the canned scenarios and exit")
     parser.add_argument("--flight-dir", default=None, metavar="DIR",
-                        help="dump flight-recorder artifacts into this "
-                             "directory at every failure edge "
+                        help="dump flight-recorder artifacts into "
+                             "DIR/<scenario>/ at every failure edge "
                              "(invariant violation, degraded-mode "
-                             "entry, watchdog fire)")
+                             "entry, watchdog fire), and the farm's "
+                             "ring into DIR on quarantine")
     parser.add_argument("--workers", type=int, default=1,
-                        help="run the campaign through the scenario "
-                             "farm with this many worker processes; "
-                             "the report bytes are identical at any "
-                             "worker count (docs/FARM.md)")
+                        help="farm worker processes (1 runs "
+                             "in-process); the report bytes are "
+                             "identical at any worker count "
+                             "(docs/FARM.md)")
     parser.add_argument("--checkpoint", default=None, metavar="FILE",
                         help="checkpoint completed scenarios here and "
                              "resume from it on the next run; also "
                              "enables graceful SIGTERM/SIGINT drain "
                              "(docs/SNAPSHOTS.md)")
-    parser.add_argument("--resume", default=None, metavar="FILE",
-                        help="resume a serial campaign from this "
-                             "campaign snapshot (--workers 1; farmed "
-                             "campaigns auto-resume via --checkpoint)")
 
 
 def _add_engine_argument(parser):
@@ -245,9 +245,13 @@ def _add_check_parser(subparsers):
                         default=True,
                         help="delta-debug failing scenarios (default on)")
     parser.add_argument("--max-failures", type=int, default=5,
-                        help="stop after this many failing scenarios")
+                        help="keep this many failing scenarios in the "
+                             "report; every run still executes and "
+                             "the failure list is truncated afterwards")
     parser.add_argument("--artifacts", default=None, metavar="DIR",
-                        help="write one repro JSON per failure here")
+                        help="write one repro JSON per kept failure "
+                             "here, and the farm's flight ring on "
+                             "quarantine")
     parser.add_argument("--replay", default=None, metavar="FILE",
                         help="re-run a saved repro artifact and exit")
     parser.add_argument("--from-snapshot", default=None, metavar="FILE",
@@ -256,10 +260,9 @@ def _add_check_parser(subparsers):
                              "by --artifacts) and re-execute only the "
                              "tail (docs/SNAPSHOTS.md)")
     parser.add_argument("--checkpoint", default=None, metavar="FILE",
-                        help="farm path only: checkpoint completed "
-                             "runs here and resume from it on the "
-                             "next run; also enables graceful "
-                             "SIGTERM/SIGINT drain")
+                        help="checkpoint completed runs here and "
+                             "resume from it on the next run; also "
+                             "enables graceful SIGTERM/SIGINT drain")
     parser.add_argument("--engine-diff", action="store_true",
                         help="lockstep fast-vs-reference differential "
                              "instead of the theory oracle: every "
@@ -267,59 +270,27 @@ def _add_check_parser(subparsers):
                              "and the probe streams must be "
                              "byte-identical (fault plans allowed, "
                              "default fault rate 0.25)")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="run the batch through the scenario farm "
-                             "with this many worker processes; the "
-                             "merged report is byte-identical at any "
-                             "worker count (docs/FARM.md)")
+    parser.add_argument("--workers", type=int, default=1,
+                        help="farm worker processes (1 runs "
+                             "in-process); the merged report is "
+                             "byte-identical at any worker count "
+                             "(docs/FARM.md)")
     parser.add_argument("--out", default=None, metavar="FILE",
-                        help="write the farm's merged JSON report "
-                             "here (implies the farm path; see "
-                             "--workers)")
+                        help="write the merged JSON report here")
 
 
 def _add_farm_parser(subparsers):
     parser = subparsers.add_parser(
-        "farm", help="parallel scenario farm with live worker status"
+        "farm", help="inspect scenario-farm checkpoints"
     )
-    parser.add_argument("action", nargs="?", default="run",
-                        choices=["run", "status"],
-                        help="run (default): execute a batch; status: "
-                             "inspect farm checkpoints on disk "
-                             "(--checkpoint FILE or --checkpoint-dir "
-                             "DIR) without running anything")
-    parser.add_argument("--what", default="check",
-                        choices=["check", "engine-diff", "faults"],
-                        help="which batch to farm out")
-    parser.add_argument("--workers", type=int, default=2)
-    parser.add_argument("--runs", type=int, default=50,
-                        help="scenarios per batch (check/engine-diff)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--fault-rate", type=float, default=None,
-                        help="check/engine-diff fault rate (defaults "
-                             "0 / 0.25)")
-    parser.add_argument("--scenario", default="all",
-                        help="campaign scenarios (faults): name, "
-                             "comma-separated names, or 'all'")
-    parser.add_argument("--seconds", type=int, default=12,
-                        help="trading duration per campaign scenario")
-    parser.add_argument("--heartbeat", type=float, default=None,
-                        help="seconds of worker silence before the "
-                             "parent declares a hang")
-    parser.add_argument("--flight-dir", default=None, metavar="DIR",
-                        help="dump the farm flight ring here on "
-                             "quarantine")
-    parser.add_argument("--out", default=None, metavar="FILE",
-                        help="write the merged JSON report here "
-                             "instead of stdout")
+    parser.add_argument("action", choices=["status"],
+                        help="status: summarize farm checkpoints on "
+                             "disk without running anything")
     parser.add_argument("--checkpoint", default=None, metavar="FILE",
-                        help="checkpoint completed items here and "
-                             "resume from it on the next run; also "
-                             "enables graceful SIGTERM/SIGINT drain "
-                             "(docs/SNAPSHOTS.md)")
+                        help="inspect this checkpoint file")
     parser.add_argument("--checkpoint-dir", default=".", metavar="DIR",
-                        help="farm status: directory to scan for farm "
-                             "checkpoints (default: current directory)")
+                        help="directory to scan for farm checkpoints "
+                             "(default: current directory)")
 
 
 def _add_scale_parser(subparsers):
@@ -363,14 +334,10 @@ def _add_scale_parser(subparsers):
                         help="write the merged JSON report here "
                              "instead of stdout")
     parser.add_argument("--checkpoint", default=None, metavar="FILE",
-                        help="checkpoint completed shards here; also "
+                        help="checkpoint completed shards here and "
+                             "resume from it on the next run; also "
                              "enables graceful SIGTERM/SIGINT drain "
                              "(exit code 3)")
-    parser.add_argument("--resume", default=None, metavar="FILE",
-                        help="resume an interrupted campaign from this "
-                             "checkpoint file (same machinery as "
-                             "--checkpoint, spelled for intent; "
-                             "completed shards are skipped)")
     _add_engine_argument(parser)
 
 
@@ -686,15 +653,20 @@ def cmd_report(args, out):
         kernel, metrics=metrics, profile=profile,
         include_wallclock=not args.no_wallclock,
     )
-    rendered = report.to_json()
+    _write_report(args, out, report.to_json(),
+                  f"run report ({len(report.sections) - 1} sections)")
+    return 0
+
+
+def _write_report(args, out, rendered, what):
+    """Write a rendered document to ``--out`` and announce it as
+    ``what``; without ``--out`` the document alone goes to ``out``."""
     if args.out:
         with open(args.out, "w") as handle:
             handle.write(rendered)
-        print(f"wrote run report ({len(report.sections) - 1} "
-              f"sections) to {args.out}", file=out)
+        print(f"wrote {what} to {args.out}", file=out)
     else:
         out.write(rendered)
-    return 0
 
 
 class _FarmProgress:
@@ -768,38 +740,9 @@ def _farm_status(result, out):
     )
 
 
-class _StopFlag:
-    """SIGINT/SIGTERM latch for the serial campaign's graceful drain;
-    previous handlers restored by :meth:`restore`."""
-
-    def __init__(self):
-        import signal
-
-        self.signum = None
-        self._previous = {}
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            self._previous[signum] = signal.signal(signum, self._set)
-
-    def _set(self, signum, _frame):
-        self.signum = signum
-
-    def __call__(self):
-        return self.signum
-
-    def restore(self):
-        import signal
-
-        for signum, handler in self._previous.items():
-            signal.signal(signum, handler)
-
-
 def cmd_faults(args, out):
-    from repro.faults.campaign import (
-        SCENARIOS,
-        CampaignInterrupted,
-        render_report,
-        run_campaign,
-    )
+    from repro.farm import farm_campaign
+    from repro.faults.campaign import SCENARIOS, render_report
 
     if args.list:
         for name in sorted(SCENARIOS):
@@ -815,67 +758,24 @@ def cmd_faults(args, out):
             print(f"unknown scenario(s): {', '.join(unknown)} "
                   f"(try --list)", file=out)
             return 2
-    if args.resume and args.workers > 1:
-        print("--resume is for serial campaigns; farmed campaigns "
-              "auto-resume from --checkpoint", file=out)
-        return 2
-    quarantined = False
-    if args.workers > 1:
-        from repro.farm import FarmInterrupted, farm_campaign
-
-        try:
-            report, farm_result = farm_campaign(
-                scenarios=names, n_seconds=args.seconds, seed=args.seed,
-                workers=args.workers, flight_dir=args.flight_dir,
-                on_event=_FarmProgress(out),
-                checkpoint_path=args.checkpoint,
-                handle_signals=bool(args.checkpoint),
-            )
-        except FarmInterrupted as interrupt:
-            print(f"faults: {interrupt}", file=out)
-            return 3
-        quarantined = bool(farm_result.quarantined
-                           or report.get("incomplete"))
-    else:
-        resume_document = None
-        if args.resume:
-            from repro.snapshot import load_snapshot
-
-            resume_document = load_snapshot(args.resume)
-        stop = _StopFlag() if args.checkpoint else None
-        try:
-            report = run_campaign(
-                scenarios=names, n_seconds=args.seconds,
-                seed=args.seed, flight_dir=args.flight_dir,
-                checkpoint_path=args.checkpoint,
-                resume_from=resume_document, should_stop=stop,
-            )
-        except CampaignInterrupted as interrupt:
-            print(f"faults: {interrupt}", file=out)
-            return 3
-        finally:
-            if stop is not None:
-                stop.restore()
-    rendered = render_report(report)
+    report, farm_result = farm_campaign(
+        scenarios=names, n_seconds=args.seconds, seed=args.seed,
+        workers=args.workers, flight_dir=args.flight_dir,
+        on_event=_FarmProgress(out) if args.out else None,
+        checkpoint_path=args.checkpoint,
+        handle_signals=bool(args.checkpoint),
+    )
+    _write_report(args, out, render_report(report),
+                  f"{len(report['scenarios'])} scenario report(s)")
     if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(rendered)
-        scenario_count = len(report["scenarios"])
-        print(f"wrote {scenario_count} scenario report(s) to "
-              f"{args.out}", file=out)
-    else:
-        out.write(rendered)
-    return 2 if quarantined else 0
+        _farm_status(farm_result, out)
+    return 2 if farm_result.quarantined or report.get("incomplete") else 0
 
 
 def cmd_check(args, out):
-    from repro.check import (
-        fuzz,
-        fuzz_engine_diff,
-        load_artifact,
-        replay_artifact,
-    )
+    from repro.check import load_artifact, replay_artifact
     from repro.check.shrink import save_artifact
+    from repro.farm import farm_check, render_check_report
 
     if args.replay:
         artifact = load_artifact(args.replay)
@@ -907,62 +807,34 @@ def cmd_check(args, out):
             return 1
         return 0
 
-    quarantined = False
-    if args.workers is not None or args.out or args.checkpoint:
-        from repro.farm import FarmInterrupted, farm_check, \
-            render_check_report
-
-        try:
-            document, farm_result = farm_check(
-                args.runs,
-                seed=args.seed,
-                fault_rate=args.fault_rate,
-                shrink=args.shrink,
-                engine_diff=args.engine_diff,
-                max_failures=args.max_failures,
-                workers=args.workers or 1,
-                checkpoint_path=args.checkpoint,
-                handle_signals=bool(args.checkpoint),
-            )
-        except FarmInterrupted as interrupt:
-            print(f"check: {interrupt}", file=out)
-            return 3
-        quarantined = bool(farm_result.quarantined)
-        if args.out:
-            with open(args.out, "w") as handle:
-                handle.write(render_check_report(document))
-            print(f"wrote farm report to {args.out}", file=out)
-        result = {
-            "runs": document["completed_runs"],
-            "differential_runs": document["differential_runs"],
-            "failures": document["failures"],
-        }
-    else:
-        def progress(seed, payload):
-            if not payload["ok"]:
-                print(f"seed {seed}: FAIL — {payload['summary']}",
-                      file=out)
-
-        if args.engine_diff:
-            result = fuzz_engine_diff(
-                args.runs,
-                seed=args.seed,
-                fault_rate=(0.25 if args.fault_rate is None
-                            else args.fault_rate),
-                max_failures=args.max_failures,
-                on_progress=progress,
-            )
-        else:
-            result = fuzz(
-                args.runs,
-                seed=args.seed,
-                fault_rate=(0.0 if args.fault_rate is None
-                            else args.fault_rate),
-                shrink=args.shrink,
-                max_failures=args.max_failures,
-                on_progress=progress,
-            )
-    failures = result["failures"]
+    document, farm_result = farm_check(
+        args.runs,
+        seed=args.seed,
+        fault_rate=args.fault_rate,
+        shrink=args.shrink,
+        engine_diff=args.engine_diff,
+        max_failures=args.max_failures,
+        workers=args.workers,
+        flight_dir=args.artifacts,
+        on_event=_FarmProgress(out) if args.out else None,
+        checkpoint_path=args.checkpoint,
+        handle_signals=bool(args.checkpoint),
+    )
+    if args.out:
+        _write_report(args, out, render_check_report(document),
+                      "farm report")
+        _farm_status(farm_result, out)
+    failures = document["failures"]
+    for artifact in failures:
+        print(f"seed {artifact['seed']}: FAIL — {artifact['summary']}",
+              file=out)
+    for error in document["errors"]:
+        print(f"seed {error['seed']}: ERROR — {error['error']}",
+              file=out)
+    for entry in document["quarantined"]:
+        for seed in entry["seeds"]:
+            print(f"seed {seed}: QUARANTINED — {entry['reason']}",
+                  file=out)
     if args.artifacts and failures:
         import os
 
@@ -979,24 +851,25 @@ def cmd_check(args, out):
                 args.artifacts,
                 f"repro-seed{artifact['seed']}-snapshot.json",
             )
-            document, info = divergence_snapshot(artifact)
-            write_snapshot(snapshot_path, document)
+            snapshot, info = divergence_snapshot(artifact)
+            write_snapshot(snapshot_path, snapshot)
             print(f"wrote {snapshot_path} (barrier {info['barrier']}/"
                   f"{info['total_events']} events, "
                   f"{info['barrier_source']})", file=out)
+    failed = document["total_failures"] + len(document["errors"])
     mode = "engine-diff " if args.engine_diff else ""
     print(
-        f"{result['runs']} {mode}runs from seed {args.seed}: "
-        f"{result['differential_runs']} differential, "
-        f"{len(failures)} failure(s)",
+        f"{document['completed_runs']} {mode}runs from seed {args.seed}: "
+        f"{document['differential_runs']} differential, "
+        f"{failed} failure(s)",
         file=out,
     )
-    if quarantined:
+    if farm_result.quarantined:
         return 2
-    return 1 if failures else 0
+    return 1 if failed else 0
 
 
-def _cmd_farm_status(args, out):
+def cmd_farm(args, out):
     """``repro farm status``: inspect checkpoints without running.
 
     A missing or checkpoint-free location reports "no checkpoints" and
@@ -1028,72 +901,8 @@ def _cmd_farm_status(args, out):
     return 0
 
 
-def cmd_farm(args, out):
-    from repro.farm import (
-        DEFAULT_HEARTBEAT,
-        FarmInterrupted,
-        farm_campaign,
-        farm_check,
-        render_check_report,
-    )
-
-    if args.action == "status":
-        return _cmd_farm_status(args, out)
-
-    progress = _FarmProgress(out)
-    heartbeat = (DEFAULT_HEARTBEAT if args.heartbeat is None
-                 else args.heartbeat)
-    handle_signals = bool(args.checkpoint)
-    try:
-        if args.what == "faults":
-            from repro.faults.campaign import SCENARIOS, render_report
-
-            names = None
-            if args.scenario != "all":
-                names = [name.strip()
-                         for name in args.scenario.split(",")]
-                unknown = [name for name in names
-                           if name not in SCENARIOS]
-                if unknown:
-                    print(f"unknown scenario(s): {', '.join(unknown)}",
-                          file=out)
-                    return 2
-            document, farm_result = farm_campaign(
-                scenarios=names, n_seconds=args.seconds,
-                seed=args.seed, workers=args.workers,
-                heartbeat=heartbeat, flight_dir=args.flight_dir,
-                on_event=progress, checkpoint_path=args.checkpoint,
-                handle_signals=handle_signals,
-            )
-            rendered = render_report(document)
-            failed = bool(document.get("incomplete"))
-        else:
-            document, farm_result = farm_check(
-                args.runs, seed=args.seed, fault_rate=args.fault_rate,
-                engine_diff=args.what == "engine-diff",
-                workers=args.workers, heartbeat=heartbeat,
-                flight_dir=args.flight_dir, on_event=progress,
-                checkpoint_path=args.checkpoint,
-                handle_signals=handle_signals,
-            )
-            rendered = render_check_report(document)
-            failed = bool(document["total_failures"]
-                          or document["errors"])
-    except FarmInterrupted as interrupt:
-        print(f"farm: {interrupt}", file=out)
-        return 3
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(rendered)
-        print(f"wrote merged report to {args.out}", file=out)
-    _farm_status(farm_result, out)
-    if farm_result.quarantined:
-        return 2
-    return 1 if failed else 0
-
-
 def cmd_scale(args, out):
-    from repro.farm import DEFAULT_HEARTBEAT, FarmInterrupted
+    from repro.farm import DEFAULT_HEARTBEAT
     from repro.hardware.xeonphi import XEON_PHI_3120A
     from repro.scale import farm_scale, farm_scale_sweep, \
         render_scale_report
@@ -1103,51 +912,39 @@ def cmd_scale(args, out):
     except ValueError as error:
         print(f"scale: {error}", file=out)
         return 2
-    checkpoint = args.resume or args.checkpoint
-    progress = _FarmProgress(out)
-    heartbeat = (DEFAULT_HEARTBEAT if args.heartbeat is None
-                 else args.heartbeat)
-    try:
-        if args.what == "sweep":
-            document, farm_result = farm_scale_sweep(
-                quick=args.quick, seed=args.seed,
-                workers=args.workers, heartbeat=heartbeat,
-                flight_dir=args.flight_dir, on_event=progress,
-                checkpoint_path=checkpoint,
-                handle_signals=bool(checkpoint),
-            )
-            failed = bool(document["errors"])
-        else:
-            document, farm_result = farm_scale(
-                n_cores=spec.n_cores,
-                threads_per_core=spec.threads_per_core,
-                n_tasks=args.tasks,
-                seed=args.seed,
-                utilization=args.utilization,
-                horizon_periods=args.horizon_periods,
-                engine=args.engine,
-                workers=args.workers,
-                heartbeat=heartbeat,
-                flight_dir=args.flight_dir,
-                on_event=progress,
-                checkpoint_path=checkpoint,
-                handle_signals=bool(checkpoint),
-            )
-            failed = bool(document["totals"]["violations"]
-                          or document["total_crashes"]
-                          or document["errors"])
-    except FarmInterrupted as interrupt:
-        print(f"scale: {interrupt}", file=out)
-        return 3
-    rendered = render_scale_report(document)
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(rendered)
-        print(f"wrote merged report to {args.out}", file=out)
+    batch = {
+        "workers": args.workers,
+        "heartbeat": (DEFAULT_HEARTBEAT if args.heartbeat is None
+                      else args.heartbeat),
+        "flight_dir": args.flight_dir,
+        "on_event": _FarmProgress(out) if args.out else None,
+        "checkpoint_path": args.checkpoint,
+        "handle_signals": bool(args.checkpoint),
+    }
+    if args.what == "sweep":
+        document, farm_result = farm_scale_sweep(
+            quick=args.quick, seed=args.seed, **batch,
+        )
+        failed = bool(document["errors"])
     else:
-        out.write(rendered)
-    _farm_status(farm_result, out)
-    if args.what == "campaign":
+        document, farm_result = farm_scale(
+            n_cores=spec.n_cores,
+            threads_per_core=spec.threads_per_core,
+            n_tasks=args.tasks,
+            seed=args.seed,
+            utilization=args.utilization,
+            horizon_periods=args.horizon_periods,
+            engine=args.engine,
+            **batch,
+        )
+        failed = bool(document["totals"]["violations"]
+                      or document["total_crashes"]
+                      or document["errors"])
+    _write_report(args, out, render_scale_report(document),
+                  "merged report")
+    if args.out:
+        _farm_status(farm_result, out)
+    if args.out and args.what == "campaign":
         totals = document["totals"]
         wall = farm_result.stats.get("wall_seconds") or 0
         throughput = (f"{totals['jobs_done'] / wall * 60.0:,.0f} "
@@ -1211,14 +1008,8 @@ def cmd_snapshot(args, out):
     from repro.snapshot import snapshot as take_snapshot
 
     def emit_payload(payload):
-        rendered = json_module.dumps(payload, indent=2,
-                                     sort_keys=True) + "\n"
-        if args.out:
-            with open(args.out, "w") as handle:
-                handle.write(rendered)
-            print(f"wrote payload to {args.out}", file=out)
-        else:
-            out.write(rendered)
+        _write_report(args, out, json_module.dumps(
+            payload, indent=2, sort_keys=True) + "\n", "payload")
 
     try:
         if args.action == "inspect":
@@ -1302,9 +1093,19 @@ def build_parser():
 
 
 def main(argv=None, out=None):
+    from repro.farm import CheckpointMismatchError, FarmInterrupted
+
     out = out if out is not None else sys.stdout
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args, out)
+    try:
+        return _COMMANDS[args.command](args, out)
+    except FarmInterrupted as interrupt:
+        # graceful SIGTERM/SIGINT drain; the message names the resume
+        print(f"{args.command}: {interrupt}", file=out)
+        return 3
+    except CheckpointMismatchError as error:
+        print(f"{args.command}: {error}", file=out)
+        return 2
 
 
 if __name__ == "__main__":

@@ -36,6 +36,48 @@ class CheckpointMismatchError(Exception):
     batch being resumed."""
 
 
+def _read_checkpoint(path):
+    """``(header, {index: payload}, torn_tail)`` from a checkpoint file.
+
+    The one JSONL reader behind :func:`load_farm_checkpoint` and
+    :func:`inspect_checkpoint`.  An empty file reads as ``header=None``.
+    A truncated final line is dropped (crash mid-write) and reported as
+    ``torn_tail``; an unreadable header, a foreign schema, or corruption
+    anywhere else raises :class:`CheckpointMismatchError`.
+    """
+    with open(path) as handle:
+        lines = handle.read().splitlines()
+    if not lines:
+        return None, {}, False
+    try:
+        header = json.loads(lines[0])
+    except ValueError:
+        raise CheckpointMismatchError(
+            f"{path}: unreadable checkpoint header"
+        )
+    schema = header.get("schema") if isinstance(header, dict) else None
+    if schema != FARM_CHECKPOINT_SCHEMA:
+        raise CheckpointMismatchError(
+            f"{path}: schema {schema!r} is not {FARM_CHECKPOINT_SCHEMA!r}"
+        )
+    completed = {}
+    for position, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        try:
+            row = json.loads(line)
+        except ValueError:
+            if position == len(lines):
+                return header, completed, True
+            row = None
+        if not isinstance(row, dict) or not {"index", "payload"} <= set(row):
+            raise CheckpointMismatchError(
+                f"{path}: corrupt checkpoint line {position}"
+            )
+        completed[row["index"]] = row["payload"]
+    return header, completed, False
+
+
 def load_farm_checkpoint(path, meta=None):
     """Completed ``{index: payload}`` from a checkpoint file.
 
@@ -46,83 +88,35 @@ def load_farm_checkpoint(path, meta=None):
     """
     if path is None or not os.path.exists(path):
         return {}
-    with open(path) as handle:
-        lines = handle.read().splitlines()
-    if not lines:
+    header, completed, _torn = _read_checkpoint(path)
+    if header is None:
         return {}
-    try:
-        header = json.loads(lines[0])
-    except ValueError:
-        raise CheckpointMismatchError(
-            f"{path}: unreadable checkpoint header"
-        )
-    if header.get("schema") != FARM_CHECKPOINT_SCHEMA:
-        raise CheckpointMismatchError(
-            f"{path}: schema {header.get('schema')!r} is not "
-            f"{FARM_CHECKPOINT_SCHEMA!r}"
-        )
     if meta is not None and header.get("meta") != meta:
         raise CheckpointMismatchError(
             f"{path}: checkpoint fingerprint {header.get('meta')!r} "
             f"does not match this batch {meta!r} — refusing to resume"
         )
-    completed = {}
-    for position, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            row = json.loads(line)
-        except ValueError:
-            if position == len(lines):
-                break  # torn trailing line: the crash landed mid-write
-            raise CheckpointMismatchError(
-                f"{path}: corrupt checkpoint line {position}"
-            )
-        completed[row["index"]] = row["payload"]
     return completed
 
 
 def inspect_checkpoint(path):
     """Summary of one checkpoint file, or ``None`` if it is not one.
 
-    Non-checkpoint files (wrong schema, unreadable, empty) return
-    ``None`` instead of raising — ``repro farm status`` points this at
-    whole directories, most of whose files are not checkpoints.  A
-    torn trailing line is tolerated exactly like
-    :func:`load_farm_checkpoint`.
+    Every file :func:`load_farm_checkpoint` would refuse (wrong schema,
+    unreadable, corrupt) or that is empty returns ``None`` instead of
+    raising — ``repro farm status`` points this at whole directories,
+    most of whose files are not checkpoints.
     """
     try:
-        with open(path) as handle:
-            lines = handle.read().splitlines()
-    except OSError:
+        header, completed, torn = _read_checkpoint(path)
+    except (OSError, ValueError, CheckpointMismatchError):
         return None
-    if not lines:
+    if header is None:
         return None
-    try:
-        header = json.loads(lines[0])
-    except ValueError:
-        return None
-    if (not isinstance(header, dict)
-            or header.get("schema") != FARM_CHECKPOINT_SCHEMA):
-        return None
-    completed = 0
-    torn = False
-    for position, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            row = json.loads(line)
-        except ValueError:
-            if position == len(lines):
-                torn = True
-                break
-            return None  # corrupt mid-file: not a usable checkpoint
-        if isinstance(row, dict) and "index" in row:
-            completed += 1
     return {
         "path": path,
         "meta": header.get("meta"),
-        "completed": completed,
+        "completed": len(completed),
         "torn_tail": torn,
     }
 

@@ -2,7 +2,7 @@
 
 Three workloads ride the farm (:func:`~repro.farm.core.farm_map`):
 
-* **check batches** — ``fuzz``-style conformance runs
+* **check batches** — differential conformance runs
   (:func:`farm_check` with ``engine_diff=False``);
 * **engine-diff batches** — reference-vs-fast backend differentials
   (:func:`farm_check` with ``engine_diff=True``);
@@ -15,15 +15,17 @@ the item description (the check runs derive their scenario RNG from
 name), which is what makes the merged report a pure function of the
 batch — independent of worker count, scheduling order, and retries.
 
-The check farm emits its own report document
-(:data:`CHECK_FARM_SCHEMA`); the campaign farm reuses the serial
-campaign assembly (:func:`repro.faults.campaign.assemble_campaign`) so
-a farmed campaign's rendered report is byte-identical to the serial
-``run_campaign`` output.
+These are the only runners of those batches: ``repro check`` and
+``repro faults`` call :func:`farm_check` / :func:`farm_campaign`, and
+``workers=1`` runs in-process through the same merge.  The check farm
+emits its own report document (:data:`CHECK_FARM_SCHEMA`); the
+campaign farm builds the ``rtseed-resilience`` document with
+:func:`repro.faults.campaign.assemble_campaign`.
 """
 
 import functools
 import json
+import os
 
 from repro.farm.core import DEFAULT_HEARTBEAT, DEFAULT_RETRIES, farm_map
 
@@ -49,11 +51,19 @@ def _engine_diff_item(item):
                                  fault_rate=item["fault_rate"])
 
 
-def _campaign_item(name, n_seconds, seed):
-    """Farm task: one campaign scenario (partial-bound, picklable)."""
+def _campaign_item(name, n_seconds, seed, flight_dir):
+    """Farm task: one campaign scenario (partial-bound, picklable).
+
+    Its flight dumps go to ``flight_dir/<name>/``: dump names are
+    numbered per process, so scenarios of different workers sharing
+    one directory would overwrite each other's files.
+    """
     from repro.faults.campaign import run_scenario
 
-    return run_scenario(name, n_seconds=n_seconds, seed=seed)
+    if flight_dir is not None:
+        flight_dir = os.path.join(flight_dir, name)
+    return run_scenario(name, n_seconds=n_seconds, seed=seed,
+                        flight_dir=flight_dir)
 
 
 def merge_check_results(farm_result, mode, base_seed, n_runs,
@@ -63,7 +73,7 @@ def merge_check_results(farm_result, mode, base_seed, n_runs,
     The document contains only worker-count-invariant data: payloads
     are merged in item-index order, ``failures`` is truncated to
     ``max_failures`` *after* the merge (the farm never early-stops a
-    batch — a serial early stop would make the failure set depend on
+    batch — an early stop would make the failure set depend on
     completion order), and quarantined shards surface their unfinished
     indices *and* the scenario seeds those indices would have run —
     never silently dropped.  Wall-clock and worker diagnostics stay on
@@ -123,11 +133,11 @@ def farm_check(n_runs, seed=0, fault_rate=None, shrink=True,
     (render with :func:`render_check_report`) and the raw
     :class:`~repro.farm.core.FarmResult` with stats/quarantine detail.
 
-    ``fault_rate`` defaults to the serial batch defaults (``0.0`` for
-    check, ``0.25`` for engine-diff).  Unlike the serial ``fuzz`` loop
-    the farm runs *every* index regardless of failures, then truncates
-    the merged failure list to ``max_failures`` in index order — the
-    report is identical at any worker count.
+    ``fault_rate`` defaults to ``0.0`` for check and ``0.25`` for
+    engine-diff.  There is no early stop: the farm runs *every* index
+    regardless of failures, then truncates the merged failure list to
+    ``max_failures`` in index order — the report is identical at any
+    worker count.  ``flight_dir`` receives the quarantine flight dump.
 
     ``checkpoint_path`` enables crash/interrupt resume: completed runs
     are appended to the file and skipped on the next invocation with
@@ -171,11 +181,14 @@ def farm_campaign(scenarios=None, n_seconds=30, seed=0, workers=1,
                   handle_signals=False):
     """Run a resilience campaign across ``workers`` processes.
 
-    Returns ``(document, farm_result)``.  A fully completed farmed
-    campaign assembles the *same* document as the serial
-    :func:`repro.faults.campaign.run_campaign` — byte-identical when
-    rendered.  A quarantined or errored scenario appears under
-    ``"incomplete"`` with its name and reason instead of vanishing.
+    Returns ``(document, farm_result)``: the
+    :func:`repro.faults.campaign.assemble_campaign` document of the
+    completed scenarios, byte-identical at any worker count.  A
+    quarantined or errored scenario appears under ``"incomplete"`` with
+    its name and reason instead of vanishing.
+
+    ``flight_dir`` receives the quarantine flight dump, and each
+    scenario's own flight dumps under ``flight_dir/<scenario>/``.
 
     ``checkpoint_path`` enables crash/interrupt resume: completed
     scenarios are appended to the file and skipped on the next
@@ -190,7 +203,7 @@ def farm_campaign(scenarios=None, n_seconds=30, seed=0, workers=1,
                 f"unknown scenario {name!r}; valid: {sorted(SCENARIOS)}"
             )
     task = functools.partial(_campaign_item, n_seconds=n_seconds,
-                             seed=seed)
+                             seed=seed, flight_dir=flight_dir)
     checkpoint_meta = {"what": "campaign", "scenarios": names,
                       "n_seconds": n_seconds, "seed": seed}
     farm_result = farm_map(

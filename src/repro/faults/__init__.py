@@ -19,7 +19,6 @@ degraded mode) and the trading layer's broker-failure tolerance.
 from repro.faults.campaign import (
     SCENARIOS,
     render_report,
-    run_campaign,
     run_scenario,
 )
 from repro.faults.injectors import (
@@ -34,7 +33,6 @@ from repro.faults.plan import FAULT_SITES, FaultPlan, FaultSpec, no_faults
 __all__ = [
     "SCENARIOS",
     "render_report",
-    "run_campaign",
     "run_scenario",
     "BrokerFaultProxy",
     "FaultInjector",

@@ -3,9 +3,11 @@
 A *scenario* pairs a :class:`~repro.faults.plan.FaultPlan` with the
 hardening configuration under test (retry policy, overrun watchdog,
 degraded-mode controller) and runs the end-to-end trading system
-(:class:`~repro.trading.system.RealTimeTradingSystem`) under it.  The
-*campaign* sweeps a scenario matrix and emits one JSON resilience
-report: deadline misses, QoS, injected-fault counts, recovery latency.
+(:class:`~repro.trading.system.RealTimeTradingSystem`) under it.  A
+*campaign* runs a list of scenarios through the scenario farm
+(:func:`repro.farm.farm_campaign`) and :func:`assemble_campaign` folds
+the results into one JSON resilience report: deadline misses, QoS,
+injected-fault counts, recovery latency.
 
 Everything is seeded and simulated-time only, so a campaign is fully
 deterministic: the same scenarios + seed produce a byte-identical
@@ -22,7 +24,6 @@ from repro.core.resilience import (
 from repro.faults.injectors import FaultInjector
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.obs.flightrec import FlightRecorder
-from repro.obs.profile import NullProfile
 from repro.obs.report import RunReport
 from repro.simkernel.time_units import MSEC, SEC
 from repro.trading.network import NetworkModel
@@ -189,8 +190,7 @@ class ScenarioRun:
     """
 
     def __init__(self, name, config, n_seconds, seed, plan, injector,
-                 system, events, retry, watchdog, degrade, recorder,
-                 profile):
+                 system, events, retry, watchdog, degrade, recorder):
         self.name = name
         self.config = config
         self.n_seconds = n_seconds
@@ -204,12 +204,10 @@ class ScenarioRun:
         self.watchdog = watchdog
         self.degrade = degrade
         self.recorder = recorder
-        self.profile = profile
 
     def finish(self):
         """Drain the kernel; returns the scenario's report dict."""
-        with self.profile.section(f"faults.{self.name}.run"):
-            report = self.system.finish()
+        report = self.system.finish()
         task = self.system.task
         probes = report.task_result.probes
         misses = len(report.task_result.deadline_misses)
@@ -254,7 +252,7 @@ class ScenarioRun:
 
 
 def prepare_scenario(name, n_seconds=30, seed=0, flight_dir=None,
-                     profile=None, _sabotage=None, engine=None):
+                     _sabotage=None, engine=None):
     """Build one canned scenario, started but not run; returns a
     :class:`ScenarioRun` (see :func:`run_scenario` for parameters;
     ``engine`` optionally pins the execution-core backend)."""
@@ -262,55 +260,52 @@ def prepare_scenario(name, n_seconds=30, seed=0, flight_dir=None,
         raise KeyError(
             f"unknown scenario {name!r}; valid: {sorted(SCENARIOS)}"
         )
-    if profile is None:
-        profile = NullProfile()
     config = SCENARIOS[name]
     horizon = n_seconds * SEC
     plan = config["plan"](horizon, seed)
     injector = FaultInjector(plan)
 
-    with profile.section(f"faults.{name}.setup"):
-        network = None
-        if config.get("network"):
-            network = injector.wrap_network(NetworkModel(seed=seed))
-        retry = RetryPolicy(max_attempts=3, backoff=5 * MSEC,
-                            reserve=100 * MSEC) if config.get("retry") else None
-        watchdog = OverrunWatchdog(grace=5 * MSEC) \
-            if config.get("watchdog") else None
-        degrade = DegradedModeController(enter_after=3, exit_after=2) \
-            if config.get("degrade") else None
+    network = None
+    if config.get("network"):
+        network = injector.wrap_network(NetworkModel(seed=seed))
+    retry = RetryPolicy(max_attempts=3, backoff=5 * MSEC,
+                        reserve=100 * MSEC) if config.get("retry") else None
+    watchdog = OverrunWatchdog(grace=5 * MSEC) \
+        if config.get("watchdog") else None
+    degrade = DegradedModeController(enter_after=3, exit_after=2) \
+        if config.get("degrade") else None
 
-        system = RealTimeTradingSystem(
-            n_seconds=n_seconds, seed=seed, network=network,
-            retry_policy=retry, watchdog=watchdog, degrade=degrade,
-            engine=engine, **config.get("system", {}),
-        )
-        task = system.task
-        task.feed = injector.wrap_feed(task.feed)
-        task.broker = injector.wrap_broker(task.broker)
-        kernel = system.middleware.kernel
+    system = RealTimeTradingSystem(
+        n_seconds=n_seconds, seed=seed, network=network,
+        retry_policy=retry, watchdog=watchdog, degrade=degrade,
+        engine=engine, **config.get("system", {}),
+    )
+    task = system.task
+    task.feed = injector.wrap_feed(task.feed)
+    task.broker = injector.wrap_broker(task.broker)
+    kernel = system.middleware.kernel
 
-        events = {}
+    events = {}
 
-        def count_event(topic, _time, _data):
-            events[topic] = events.get(topic, 0) + 1
+    def count_event(topic, _time, _data):
+        events[topic] = events.get(topic, 0) + 1
 
-        kernel.probes.subscribe(count_event, topics=_COUNTED_TOPICS)
-        recorder = FlightRecorder.attach(kernel, dump_dir=flight_dir,
-                                         seed=seed)
-        recorder.degrade = degrade
-        injector.attach(kernel)
-        if _sabotage is not None:
-            _sabotage(kernel)
-        system.start()
+    kernel.probes.subscribe(count_event, topics=_COUNTED_TOPICS)
+    recorder = FlightRecorder.attach(kernel, dump_dir=flight_dir,
+                                     seed=seed)
+    recorder.degrade = degrade
+    injector.attach(kernel)
+    if _sabotage is not None:
+        _sabotage(kernel)
+    system.start()
 
     return ScenarioRun(name, config, n_seconds, seed, plan, injector,
                        system, events, retry, watchdog, degrade,
-                       recorder, profile)
+                       recorder)
 
 
 def run_scenario(name, n_seconds=30, seed=0, flight_dir=None,
-                 profile=None, _sabotage=None, engine=None):
+                 _sabotage=None, engine=None):
     """Run one canned scenario; returns its (JSON-ready) report dict.
 
     :param flight_dir: when set, a
@@ -318,11 +313,6 @@ def run_scenario(name, n_seconds=30, seed=0, flight_dir=None,
         passively and dumps its ring into this directory at every
         failure edge (invariant violation, degraded-mode entry,
         watchdog fire).
-    :param profile: optional
-        :class:`~repro.obs.profile.WallClockProfile` — setup and run
-        are timed under ``faults.<scenario>.setup`` / ``.run``.
-        Wall-clock numbers never enter the returned report (it must
-        stay byte-deterministic).
     :param _sabotage: test hook — ``f(kernel)`` called after setup,
         before the run; used to plant invariant violations for
         flight-recorder smoke tests.
@@ -331,17 +321,14 @@ def run_scenario(name, n_seconds=30, seed=0, flight_dir=None,
     """
     return prepare_scenario(
         name, n_seconds=n_seconds, seed=seed, flight_dir=flight_dir,
-        profile=profile, _sabotage=_sabotage, engine=engine,
+        _sabotage=_sabotage, engine=engine,
     ).finish()
 
 
 def assemble_campaign(names, n_seconds, seed, results):
-    """Build the campaign document from per-scenario result dicts.
-
-    Shared by the serial sweep (:func:`run_campaign`) and the farmed
-    one (``repro.farm.farm_campaign``) so both emit byte-identical
-    reports for the same scenario results.  The top-level
-    ``run_report`` merges every scenario's per-run telemetry
+    """Build the campaign document from per-scenario result dicts
+    (``repro.farm.farm_campaign`` passes them in name order).  The
+    top-level ``run_report`` merges every scenario's per-run telemetry
     (:meth:`repro.obs.report.RunReport.merge`).
     """
     scenarios = dict(zip(names, results))
@@ -356,114 +343,6 @@ def assemble_campaign(names, n_seconds, seed, results):
     if run_reports:
         document["run_report"] = RunReport.merge(run_reports).to_dict()
     return document
-
-
-class CampaignInterrupted(Exception):
-    """A serial campaign stopped on a signal after draining the
-    in-flight scenario; ``checkpoint_path`` resumes it."""
-
-    def __init__(self, signum, completed, checkpoint_path=None):
-        self.signum = signum
-        self.completed = completed
-        self.checkpoint_path = checkpoint_path
-        hint = (f"; resume from checkpoint {checkpoint_path}"
-                if checkpoint_path else "")
-        super().__init__(
-            f"campaign interrupted: {len(completed)} scenario(s) "
-            f"completed{hint}"
-        )
-
-
-def _campaign_checkpoint_document(names, n_seconds, seed, completed):
-    """Campaign progress as an ``rtseed-snapshot/1`` document.
-
-    The campaign's unit of determinism is the scenario (each result is
-    a pure function of ``(name, n_seconds, seed)``), so its checkpoint
-    is completed-results-by-name rather than mid-scenario kernel state
-    — same envelope, integrity checks, and CLI (``repro snapshot
-    inspect``) as the simulation snapshots.
-    """
-    from repro.snapshot.core import build_snapshot
-
-    return build_snapshot(
-        program={"kind": "campaign", "scenarios": list(names),
-                 "n_seconds": n_seconds, "seed": seed},
-        barrier={"completed": len(completed)},
-        state={"completed": completed},
-        seed=seed,
-    )
-
-
-def load_campaign_checkpoint(document, names, n_seconds, seed):
-    """Completed ``{name: result}`` from a campaign snapshot document.
-
-    Refuses documents whose program does not exactly match the
-    campaign being resumed (scenario list, duration, seed)."""
-    from repro.snapshot.core import SnapshotMismatchError, \
-        validate_snapshot
-
-    validate_snapshot(document)
-    program = document.get("program", {})
-    expected = {"kind": "campaign", "scenarios": list(names),
-                "n_seconds": n_seconds, "seed": seed}
-    if program != expected:
-        raise SnapshotMismatchError(
-            f"campaign checkpoint program {program!r} does not match "
-            f"this campaign {expected!r} — refusing to resume"
-        )
-    return dict(document["state"]["completed"])
-
-
-def run_campaign(scenarios=None, n_seconds=30, seed=0, flight_dir=None,
-                 profile=None, checkpoint_path=None, resume_from=None,
-                 should_stop=None):
-    """Sweep ``scenarios`` (default: all) into one resilience report.
-
-    ``flight_dir`` and ``profile`` are forwarded to every
-    :func:`run_scenario`; neither affects the report bytes.
-
-    :param checkpoint_path: write a campaign snapshot after every
-        completed scenario (crash-resumable; atomic rename).
-    :param resume_from: a campaign snapshot document (or ``None``) —
-        scenarios it already holds are not re-run.  Because each
-        scenario result is a pure function of its parameters, the
-        resumed report is byte-identical to an uninterrupted sweep.
-    :param should_stop: optional zero-arg callable polled between
-        scenarios; truthy → drain and raise
-        :class:`CampaignInterrupted` (its return value is passed
-        through as the signal number).
-    """
-    names = list(scenarios) if scenarios else sorted(SCENARIOS)
-    completed = {}
-    if resume_from is not None:
-        completed = load_campaign_checkpoint(resume_from, names,
-                                             n_seconds, seed)
-
-    def write_checkpoint():
-        if checkpoint_path is None:
-            return
-        from repro.snapshot.core import write_snapshot
-
-        write_snapshot(
-            checkpoint_path,
-            _campaign_checkpoint_document(names, n_seconds, seed,
-                                          completed),
-        )
-
-    for name in names:
-        if name in completed:
-            continue
-        signum = should_stop() if should_stop is not None else None
-        if signum:
-            write_checkpoint()
-            raise CampaignInterrupted(signum, completed,
-                                      checkpoint_path=checkpoint_path)
-        completed[name] = run_scenario(name, n_seconds=n_seconds,
-                                       seed=seed, flight_dir=flight_dir,
-                                       profile=profile)
-        write_checkpoint()
-    results = [completed[name] for name in names]
-    return assemble_campaign(names, n_seconds, seed, results)
 
 
 def render_report(report):

@@ -5,7 +5,8 @@ The paper's middleware runs in user space on Linux, relying on the
 delivery.  This package reproduces that substrate as a deterministic
 discrete-event simulation:
 
-* :mod:`repro.simkernel.engine` — event queue and simulated clock.
+* :mod:`repro.engine.events` — event queue and simulated clock (shared
+  with the theory-level schedule simulator).
 * :mod:`repro.simkernel.cpu` — cores / hardware threads with SMT
   rate-sharing (the Xeon Phi's 4-way in-order SMT is modelled by
   :class:`~repro.simkernel.cpu.Topology`).
@@ -29,9 +30,9 @@ discrete-event simulation:
   default charges zero so logic tests are exact.
 """
 
+from repro.engine.events import Engine, Event
 from repro.simkernel.costmodel import CostModel, ZeroCostModel
 from repro.simkernel.cpu import Core, HardwareThread, Topology
-from repro.simkernel.engine import Engine, Event
 from repro.simkernel.errors import (
     DeadlockError,
     InjectedFaultError,

@@ -3,8 +3,7 @@
 Versioned, seed-stamped serialization of complete simulation state
 (``rtseed-snapshot/1``) with attested deterministic-replay restore.
 See ``docs/SNAPSHOTS.md`` for the format, the guarantees, and the
-resume workflows (farm checkpoints, campaign ``--resume``, check
-time-travel).
+resume workflows (farm checkpoints, check time-travel).
 """
 
 from repro.snapshot.core import (

@@ -9,13 +9,11 @@ A snapshot is one JSON document with five parts:
     the exact run from scratch (kind, seed, backend, workload
     parameters).  See :mod:`repro.snapshot.programs`.
 ``barrier``
-    Where in the run the snapshot was taken — for kernel programs the
-    engine's ``events_processed`` count and simulated clock; for
-    campaign checkpoints the completed-scenario count.
+    Where in the run the snapshot was taken: the engine's
+    ``events_processed`` count and simulated clock.
 ``state``
     The complete captured simulation state
-    (:func:`repro.snapshot.state.capture_state`) — or, for campaign
-    checkpoints, the completed per-scenario results.
+    (:func:`repro.snapshot.state.capture_state`).
 ``digest``
     SHA-256 over the canonical JSON of ``state``
     (:func:`repro.snapshot.state.state_digest`).
@@ -152,6 +150,4 @@ def inspect_snapshot(document):
         }
         summary["threads"] = len(state.get("threads", []))
         summary["timers"] = len(state.get("timers", []))
-    if "completed" in state:
-        summary["completed"] = sorted(state["completed"])
     return summary

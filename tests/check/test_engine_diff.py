@@ -6,17 +6,15 @@ plans allowed — and demands byte-identical probe streams.  Tested here:
 clean equivalence on fault-free and hardware-faulted scenarios
 (``core_throttle`` exercises mid-run repricing, ``cpu_stall`` the
 post-draw multiplier), an actual detection (a planted fast-path skew
-must be flagged as ``engine_mismatch``), and the fuzz loop's counting.
+must be flagged as ``engine_mismatch``), and the farmed batch's
+counting.
 """
 
 import pytest
 
-from repro.check import (
-    ENGINE_DIFF_FAULT_SITE_MENU,
-    fuzz_engine_diff,
-    run_engine_diff,
-)
+from repro.check import ENGINE_DIFF_FAULT_SITE_MENU, run_engine_diff
 from repro.check.scenario import generate_scenario
+from repro.farm import farm_check
 
 pytestmark = pytest.mark.tier1
 
@@ -64,19 +62,23 @@ def test_planted_fast_path_skew_is_detected(monkeypatch):
                for d in report.divergences)
 
 
-def test_fuzz_engine_diff_counts_and_artifacts(monkeypatch):
-    result = fuzz_engine_diff(3, seed=0, fault_rate=0.0)
-    assert result["runs"] == 3
-    assert result["differential_runs"] == 3
-    assert result["failures"] == []
+def test_engine_diff_batch_counts_and_artifacts(monkeypatch):
+    document, _ = farm_check(3, seed=0, fault_rate=0.0, engine_diff=True)
+    assert document["completed_runs"] == 3
+    assert document["differential_runs"] == 3
+    assert document["total_failures"] == 0
+    assert document["failures"] == []
 
     from repro.hardware.noise import BatchedLognormalStream
 
     original = BatchedLognormalStream.next
     monkeypatch.setattr(BatchedLognormalStream, "next",
                         lambda self: original(self) * 1.0001)
-    result = fuzz_engine_diff(3, seed=0, fault_rate=0.0,
-                              max_failures=1)
-    assert result["failures"]
-    artifact = result["failures"][0]
+    document, _ = farm_check(3, seed=0, fault_rate=0.0, engine_diff=True,
+                             max_failures=1)
+    # no early stop: every run executes, then the list is truncated
+    assert document["completed_runs"] == 3
+    assert document["total_failures"] == 3
+    assert len(document["failures"]) == 1
+    artifact = document["failures"][0]
     assert "engine_mismatch" in artifact["failure_kinds"]

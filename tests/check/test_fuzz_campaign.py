@@ -6,27 +6,28 @@ run, exercised by the CI ``fuzz-smoke`` job and on demand::
 
 import pytest
 
-from repro.check import fuzz
+from repro.farm import farm_check
 
 pytestmark = pytest.mark.fuzz
 
 
 def test_clean_campaign_has_zero_divergences():
-    result = fuzz(n_runs=50, seed=5, shrink=False)
-    assert result["failures"] == []
+    document, _ = farm_check(50, seed=5, shrink=False)
+    assert document["total_failures"] == 0
+    assert document["errors"] == []
     # most runs carry no fault plan, so the differential actually ran
-    assert result["differential_runs"] == result["runs"] == 50
+    assert document["differential_runs"] == document["completed_runs"] == 50
 
 
 def test_faulted_campaign_completes_without_checker_crashes():
     """With faults injected the differential is skipped (faults change
     timing by design); the trace oracles must still hold and the
     checker itself must never crash."""
-    result = fuzz(n_runs=30, seed=11, fault_rate=0.5, shrink=False)
+    document, _ = farm_check(30, seed=11, fault_rate=0.5, shrink=False)
     crashes = [
-        artifact for artifact in result["failures"]
+        artifact for artifact in document["failures"]
         if "crash" in artifact["failure_kinds"]
     ]
-    assert result["runs"] == 30
+    assert document["completed_runs"] == 30
     assert crashes == []
-    assert result["failures"] == []
+    assert document["total_failures"] == 0

@@ -165,6 +165,7 @@ def test_cli_exit_code_reflects_quarantine(monkeypatch):
                          "quarantined_shards": 1, "wall_seconds": 0.1,
                          "items_per_sec": 10.0}
     document = {"schema": "rtseed-farm-check/1", "mode": "check",
+                "completed_runs": 1, "differential_runs": 1,
                 "total_failures": 0, "errors": [],
                 "failures": [], "quarantined": [
                     {"reason": "crash", "indices": [1], "seeds": [2]}]}
@@ -172,9 +173,9 @@ def test_cli_exit_code_reflects_quarantine(monkeypatch):
     monkeypatch.setattr(farm_pkg, "farm_check",
                         lambda *args, **kwargs: (document, quarantined))
     out = io.StringIO()
-    code = main(["farm", "--what", "check", "--runs", "2"], out=out)
+    code = main(["check", "--runs", "2"], out=out)
     assert code == 2
-    assert "quarantined" in out.getvalue()
+    assert "seed 2: QUARANTINED — crash" in out.getvalue()
 
 
 def test_seq_clock_orders_farm_events():

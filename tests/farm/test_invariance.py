@@ -3,9 +3,10 @@
 The same batch — check runs, engine-diff runs, or a fault campaign —
 must produce **byte-identical** merged reports at ``--workers 1``,
 ``2``, and ``4``, and a farmed campaign must be byte-identical to the
-serial ``run_campaign`` sweep.  ``workers=1`` runs in-process through
-the same merge path, so it is simultaneously the baseline and the
-proof that the multiprocessing machinery adds nothing to the bytes.
+campaign assembled from direct ``run_scenario`` calls.  ``workers=1``
+runs in-process through the same merge path, so it is simultaneously
+the baseline and the proof that the multiprocessing machinery adds
+nothing to the bytes.
 
 The planted-bug case forces real failures (the FIFO-inversion mutation
 from the mutation smoke suite) and checks the *shrunk repro artifacts*
@@ -18,7 +19,11 @@ method.
 import pytest
 
 import repro.simkernel.kernel as kernel_mod
-from repro.faults.campaign import render_report, run_campaign
+from repro.faults.campaign import (
+    assemble_campaign,
+    render_report,
+    run_scenario,
+)
 from repro.farm import farm_campaign, farm_check, render_check_report
 
 pytestmark = pytest.mark.tier1
@@ -79,9 +84,10 @@ def test_shrunk_artifacts_invariant_with_planted_bug(monkeypatch):
 
 def test_campaign_farm_matches_serial_bytes():
     names = ["baseline", "cpu_stall"]
-    serial = render_report(
-        run_campaign(names, n_seconds=2, seed=3)
-    )
+    serial = render_report(assemble_campaign(
+        names, 2, 3, [run_scenario(name, n_seconds=2, seed=3)
+                      for name in names],
+    ))
     for workers in (1, 2):
         document, result = farm_campaign(names, n_seconds=2, seed=3,
                                          workers=workers)

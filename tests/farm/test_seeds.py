@@ -14,8 +14,8 @@ would invalidate every recorded artifact seed.
 
 import pytest
 
-from repro.check.runner import fuzz, run_fuzz_index
-from repro.check.scenario import derive_run_seed, generate_scenario
+from repro.check.runner import run_fuzz_index
+from repro.check.scenario import derive_run_seed
 from repro.farm import farm_check
 
 pytestmark = pytest.mark.tier1
@@ -46,21 +46,15 @@ def test_distinct_across_indices_and_bases():
 
 
 def test_scenarios_identical_serial_vs_sharded():
-    # the serial fuzz loop and the farm generate the SAME scenarios
-    serial_seeds = []
-    fuzz(6, seed=9, shrink=False,
-         on_progress=lambda seed, payload: serial_seeds.append(seed))
-    document, _ = farm_check(6, seed=9, shrink=False, workers=3)
-    farmed = [run_fuzz_index(9, index)["seed"] for index in range(6)]
-    assert serial_seeds == farmed
-    assert document["completed_runs"] == 6
-
-    for index, seed in enumerate(serial_seeds):
-        expected = generate_scenario(derive_run_seed(9, index))
-        actual = generate_scenario(seed)
-        assert actual.seed == expected.seed
-        assert ([(t.name, t.cpu, t.period) for t in actual.tasks]
-                == [(t.name, t.cpu, t.period) for t in expected.tasks])
+    # the in-process batch and a 3-worker farm run the SAME scenarios:
+    # run k's seed is derive_run_seed(base, k) whichever worker runs it
+    expected = [derive_run_seed(9, index) for index in range(6)]
+    for workers in (1, 3):
+        document, result = farm_check(6, seed=9, shrink=False,
+                                      workers=workers)
+        assert document["completed_runs"] == 6
+        assert [payload["seed"] for payload in result.ordered()] \
+            == expected
 
 
 def test_run_index_payload_reports_derived_seed():

@@ -4,12 +4,8 @@ import json
 
 import pytest
 
-from repro.faults.campaign import (
-    SCENARIOS,
-    render_report,
-    run_campaign,
-    run_scenario,
-)
+from repro.farm import farm_campaign
+from repro.faults.campaign import SCENARIOS, render_report, run_scenario
 from repro.simkernel.time_units import SEC
 
 pytestmark = pytest.mark.tier1
@@ -32,8 +28,8 @@ def test_campaign_is_byte_deterministic():
     """Same scenarios + seed => byte-identical JSON report (the CI
     faults-smoke invariant)."""
     names = ["baseline", "net_timeouts", "overload_degrade"]
-    first = run_campaign(names, n_seconds=12, seed=7)
-    second = run_campaign(names, n_seconds=12, seed=7)
+    first, _ = farm_campaign(names, n_seconds=12, seed=7)
+    second, _ = farm_campaign(names, n_seconds=12, seed=7)
     assert render_report(first) == render_report(second)
     # and the rendering is valid, round-trippable JSON
     assert json.loads(render_report(first)) == first

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simkernel.engine import Engine
+from repro.engine.events import Engine
 
 pytestmark = pytest.mark.tier1
 

@@ -1,4 +1,4 @@
-"""``repro snapshot`` CLI surface and the resumable-campaign flags."""
+"""``repro snapshot`` CLI surface and the resumable campaign."""
 
 import io
 import json
@@ -81,51 +81,23 @@ def test_snapshot_errors_are_exit_code_2(tmp_path):
     assert "--artifact" in text
 
 
-def test_faults_resume_rejected_with_workers(tmp_path):
-    code, text = _run(["faults", "--workers", "2",
-                       "--resume", str(tmp_path / "x.json")])
-    assert code == 2
-    assert "serial" in text
-
-
-def test_faults_serial_checkpoint_resume_identical(tmp_path):
-    full = str(tmp_path / "full.json")
-    code, _ = _run(["faults", "--scenario", "cpu_stall,net_timeouts",
-                    "--seconds", "4", "--out", full])
+def test_faults_checkpoint_resume_identical(tmp_path):
+    """A campaign cut short after one scenario resumes from its farm
+    checkpoint to the uninterrupted report bytes."""
+    checkpoint = tmp_path / "c.jsonl"
+    argv = ["faults", "--scenario", "cpu_stall,net_timeouts",
+            "--seconds", "4", "--checkpoint", str(checkpoint)]
+    full = tmp_path / "full.json"
+    code, _ = _run(argv + ["--out", str(full)])
     assert code == 0
 
-    # run with a checkpoint, then pretend the process died after the
-    # first scenario by re-deriving the checkpoint from scratch
-    from repro.faults.campaign import (
-        _campaign_checkpoint_document,
-        run_scenario,
-    )
-    from repro.snapshot import write_snapshot
+    lines = checkpoint.read_text().splitlines(True)
+    assert len(lines) == 3  # header + one line per scenario
+    checkpoint.write_text("".join(lines[:2]))
 
-    names = ["cpu_stall", "net_timeouts"]
-    partial = {"cpu_stall": run_scenario("cpu_stall", n_seconds=4,
-                                         seed=0)}
-    checkpoint = str(tmp_path / "campaign.ckpt")
-    write_snapshot(checkpoint,
-                   _campaign_checkpoint_document(names, 4, 0, partial))
-
-    resumed = str(tmp_path / "resumed.json")
-    code, _ = _run(["faults", "--scenario", "cpu_stall,net_timeouts",
-                    "--seconds", "4", "--resume", checkpoint,
-                    "--out", resumed])
+    resumed = tmp_path / "resumed.json"
+    code, _ = _run(argv + ["--out", str(resumed)])
     assert code == 0
-    assert open(full).read() == open(resumed).read()
-
-
-def test_campaign_checkpoint_program_mismatch_refused(tmp_path):
-    from repro.faults.campaign import (
-        _campaign_checkpoint_document,
-        load_campaign_checkpoint,
-    )
-    from repro.snapshot import SnapshotMismatchError
-
-    document = _campaign_checkpoint_document(["cpu_stall"], 4, 0, {})
-    with pytest.raises(SnapshotMismatchError, match="refusing"):
-        load_campaign_checkpoint(document, ["cpu_stall"], 4, seed=1)
-    with pytest.raises(SnapshotMismatchError, match="refusing"):
-        load_campaign_checkpoint(document, ["net_timeouts"], 4, seed=0)
+    assert resumed.read_bytes() == full.read_bytes()
+    # the pending scenario ran once more and was checkpointed
+    assert len(checkpoint.read_text().splitlines()) == 3

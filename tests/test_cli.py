@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import io
+import json
 
 import pytest
 
@@ -73,8 +74,6 @@ def test_admit_command():
 
 
 def test_trace_command(tmp_path):
-    import json
-
     from repro.obs import validate_chrome_trace
 
     trace_path = tmp_path / "trace.json"
@@ -93,8 +92,6 @@ def test_trace_command(tmp_path):
 
 
 def test_trace_command_trade_workload(tmp_path):
-    import json
-
     from repro.obs import validate_chrome_trace
 
     trace_path = tmp_path / "trade.json"
@@ -114,8 +111,6 @@ def test_metrics_command():
 
 
 def test_metrics_command_json():
-    import json
-
     code, output = run_cli([
         "metrics", "--np", "4", "--jobs", "2", "--json",
     ])
@@ -140,8 +135,6 @@ def test_module_entry_point():
 
 
 def test_metrics_command_format_flag():
-    import json
-
     code, as_json = run_cli([
         "metrics", "--np", "4", "--jobs", "2", "--format", "json",
     ])
@@ -166,8 +159,6 @@ def test_metrics_command_format_flag():
 
 
 def test_report_command(tmp_path):
-    import json
-
     code, output = run_cli(["report", "--np", "4", "--jobs", "2"])
     assert code == 0
     report = json.loads(output)
@@ -200,8 +191,6 @@ def test_report_command_is_deterministic_without_wallclock():
 
 
 def test_trace_command_flight_dump(tmp_path):
-    import json
-
     dump = tmp_path / "flight.jsonl"
     code, output = run_cli([
         "trace", "--np", "4", "--jobs", "2",
@@ -225,14 +214,130 @@ def test_faults_command_flight_dir(tmp_path):
         "--flight-dir", str(tmp_path),
     ])
     assert code == 0
-    names = sorted(p.name for p in tmp_path.iterdir())
+    names = sorted(p.name for p in (tmp_path / "overload_degrade").iterdir())
     # degraded-mode entry is a failure edge: the recorder auto-dumped
     assert any(name.startswith("flightrec-degrade_enter") for name in names)
+
+
+def test_faults_flight_dir_same_at_any_worker_count(tmp_path, monkeypatch):
+    """Regression: a farmed campaign wrote no scenario dumps.  Each
+    scenario now dumps into ``DIR/<scenario>/``, so the tree — names
+    and bytes — is the same at 1 and 2 workers."""
+    trees = {}
+    for workers in (1, 2):
+        run_dir = tmp_path / f"w{workers}"
+        run_dir.mkdir()
+        # dumps record the paths of earlier dumps: use one relative DIR
+        monkeypatch.chdir(run_dir)
+        code, _ = run_cli([
+            "faults", "--scenario", "signal_storm,overload_degrade",
+            "--seconds", "12", "--workers", str(workers),
+            "--flight-dir", "flight", "--out", "report.json",
+        ])
+        assert code == 0
+        trees[workers] = {
+            str(path.relative_to(run_dir)): path.read_bytes()
+            for path in run_dir.rglob("*") if path.is_file()
+        }
+    assert trees[1] == trees[2]
+    assert ("flight/signal_storm/flightrec-degrade_watchdog_fire-seed0-2"
+            ".jsonl") in trees[1]
+    assert "flight/overload_degrade/flightrec-degrade_enter-seed0.jsonl" \
+        in trees[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["faults", "--scenario", "baseline,cpu_stall", "--seconds", "2"],
+    ["scale", "--cores", "2", "--threads-per-core", "2", "--tasks", "8"],
+], ids=["faults", "scale"])
+def test_batch_stdout_is_the_json_document(argv):
+    """Regression: without ``--out``, farm progress and status lines
+    were printed into the same stream as the document."""
+    code, output = run_cli(argv + ["--workers", "2"])
+    assert code == 0
+    assert json.loads(output)
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--runs", "2"],
+    ["faults", "--scenario", "baseline", "--seconds", "2"],
+    ["scale", "--cores", "2", "--threads-per-core", "2", "--tasks", "8"],
+], ids=["check", "faults", "scale"])
+def test_refused_checkpoint_exits_2(tmp_path, argv):
+    """Regression: resuming another batch's checkpoint (here seed 0's,
+    as seed 1) raised a traceback — exit 1, the "scenarios failed"
+    code — instead of printing a one-line refusal."""
+    checkpoint = str(tmp_path / "seed0.jsonl")
+    code, _ = run_cli(argv + ["--seed", "0", "--checkpoint", checkpoint])
+    assert code == 0
+    code, output = run_cli(argv + ["--seed", "1",
+                                   "--checkpoint", checkpoint])
+    assert code == 2
+    assert output.startswith(f"{argv[0]}: {checkpoint}: ")
+    assert output.endswith("refusing to resume\n")
+    assert output.count("\n") == 1
+
+
+def test_check_counts_item_errors_and_all_failures(monkeypatch):
+    """Regression: ``repro check`` ignored item errors and printed the
+    length of the truncated failure list."""
+    import repro.check.runner as runner_mod
+    from repro.check.scenario import derive_run_seed
+
+    real = runner_mod.run_fuzz_index
+
+    def planted(base_seed, index, **kwargs):
+        if index == 1:
+            raise RuntimeError("boom")
+        payload = real(base_seed, index, **kwargs)
+        if index >= 2:
+            payload.update(ok=False, summary="planted",
+                           artifact={"seed": payload["seed"],
+                                     "summary": "planted"})
+        return payload
+
+    monkeypatch.setattr(runner_mod, "run_fuzz_index", planted)
+    code, output = run_cli(["check", "--runs", "4", "--max-failures", "1"])
+    assert code == 1
+    lines = output.splitlines()
+    assert lines == [
+        f"seed {derive_run_seed(0, 2)}: FAIL — planted",
+        f"seed {derive_run_seed(0, 1)}: ERROR — RuntimeError: boom",
+        "3 runs from seed 0: 3 differential, 3 failure(s)",
+    ]
+
+
+def test_interrupted_batch_exits_3(monkeypatch):
+    import signal
+
+    import repro.farm as farm_pkg
+    from repro.farm import FarmInterrupted, FarmResult
+
+    def interrupted(*args, **kwargs):
+        raise FarmInterrupted(signal.SIGTERM, FarmResult(2),
+                              checkpoint_path="c.jsonl")
+
+    monkeypatch.setattr(farm_pkg, "farm_check", interrupted)
+    code, output = run_cli(["check", "--runs", "2",
+                            "--checkpoint", "c.jsonl"])
+    assert code == 3
+    assert output == ("check: farm interrupted by SIGTERM: 0/2 item(s) "
+                      "done, 2 pending; resume from checkpoint "
+                      "c.jsonl\n")
 
 
 def test_farm_status_empty_dir(tmp_path):
     """Regression: a missing or checkpoint-free location is a normal
     answer ("no checkpoints", exit 0), not a traceback."""
+    code, output = run_cli([
+        "farm", "status", "--checkpoint-dir", str(tmp_path),
+    ])
+    assert code == 0
+    assert "no checkpoints" in output
+
+    # files that are not checkpoints, binary ones included, are skipped
+    (tmp_path / "notes.txt").write_text("not json\n")
+    (tmp_path / "blob.bin").write_bytes(b"\xff\xfe\x00")
     code, output = run_cli([
         "farm", "status", "--checkpoint-dir", str(tmp_path),
     ])
