@@ -29,23 +29,25 @@ JSON blob suitable for committing as ``BENCH_engine.json``:
   without a ``--checkpoint`` file (the no-checkpoint path must stay
   within noise of the pre-checkpoint farm — that code path pays only a
   ``None`` test per item), plus the one-off cost and byte size of
-  capturing + writing an ``rtseed-snapshot/1`` of a trade run.
+  capturing + writing an ``rtseed-snapshot/2`` of a trade run.
 
 Usage::
 
     # one-off report to stdout
-    PYTHONPATH=src python benchmarks/bench_engine_perf.py [--engine fast]
+    PYTHONPATH=src python benchmarks/bench_engine_perf.py
 
     # record a per-PR trajectory point (median-of-5 fig10) in
     # BENCH_engine.json -- appends to the ``history`` list, never
     # overwrites or rewrites earlier entries
     PYTHONPATH=src python benchmarks/bench_engine_perf.py \
-        --append BENCH_engine.json --pr my-pr-id --engine fast
+        --append BENCH_engine.json --pr my-pr-id
 
-``BENCH_engine.json`` is an append-only trajectory: one entry per PR
-per engine, each a median-of-5 (``--runs``) fig10 measurement with the
-workload seed recorded, so successive PRs can chart events/sec over the
-repo's history without re-running old trees.
+``BENCH_engine.json`` is an append-only trajectory: one entry per PR,
+each a median-of-5 (``--runs``) fig10 measurement with the workload
+seed recorded, so successive PRs can chart events/sec over the repo's
+history without re-running old trees.  Entries recorded while two
+execution cores existed carry a ``reference`` or ``fast`` tag; the one
+core is the former ``fast`` build, so new entries continue that line.
 """
 
 import argparse
@@ -74,14 +76,16 @@ SIM_REPEATS = 60
 
 FIG10_SEED = 0
 
+#: Trajectory tag of new entries: the one execution core continues the
+#: ``fast`` line of the two-core history.
+TRAJECTORY_ENGINE = "fast"
 
-def bench_fig10(observers=None, engine=None, n_jobs=FIG10_N_JOBS):
+
+def bench_fig10(observers=None, n_jobs=FIG10_N_JOBS):
     """The bench_fig10_mandatory workload; returns (events, seconds).
 
     :param observers: optional callable receiving the kernel before the
         run (used by :func:`bench_obs_overhead` to subscribe probes).
-    :param engine: backend name forwarded to :class:`RTSeed`
-        (``None`` = process default, see ``repro.engine.backend``).
     """
     from repro.bench.overheads import (
         OPTIONAL_DEADLINE,
@@ -89,8 +93,7 @@ def bench_fig10(observers=None, engine=None, n_jobs=FIG10_N_JOBS):
     )
 
     start = time.perf_counter()
-    middleware = RTSeed(load=BackgroundLoad.NONE, seed=FIG10_SEED,
-                        engine=engine)
+    middleware = RTSeed(load=BackgroundLoad.NONE, seed=FIG10_SEED)
     task = make_eval_task(FIG10_N_PARALLEL)
     middleware.add_task(
         task,
@@ -106,7 +109,7 @@ def bench_fig10(observers=None, engine=None, n_jobs=FIG10_N_JOBS):
     return middleware.kernel.engine.events_processed, elapsed
 
 
-def bench_obs_overhead(engine=None):
+def bench_obs_overhead():
     """Probe-bus cost on fig10: unobserved vs. fully observed.
 
     Returns a dict with events/sec for both configurations and the
@@ -119,7 +122,7 @@ def bench_obs_overhead(engine=None):
     from repro.simkernel.trace import Tracer
 
     # interleave to be fair to CPU-frequency drift: idle, observed, idle
-    idle_a = bench_fig10(engine=engine)
+    idle_a = bench_fig10()
     subscribed = {}
 
     def attach(kernel):
@@ -127,8 +130,8 @@ def bench_obs_overhead(engine=None):
         subscribed["metrics"] = SchedulerMetrics.attach(kernel)
         subscribed["exporter"] = ChromeTraceExporter.attach(kernel)
 
-    observed = bench_fig10(observers=attach, engine=engine)
-    idle_b = bench_fig10(engine=engine)
+    observed = bench_fig10(observers=attach)
+    idle_b = bench_fig10()
 
     idle_events = idle_a[0] + idle_b[0]
     idle_secs = idle_a[1] + idle_b[1]
@@ -145,7 +148,7 @@ def bench_obs_overhead(engine=None):
     }
 
 
-def bench_flightrec_overhead(engine=None):
+def bench_flightrec_overhead():
     """Flight-recorder cost on fig10 with an otherwise idle bus.
 
     The recorder subscribes passively, so ``bus.active`` stays false
@@ -160,9 +163,9 @@ def bench_flightrec_overhead(engine=None):
         recorders["flight"] = FlightRecorder.attach(kernel, seed=0)
 
     # interleave: idle, recorder, idle (fair to CPU-frequency drift)
-    idle_a = bench_fig10(engine=engine)
-    recorded = bench_fig10(observers=attach, engine=engine)
-    idle_b = bench_fig10(engine=engine)
+    idle_a = bench_fig10()
+    recorded = bench_fig10(observers=attach)
+    idle_b = bench_fig10()
 
     idle_rate = (idle_a[0] + idle_b[0]) / (idle_a[1] + idle_b[1])
     recorded_rate = recorded[0] / recorded[1]
@@ -233,18 +236,17 @@ def bench_simulator():
     return total_jobs, time.perf_counter() - start
 
 
-def fig10_trajectory_entry(pr, engine=None, runs=5, n_jobs=FIG10_N_JOBS):
+def fig10_trajectory_entry(pr, runs=5, n_jobs=FIG10_N_JOBS):
     """Median-of-``runs`` fig10 measurement shaped for the
     ``BENCH_engine.json`` ``history`` list."""
-    samples = [bench_fig10(engine=engine, n_jobs=n_jobs)
-               for _ in range(runs)]
+    samples = [bench_fig10(n_jobs=n_jobs) for _ in range(runs)]
     events = samples[0][0]
     rates = sorted(ev / secs for ev, secs in samples)
     median = rates[len(rates) // 2] if runs % 2 else \
         (rates[runs // 2 - 1] + rates[runs // 2]) / 2.0
     return {
         "pr": pr,
-        "engine": engine or "default",
+        "engine": TRAJECTORY_ENGINE,
         "seed": FIG10_SEED,
         "n_jobs": n_jobs,
         "runs": runs,
@@ -324,7 +326,7 @@ SNAPSHOT_BARRIER = 400
 
 
 def bench_snapshot_overhead(runs=SNAPSHOT_FARM_RUNS,
-                            samples=SNAPSHOT_SAMPLES, engine=None):
+                            samples=SNAPSHOT_SAMPLES):
     """Checkpoint/restore cost: inline farm overhead + capture cost.
 
     Two numbers matter.  The *inline* cost — a ``farm_check`` batch
@@ -332,7 +334,7 @@ def bench_snapshot_overhead(runs=SNAPSHOT_FARM_RUNS,
     same batch without one; the no-checkpoint rate must stay within
     noise of the pre-checkpoint farm, since that path only pays a
     ``None`` test per item.  And the *one-off* cost — capturing an
-    ``rtseed-snapshot/1`` of a mid-flight trade run and writing it to
+    ``rtseed-snapshot/2`` of a mid-flight trade run and writing it to
     disk, reported in milliseconds and bytes (restore cost is prefix
     re-execution by design, see docs/SNAPSHOTS.md, so it is not a
     separate measurement).
@@ -363,8 +365,7 @@ def bench_snapshot_overhead(runs=SNAPSHOT_FARM_RUNS,
         plain = farm_rate(None)
         checkpointed = farm_rate(os.path.join(tmp_dir, "farm.ckpt"))
 
-        spec = {"kind": "trade", "seconds": 8, "seed": 3,
-                "engine": engine}
+        spec = {"kind": "trade", "seconds": 8, "seed": 3}
         run = build_program(spec).start()
         start = time.perf_counter()
         document = snapshot(run, at_events=SNAPSHOT_BARRIER)
@@ -393,16 +394,14 @@ def bench_snapshot_overhead(runs=SNAPSHOT_FARM_RUNS,
 
 
 def snapshot_trajectory_entry(pr, runs=SNAPSHOT_FARM_RUNS,
-                              samples=SNAPSHOT_SAMPLES, engine=None):
+                              samples=SNAPSHOT_SAMPLES):
     """Snapshot-overhead measurement shaped for the
     ``BENCH_engine.json`` ``snapshot_history`` list."""
     return {
         "pr": pr,
         "seed": 0,
         "workload": "farm_check+trade_snapshot",
-        "engine": engine or "default",
-        "snapshot": bench_snapshot_overhead(runs=runs, samples=samples,
-                                            engine=engine),
+        "snapshot": bench_snapshot_overhead(runs=runs, samples=samples),
     }
 
 
@@ -415,54 +414,38 @@ SCALE_WORKERS = 2
 def bench_scale(n_cores=SCALE_CORES,
                 threads_per_core=SCALE_THREADS_PER_CORE,
                 n_tasks=SCALE_TASKS, workers=SCALE_WORKERS):
-    """Scale-campaign throughput on both engine backends.
+    """Scale-campaign throughput.
 
-    Runs the same full-topology campaign (``repro.scale.farm_scale``)
-    once per backend and reports simulated **jobs per wall-clock
-    minute** — the ROADMAP item 2 "heavy traffic" number — plus the
-    kernel event rate.  The campaign document is byte-deterministic,
-    so both backends must agree on jobs/events; only the wall clock
-    (and hence jobs/minute) differs.  ``cpus`` is recorded because the
-    farm's scaling depends on it.
+    Runs one full-topology campaign (``repro.scale.farm_scale``) and
+    reports simulated **jobs per wall-clock minute** — the ROADMAP
+    item 2 "heavy traffic" number — plus the kernel event rate.
+    ``cpus`` is recorded because the farm's scaling depends on it.
+    (Entries recorded while two execution cores existed hold one such
+    measurement per core under ``backends``.)
     """
     import os
 
     from repro.scale import farm_scale
 
-    backends = {}
-    reference_totals = None
-    for backend in ("reference", "fast"):
-        start = time.perf_counter()
-        document, result = farm_scale(
-            n_cores=n_cores, threads_per_core=threads_per_core,
-            n_tasks=n_tasks, engine=backend, workers=workers,
-        )
-        elapsed = time.perf_counter() - start
-        totals = document["totals"]
-        assert result.ok and not totals["violations"], \
-            f"{backend}: campaign not clean"
-        jobs_events = (totals["jobs_done"], totals["events"])
-        if reference_totals is None:
-            reference_totals = jobs_events
-        else:
-            assert jobs_events == reference_totals, \
-                "backends disagree on simulated outcomes"
-        backends[backend] = {
-            "jobs_done": totals["jobs_done"],
-            "events": totals["events"],
-            "wall_seconds": round(elapsed, 3),
-            "jobs_per_minute": round(
-                totals["jobs_done"] / elapsed * 60.0, 1
-            ),
-            "events_per_sec": round(totals["events"] / elapsed, 1),
-        }
+    start = time.perf_counter()
+    document, result = farm_scale(
+        n_cores=n_cores, threads_per_core=threads_per_core,
+        n_tasks=n_tasks, workers=workers,
+    )
+    elapsed = time.perf_counter() - start
+    totals = document["totals"]
+    assert result.ok and not totals["violations"], "campaign not clean"
     return {
         "topology": {"n_cores": n_cores,
                      "threads_per_core": threads_per_core},
         "tasks": n_tasks,
         "workers": workers,
         "cpus": os.cpu_count(),
-        "backends": backends,
+        "jobs_done": totals["jobs_done"],
+        "events": totals["events"],
+        "wall_seconds": round(elapsed, 3),
+        "jobs_per_minute": round(totals["jobs_done"] / elapsed * 60.0, 1),
+        "events_per_sec": round(totals["events"] / elapsed, 1),
     }
 
 
@@ -470,7 +453,7 @@ def scale_trajectory_entry(pr, n_cores=SCALE_CORES,
                            threads_per_core=SCALE_THREADS_PER_CORE,
                            n_tasks=SCALE_TASKS, workers=SCALE_WORKERS):
     """Scale-campaign measurement shaped for the ``BENCH_engine.json``
-    ``scale_history`` list (one entry covering both backends)."""
+    ``scale_history`` list."""
     return {
         "pr": pr,
         "seed": 0,
@@ -499,10 +482,6 @@ def append_trajectory(path, entry, key="history"):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--label", default="run")
-    parser.add_argument("--engine", default=None,
-                        choices=["reference", "fast"],
-                        help="execution-core backend for the simkernel "
-                             "benches (fig10, obs_overhead)")
     parser.add_argument("--append", default=None, metavar="JSON",
                         help="append a fig10 trajectory entry to this "
                              "BENCH_engine.json instead of printing the "
@@ -519,9 +498,8 @@ def main(argv=None):
                              "snapshot_history list")
     parser.add_argument("--scale-append", default=None, metavar="JSON",
                         help="append a scale-campaign throughput entry "
-                             "(jobs/minute on both engine backends) to "
-                             "this BENCH_engine.json's scale_history "
-                             "list")
+                             "(jobs/minute) to this BENCH_engine.json's "
+                             "scale_history list")
     parser.add_argument("--pr", default="unlabeled",
                         help="PR identifier recorded in the trajectory "
                              "entry (with --append)")
@@ -536,8 +514,7 @@ def main(argv=None):
     runs = 1 if args.quick else args.runs
 
     if args.append:
-        entry = fig10_trajectory_entry(args.pr, engine=args.engine,
-                                       runs=runs, n_jobs=n_jobs)
+        entry = fig10_trajectory_entry(args.pr, runs=runs, n_jobs=n_jobs)
         append_trajectory(args.append, entry)
         json.dump(entry, sys.stdout, indent=2)
         print()
@@ -559,7 +536,6 @@ def main(argv=None):
             args.pr,
             runs=8 if args.quick else SNAPSHOT_FARM_RUNS,
             samples=1 if args.quick else SNAPSHOT_SAMPLES,
-            engine=args.engine,
         )
         append_trajectory(args.snapshot_append, entry,
                           key="snapshot_history")
@@ -578,16 +554,14 @@ def main(argv=None):
         print()
         return
 
-    fig10_events, fig10_secs = bench_fig10(engine=args.engine,
-                                           n_jobs=n_jobs)
+    fig10_events, fig10_secs = bench_fig10(n_jobs=n_jobs)
     ablation_sets, ablation_secs = bench_ablation()
     sim_jobs, sim_secs = bench_simulator()
-    obs_overhead = bench_obs_overhead(engine=args.engine)
-    flightrec_overhead = bench_flightrec_overhead(engine=args.engine)
+    obs_overhead = bench_obs_overhead()
+    flightrec_overhead = bench_flightrec_overhead()
 
     report = {
         "label": args.label,
-        "engine": args.engine or "default",
         "fig10_mandatory": {
             "events": fig10_events,
             "seconds": round(fig10_secs, 4),

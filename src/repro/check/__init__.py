@@ -35,15 +35,12 @@ from repro.check.oracles import (
 )
 from repro.check.runner import (
     CheckReport,
-    run_engine_diff,
-    run_engine_diff_index,
     run_fuzz_index,
     run_middleware,
     run_scenario,
     run_simulator,
 )
 from repro.check.scenario import (
-    ENGINE_DIFF_FAULT_SITE_MENU,
     CheckTask,
     Scenario,
     ScenarioTask,
@@ -70,13 +67,10 @@ __all__ = [
     "check_kernel_trace",
     "check_protocol",
     "CheckReport",
-    "run_engine_diff",
-    "run_engine_diff_index",
     "run_fuzz_index",
     "run_middleware",
     "run_scenario",
     "run_simulator",
-    "ENGINE_DIFF_FAULT_SITE_MENU",
     "CheckTask",
     "Scenario",
     "ScenarioTask",

@@ -63,7 +63,7 @@ batch or refused checkpoint, 3 interrupted.
 
 ``snapshot``
     Deterministic checkpoint/restore: run a program to completion, dump
-    an ``rtseed-snapshot/1`` at an event barrier, inspect a snapshot,
+    an ``rtseed-snapshot/2`` at an event barrier, inspect a snapshot,
     or resume one to the end — the resumed payload is byte-identical
     to the uninterrupted run (see docs/SNAPSHOTS.md).
 """
@@ -84,7 +84,6 @@ def _add_overheads_parser(subparsers):
                         choices=["none", "cpu", "cpu_memory"])
     parser.add_argument("--jobs", type=int, default=20)
     parser.add_argument("--seed", type=int, default=0)
-    _add_engine_argument(parser)
 
 
 def _add_sweep_parser(subparsers):
@@ -108,7 +107,6 @@ def _add_trade_parser(subparsers):
                         choices=["none", "cpu", "cpu_memory"])
     parser.add_argument("--od-ms", type=float, default=None,
                         help="relative optional deadline in ms")
-    _add_engine_argument(parser)
 
 
 def _add_figures_parser(subparsers):
@@ -141,7 +139,6 @@ def _add_workload_arguments(parser):
     parser.add_argument("--load", default="none",
                         choices=["none", "cpu", "cpu_memory"])
     parser.add_argument("--seed", type=int, default=0)
-    _add_engine_argument(parser)
 
 
 def _add_trace_parser(subparsers):
@@ -217,14 +214,6 @@ def _add_faults_parser(subparsers):
                              "(docs/SNAPSHOTS.md)")
 
 
-def _add_engine_argument(parser):
-    parser.add_argument("--engine", default=None,
-                        choices=["reference", "fast"],
-                        help="execution-core backend (default: "
-                             "$RTSEED_ENGINE or reference); seeded "
-                             "runs are byte-identical either way")
-
-
 def _add_check_parser(subparsers):
     parser = subparsers.add_parser(
         "check", help="differential conformance fuzzing"
@@ -235,12 +224,10 @@ def _add_check_parser(subparsers):
                         help="batch seed; run k's scenario seed is "
                              "derived independently as "
                              "derive_run_seed(seed, k)")
-    parser.add_argument("--fault-rate", type=float, default=None,
+    parser.add_argument("--fault-rate", type=float, default=0.0,
                         help="fraction of scenarios carrying a fault "
                              "plan (default 0; oracle checks only, no "
-                             "differential — except --engine-diff, "
-                             "which defaults to 0.25 and runs the "
-                             "differential on faulted scenarios too)")
+                             "differential)")
     parser.add_argument("--shrink", action=argparse.BooleanOptionalAction,
                         default=True,
                         help="delta-debug failing scenarios (default on)")
@@ -263,13 +250,6 @@ def _add_check_parser(subparsers):
                         help="checkpoint completed runs here and "
                              "resume from it on the next run; also "
                              "enables graceful SIGTERM/SIGINT drain")
-    parser.add_argument("--engine-diff", action="store_true",
-                        help="lockstep fast-vs-reference differential "
-                             "instead of the theory oracle: every "
-                             "scenario runs on both engine backends "
-                             "and the probe streams must be "
-                             "byte-identical (fault plans allowed, "
-                             "default fault rate 0.25)")
     parser.add_argument("--workers", type=int, default=1,
                         help="farm worker processes (1 runs "
                              "in-process); the merged report is "
@@ -338,7 +318,6 @@ def _add_scale_parser(subparsers):
                              "resume from it on the next run; also "
                              "enables graceful SIGTERM/SIGINT drain "
                              "(exit code 3)")
-    _add_engine_argument(parser)
 
 
 def _add_snapshot_parser(subparsers):
@@ -374,17 +353,12 @@ def _add_snapshot_parser(subparsers):
     parser.add_argument("--artifact", default=None, metavar="FILE",
                         help="check program: repro artifact supplying "
                              "the scenario")
-    _add_engine_argument(parser)
     parser.add_argument("--at-events", type=int, default=None,
                         help="dump: engine event barrier to snapshot "
                              "at (required for dump)")
     parser.add_argument("--snapshot", default=None, metavar="FILE",
                         help="snapshot path (dump writes it; "
                              "inspect/resume read it)")
-    parser.add_argument("--expect-engine", default=None,
-                        choices=["reference", "fast"],
-                        help="resume: refuse snapshots taken on a "
-                             "different backend")
     parser.add_argument("--out", default=None, metavar="FILE",
                         help="write the payload JSON here instead of "
                              "stdout (run/resume)")
@@ -410,7 +384,6 @@ def cmd_overheads(args, out):
         load=_load_from_name(args.load),
         n_jobs=args.jobs,
         seed=args.seed,
-        engine=args.engine,
     )
     rows = [
         [f"Δ{which}", f"{sample.mean(which):.1f}",
@@ -473,7 +446,6 @@ def cmd_trade(args, out):
         optional_deadline=(
             None if args.od_ms is None else args.od_ms * MSEC
         ),
-        engine=args.engine,
     )
     report = system.run()
     summary = report.summary()
@@ -564,15 +536,13 @@ def _build_workload(args):
             seed=args.seed,
             policy=args.policy,
             load=_load_from_name(args.load),
-            engine=args.engine,
         )
         return system.middleware.kernel, system.run
 
     from repro.bench.overheads import OPTIONAL_DEADLINE, make_eval_task
     from repro.core.middleware import RTSeed
 
-    middleware = RTSeed(load=_load_from_name(args.load), seed=args.seed,
-                        engine=args.engine)
+    middleware = RTSeed(load=_load_from_name(args.load), seed=args.seed)
     middleware.add_task(
         make_eval_task(args.n_parallel),
         n_jobs=args.jobs,
@@ -795,12 +765,6 @@ def cmd_check(args, out):
                   file=out)
         expected = set(artifact["failure_kinds"])
         got = set(report.failure_kinds())
-        if args.from_snapshot and expected == {"engine_mismatch"}:
-            # a single-backend time-travel replay cannot re-run the
-            # two-backend differential; the restored state is the value
-            print("engine-diff artifact: single-backend replay, "
-                  "failure kinds not comparable", file=out)
-            return 0
         if expected and not (expected & got):
             print(f"DID NOT REPRODUCE (expected {sorted(expected)}, "
                   f"got {sorted(got)})", file=out)
@@ -812,7 +776,6 @@ def cmd_check(args, out):
         seed=args.seed,
         fault_rate=args.fault_rate,
         shrink=args.shrink,
-        engine_diff=args.engine_diff,
         max_failures=args.max_failures,
         workers=args.workers,
         flight_dir=args.artifacts,
@@ -857,9 +820,8 @@ def cmd_check(args, out):
                   f"{info['total_events']} events, "
                   f"{info['barrier_source']})", file=out)
     failed = document["total_failures"] + len(document["errors"])
-    mode = "engine-diff " if args.engine_diff else ""
     print(
-        f"{document['completed_runs']} {mode}runs from seed {args.seed}: "
+        f"{document['completed_runs']} runs from seed {args.seed}: "
         f"{document['differential_runs']} differential, "
         f"{failed} failure(s)",
         file=out,
@@ -934,7 +896,6 @@ def cmd_scale(args, out):
             seed=args.seed,
             utilization=args.utilization,
             horizon_periods=args.horizon_periods,
-            engine=args.engine,
             **batch,
         )
         failed = bool(document["totals"]["violations"]
@@ -952,8 +913,7 @@ def cmd_scale(args, out):
         print(
             f"scale: {spec.n_cores}c x {spec.threads_per_core}t, "
             f"{totals['tasks']} task(s), {totals['jobs_done']} job(s) "
-            f"in {totals['events']} kernel events — {throughput} "
-            f"({document['engine']} engine)",
+            f"in {totals['events']} kernel events — {throughput}",
             file=out,
         )
     if farm_result.quarantined:
@@ -967,12 +927,11 @@ def _snapshot_spec(args, out):
     if args.program == "overheads":
         return {"kind": "overheads", "np": args.n_parallel,
                 "jobs": args.jobs, "policy": args.policy,
-                "load": args.load.upper(), "seed": args.seed,
-                "engine": args.engine}
+                "load": args.load.upper(), "seed": args.seed}
     if args.program == "trade":
         return {"kind": "trade", "seconds": args.seconds,
                 "policy": args.policy, "load": args.load.upper(),
-                "seed": args.seed, "engine": args.engine}
+                "seed": args.seed}
     if args.program == "faults":
         from repro.faults.campaign import SCENARIOS
 
@@ -981,8 +940,7 @@ def _snapshot_spec(args, out):
                   f"{sorted(SCENARIOS)}", file=out)
             return None
         return {"kind": "faults", "scenario": args.scenario,
-                "seconds": args.seconds, "seed": args.seed,
-                "engine": args.engine}
+                "seconds": args.seconds, "seed": args.seed}
     if args.artifact is None:
         print("--program check needs --artifact FILE (a repro "
               "artifact supplying the scenario)", file=out)
@@ -990,8 +948,7 @@ def _snapshot_spec(args, out):
     from repro.check.shrink import load_artifact
     from repro.check.timetravel import artifact_check_spec
 
-    return artifact_check_spec(load_artifact(args.artifact),
-                               engine=args.engine)
+    return artifact_check_spec(load_artifact(args.artifact))
 
 
 def cmd_snapshot(args, out):
@@ -1025,8 +982,7 @@ def cmd_snapshot(args, out):
                 print("resume needs --snapshot FILE", file=out)
                 return 2
             document = load_snapshot(args.snapshot)
-            payload = resume_to_end(document,
-                                    expect_backend=args.expect_engine)
+            payload = resume_to_end(document)
             emit_payload(payload)
             return 0
 
@@ -1042,8 +998,8 @@ def cmd_snapshot(args, out):
             document = take_snapshot(run, at_events=args.at_events)
             write_snapshot(args.snapshot, document)
             print(f"wrote snapshot of {spec['kind']} at "
-                  f"{args.at_events} events ({document['backend']} "
-                  f"backend) to {args.snapshot}", file=out)
+                  f"{args.at_events} events to {args.snapshot}",
+                  file=out)
             return 0
         emit_payload(run.finish())
         return 0

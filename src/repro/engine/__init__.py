@@ -18,13 +18,7 @@ The package provides:
   (keyed heap with lazy removal; Figure 5's bitmap-indexed FIFO levels);
 * :mod:`repro.engine.classes` — the :class:`~repro.engine.classes.SchedClass`
   protocol (Linux ``sched_class`` analog) and the five policy classes:
-  RM, DM, EDF, the RMWP band class, and SCHED_FIFO-99;
-* :mod:`repro.engine.backend` — the
-  :class:`~repro.engine.backend.EngineBackend` seam selecting between
-  the ``reference`` implementations above and the ``fast`` hot-path
-  build (:mod:`repro.engine.fastevents` /
-  :mod:`repro.engine.fastqueue`), which is byte-identical on seeded
-  runs (``repro check --engine-diff``) but ~2x faster.
+  RM, DM, EDF, the RMWP band class, and SCHED_FIFO-99.
 
 A policy written once as a ``SchedClass`` runs at both the theory level
 and the kernel-DES level; see ``docs/TUTORIAL.md`` for a worked
@@ -51,23 +45,10 @@ from repro.engine.classes import (
     nrtq_priority,
     rtq_priority,
 )
-from repro.engine.backend import (
-    BACKENDS,
-    ENGINE_ENV_VAR,
-    EngineBackend,
-    FastBackend,
-    ReferenceBackend,
-    default_backend_name,
-    get_backend,
-)
-from repro.engine.events import Engine, Event
-from repro.engine.fastevents import FastEngine
-from repro.engine.fastqueue import FastLevelQueue
+from repro.engine.events import Engine
 from repro.engine.readyqueue import (
-    CircularDList,
     HeapReadyQueue,
     IndexedLevelQueue,
-    PriorityBitmap,
     ReadyQueueError,
 )
 
@@ -90,20 +71,8 @@ __all__ = [
     "get_sched_class",
     "nrtq_priority",
     "rtq_priority",
-    "BACKENDS",
-    "ENGINE_ENV_VAR",
-    "EngineBackend",
-    "FastBackend",
-    "ReferenceBackend",
-    "default_backend_name",
-    "get_backend",
     "Engine",
-    "Event",
-    "FastEngine",
-    "FastLevelQueue",
-    "CircularDList",
     "HeapReadyQueue",
     "IndexedLevelQueue",
-    "PriorityBitmap",
     "ReadyQueueError",
 ]

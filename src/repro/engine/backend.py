@@ -1,135 +1,25 @@
-"""The engine-backend seam: one factory for every execution-core choice.
+"""A description of the one execution core, kept for the benchmark.
 
-Every consumer of the execution core — the kernel DES
-(:class:`repro.simkernel.kernel.Kernel`), the theory-level simulator
-(:class:`repro.sched.simulator.ScheduleSimulator`), the benchmarks and
-the ``repro check`` runner — selects its event engine, ready-queue
-structures and cost-model noise mode through an :class:`EngineBackend`
-instead of importing concrete classes.  Two implementations ship:
-
-``reference``
-    Today's code: :class:`~repro.engine.events.Engine` +
-    :class:`~repro.engine.readyqueue.IndexedLevelQueue`, scalar noise
-    draws.  Fully checked (duplicate enqueues, stale timestamps, range
-    errors all raise), every record a real object.  The oracle.
-
-``fast``
-    The hot-path build: :class:`~repro.engine.fastevents.FastEngine`
-    (slotted list records, inlined run loop, pre-bound probe stubs) +
-    :class:`~repro.engine.fastqueue.FastLevelQueue` (deque levels,
-    inline int bitmap), batch-priced cost-model noise
-    (:mod:`repro.hardware.noise`).  Semantically byte-identical on
-    seeded runs — ``repro check --engine-diff`` proves it in lockstep —
-    but defensive checks are skipped.
-
-Both backends share the keyed-heap ready queue
-(:class:`~repro.engine.readyqueue.HeapReadyQueue`): its entries are
-already plain C-compared tuples, so there is nothing to strip.
-
-Selection: pass a backend name (or instance) where a constructor takes
-``engine=``/``backend=``, or set the ``RTSEED_ENGINE`` environment
-variable (``reference`` | ``fast``) to change the process-wide default.
-The seam is also the intended attachment point for a later
-mypyc/Cython build of the fast backend — a third registry entry, no
-consumer changes.
+The execution core is :class:`repro.engine.events.Engine` (slotted
+event records), :class:`repro.engine.readyqueue.IndexedLevelQueue`
+(deque per level) and batch-priced cost-model noise
+(:mod:`repro.hardware.noise`); every consumer constructs those
+directly.  This module only *describes* that core to
+``perfbench/``: ``run.py`` records ``get_backend(None).name`` in its
+host record and ``workloads.py`` passes
+``get_backend(None).noise_mode`` to
+:class:`repro.hardware.overheads.XeonPhiCostModel`.  Nothing in
+``src/`` calls it.  It goes once a benchmark change updates
+``host_record``.
 """
 
-import os
+from types import SimpleNamespace
 
-from repro.engine.events import Engine
-from repro.engine.fastevents import FastEngine
-from repro.engine.fastqueue import FastLevelQueue
-from repro.engine.readyqueue import HeapReadyQueue, IndexedLevelQueue
-
-#: Environment variable overriding the process-wide default backend.
-ENGINE_ENV_VAR = "RTSEED_ENGINE"
-
-
-class EngineBackend:
-    """A coherent choice of execution-core implementations.
-
-    Instances are stateless factories; the two shipped ones are
-    singletons in :data:`BACKENDS`.
-
-    :cvar name: registry key (``"reference"`` / ``"fast"``).
-    :cvar noise_mode: how seeded cost models should draw multiplicative
-        noise — ``"scalar"`` (one RNG call per priced event) or
-        ``"batched"`` (vectorized chunks consumed in the identical
-        order; see :mod:`repro.hardware.noise` for the RNG-order
-        contract).
-    """
-
-    name = "abstract"
-    noise_mode = "scalar"
-
-    def make_engine(self, start_time=0.0):
-        """A discrete-event engine (``Engine``-compatible surface)."""
-        raise NotImplementedError
-
-    def make_fifo_queue(self, min_prio, max_prio, cpu_id=0):
-        """An indexed-level FIFO ready queue (Figure 5 structure)."""
-        raise NotImplementedError
-
-    def make_heap_queue(self, key, cpu_id=None):
-        """A keyed-heap ready queue (RM/DM/EDF part ordering)."""
-        return HeapReadyQueue(key, cpu_id=cpu_id)
-
-    def __repr__(self):
-        return f"<EngineBackend {self.name}>"
-
-
-class ReferenceBackend(EngineBackend):
-    """The checked, object-per-record implementation (the oracle)."""
-
-    name = "reference"
-    noise_mode = "scalar"
-
-    def make_engine(self, start_time=0.0):
-        return Engine(start_time=start_time)
-
-    def make_fifo_queue(self, min_prio, max_prio, cpu_id=0):
-        return IndexedLevelQueue(min_prio, max_prio, cpu_id=cpu_id)
-
-
-class FastBackend(EngineBackend):
-    """The slotted-record, batch-priced hot-path implementation."""
-
-    name = "fast"
-    noise_mode = "batched"
-
-    def make_engine(self, start_time=0.0):
-        return FastEngine(start_time=start_time)
-
-    def make_fifo_queue(self, min_prio, max_prio, cpu_id=0):
-        return FastLevelQueue(min_prio, max_prio, cpu_id=cpu_id)
-
-
-#: The backend registry (name -> singleton).
-BACKENDS = {
-    "reference": ReferenceBackend(),
-    "fast": FastBackend(),
-}
-
-
-def default_backend_name():
-    """The process-wide default: ``$RTSEED_ENGINE`` or ``reference``."""
-    return os.environ.get(ENGINE_ENV_VAR, "reference")
+#: The single core: its ledger name and cost-model noise mode.
+_CORE = SimpleNamespace(name="fast", noise_mode="batched")
 
 
 def get_backend(spec=None):
-    """Resolve a backend.
-
-    :param spec: ``None`` (use :func:`default_backend_name`), a registry
-        name, or an :class:`EngineBackend` instance (passed through — the
-        extension point for out-of-tree backends).
-    """
-    if spec is None:
-        spec = default_backend_name()
-    if isinstance(spec, EngineBackend):
-        return spec
-    try:
-        return BACKENDS[spec]
-    except (KeyError, TypeError):
-        raise ValueError(
-            f"unknown engine backend {spec!r} (have: {sorted(BACKENDS)})"
-        ) from None
+    """The description of the execution core (``spec`` is ignored —
+    there is nothing to choose)."""
+    return _CORE

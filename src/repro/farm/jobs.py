@@ -1,11 +1,9 @@
 """Farm jobs: the batch shapes the farm knows how to shard.
 
-Three workloads ride the farm (:func:`~repro.farm.core.farm_map`):
+Two workloads ride the farm (:func:`~repro.farm.core.farm_map`):
 
 * **check batches** — differential conformance runs
-  (:func:`farm_check` with ``engine_diff=False``);
-* **engine-diff batches** — reference-vs-fast backend differentials
-  (:func:`farm_check` with ``engine_diff=True``);
+  (:func:`farm_check`);
 * **fault campaigns** — the canned resilience scenario matrix
   (:func:`farm_campaign`).
 
@@ -43,14 +41,6 @@ def _check_item(item):
                           shrink=item["shrink"])
 
 
-def _engine_diff_item(item):
-    """Farm task: one engine-differential run."""
-    from repro.check.runner import run_engine_diff_index
-
-    return run_engine_diff_index(item["base_seed"], item["index"],
-                                 fault_rate=item["fault_rate"])
-
-
 def _campaign_item(name, n_seconds, seed, flight_dir):
     """Farm task: one campaign scenario (partial-bound, picklable).
 
@@ -66,8 +56,8 @@ def _campaign_item(name, n_seconds, seed, flight_dir):
                         flight_dir=flight_dir)
 
 
-def merge_check_results(farm_result, mode, base_seed, n_runs,
-                        fault_rate, shrink, max_failures):
+def merge_check_results(farm_result, base_seed, n_runs, fault_rate,
+                        shrink, max_failures):
     """Index-ordered merge of check payloads into the farm report doc.
 
     The document contains only worker-count-invariant data: payloads
@@ -99,7 +89,7 @@ def merge_check_results(farm_result, mode, base_seed, n_runs,
             failures.append(payload["artifact"])
     document = {
         "schema": CHECK_FARM_SCHEMA,
-        "mode": mode,
+        "mode": "check",
         "base_seed": base_seed,
         "fault_rate": fault_rate,
         "shrink": shrink,
@@ -122,40 +112,35 @@ def merge_check_results(farm_result, mode, base_seed, n_runs,
     return document
 
 
-def farm_check(n_runs, seed=0, fault_rate=None, shrink=True,
-               engine_diff=False, max_failures=5, workers=1,
-               heartbeat=DEFAULT_HEARTBEAT, max_retries=DEFAULT_RETRIES,
-               flight_dir=None, on_event=None, context=None,
-               checkpoint_path=None, handle_signals=False):
-    """Run a check or engine-diff batch across ``workers`` processes.
+def farm_check(n_runs, seed=0, fault_rate=0.0, shrink=True,
+               max_failures=5, workers=1, heartbeat=DEFAULT_HEARTBEAT,
+               max_retries=DEFAULT_RETRIES, flight_dir=None,
+               on_event=None, context=None, checkpoint_path=None,
+               handle_signals=False):
+    """Run a check batch across ``workers`` processes.
 
     Returns ``(document, farm_result)`` — the deterministic report dict
     (render with :func:`render_check_report`) and the raw
     :class:`~repro.farm.core.FarmResult` with stats/quarantine detail.
 
-    ``fault_rate`` defaults to ``0.0`` for check and ``0.25`` for
-    engine-diff.  There is no early stop: the farm runs *every* index
+    There is no early stop: the farm runs *every* index
     regardless of failures, then truncates the merged failure list to
     ``max_failures`` in index order — the report is identical at any
     worker count.  ``flight_dir`` receives the quarantine flight dump.
 
     ``checkpoint_path`` enables crash/interrupt resume: completed runs
     are appended to the file and skipped on the next invocation with
-    the same batch fingerprint (mode/seed/runs/fault_rate/shrink).
+    the same batch fingerprint (seed/runs/fault_rate/shrink).
     """
-    if fault_rate is None:
-        fault_rate = 0.25 if engine_diff else 0.0
-    mode = "engine_diff" if engine_diff else "check"
-    task = _engine_diff_item if engine_diff else _check_item
     items = [
         {"base_seed": seed, "index": index, "fault_rate": fault_rate,
          "shrink": shrink}
         for index in range(n_runs)
     ]
-    checkpoint_meta = {"what": mode, "base_seed": seed, "runs": n_runs,
+    checkpoint_meta = {"what": "check", "base_seed": seed, "runs": n_runs,
                        "fault_rate": fault_rate, "shrink": shrink}
     farm_result = farm_map(
-        task, items, n_workers=workers, heartbeat=heartbeat,
+        _check_item, items, n_workers=workers, heartbeat=heartbeat,
         max_retries=max_retries, context=context, flight_dir=flight_dir,
         flight_seed=seed, on_event=on_event,
         checkpoint_path=checkpoint_path,
@@ -163,8 +148,7 @@ def farm_check(n_runs, seed=0, fault_rate=None, shrink=True,
         handle_signals=handle_signals,
     )
     document = merge_check_results(
-        farm_result, mode, seed, n_runs, fault_rate, shrink,
-        max_failures,
+        farm_result, seed, n_runs, fault_rate, shrink, max_failures,
     )
     return document, farm_result
 

@@ -252,10 +252,9 @@ class ScenarioRun:
 
 
 def prepare_scenario(name, n_seconds=30, seed=0, flight_dir=None,
-                     _sabotage=None, engine=None):
+                     _sabotage=None):
     """Build one canned scenario, started but not run; returns a
-    :class:`ScenarioRun` (see :func:`run_scenario` for parameters;
-    ``engine`` optionally pins the execution-core backend)."""
+    :class:`ScenarioRun` (see :func:`run_scenario` for parameters)."""
     if name not in SCENARIOS:
         raise KeyError(
             f"unknown scenario {name!r}; valid: {sorted(SCENARIOS)}"
@@ -278,7 +277,7 @@ def prepare_scenario(name, n_seconds=30, seed=0, flight_dir=None,
     system = RealTimeTradingSystem(
         n_seconds=n_seconds, seed=seed, network=network,
         retry_policy=retry, watchdog=watchdog, degrade=degrade,
-        engine=engine, **config.get("system", {}),
+        **config.get("system", {}),
     )
     task = system.task
     task.feed = injector.wrap_feed(task.feed)
@@ -305,7 +304,7 @@ def prepare_scenario(name, n_seconds=30, seed=0, flight_dir=None,
 
 
 def run_scenario(name, n_seconds=30, seed=0, flight_dir=None,
-                 _sabotage=None, engine=None):
+                 _sabotage=None):
     """Run one canned scenario; returns its (JSON-ready) report dict.
 
     :param flight_dir: when set, a
@@ -316,12 +315,10 @@ def run_scenario(name, n_seconds=30, seed=0, flight_dir=None,
     :param _sabotage: test hook — ``f(kernel)`` called after setup,
         before the run; used to plant invariant violations for
         flight-recorder smoke tests.
-    :param engine: optional execution-core backend override
-        (``"reference"`` / ``"fast"`` / ``None`` = process default).
     """
     return prepare_scenario(
         name, n_seconds=n_seconds, seed=seed, flight_dir=flight_dir,
-        _sabotage=_sabotage, engine=engine,
+        _sabotage=_sabotage,
     ).finish()
 
 

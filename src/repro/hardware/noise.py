@@ -1,16 +1,15 @@
-"""Seeded noise streams: scalar and batch-priced, identical by contract.
+"""Seeded noise stream, batch-priced.
 
 The calibrated cost model multiplies every priced micro-cost by a
-lognormal factor from a seeded generator.  The reference path draws one
-scalar per priced event; the fast backend prices in *batches* —
+lognormal factor from a seeded generator.  It draws in *batches* —
 vectorized numpy chunks — which amortizes ~80k generator round-trips
 per fig10 run into a few hundred.
 
 **The RNG-order contract.**  Batching must not change a single consumed
-value: seeded runs are compared byte-for-byte across backends by
-``repro check --engine-diff``, and BENCH/figure data are keyed by seed.
-Two properties of :class:`numpy.random.Generator` make the chunked
-stream exactly equal to the scalar stream:
+value: figure and benchmark data are keyed by seed, and the documents
+seeded runs produce are pinned byte for byte.  Two properties of
+:class:`numpy.random.Generator` make the chunked stream exactly equal
+to one scalar ``rng.lognormal(0.0, sigma)`` call per priced event:
 
 1. ``rng.lognormal(mean, sigma, n)`` produces element-for-element the
    same values as ``n`` successive scalar ``rng.lognormal(mean,
@@ -22,11 +21,10 @@ Both are asserted by hypothesis property tests
 (``tests/engine/test_backend_properties.py``), so a numpy upgrade that
 broke the contract would fail loudly, not corrupt benchmarks silently.
 
-Draw-*order* is owned by the caller: the cost model must consume from
-the stream exactly when the scalar path would have drawn (same guards
-on non-positive values and zero sigma), and per-CPU stall multipliers
-compose *after* the draw at consumption time — installing a fault plan
-never perturbs the stream (see
+Draw-*order* is owned by the caller: the cost model consumes one draw
+per priced event (none for non-positive values or zero sigma), and
+per-CPU stall multipliers compose *after* the draw at consumption time
+— installing a fault plan never perturbs the stream (see
 :meth:`repro.hardware.overheads.XeonPhiCostModel._stalled`).
 """
 
@@ -57,7 +55,7 @@ class BatchedLognormalStream:
 
     def next(self):
         """The next draw, as a Python float (bit-identical to the
-        scalar draw the reference path would have made)."""
+        next scalar ``rng.lognormal(0.0, sigma)`` draw)."""
         idx = self._idx
         buf = self._buf
         if idx >= len(buf):

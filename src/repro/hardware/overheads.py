@@ -144,35 +144,32 @@ class XeonPhiCostModel(CostModel):
         disables noise entirely.
     :param costs: override the calibration (a :class:`MicroCosts` or a
         load-keyed dict of them).
-    :param noise: draw mode — ``"scalar"`` (one RNG call per priced
-        event, the reference path) or ``"batched"`` (vectorized chunks
-        consumed in the identical order; see
-        :mod:`repro.hardware.noise` for the RNG-order contract).  Both
-        modes produce bit-identical cost sequences for the same seed.
+    :param noise: draw mode; only ``"batched"`` (vectorized chunks
+        consumed one draw per priced event, see
+        :mod:`repro.hardware.noise`).  Kept because ``perfbench/``
+        passes it; it goes once a benchmark change stops passing it.
     """
 
     def __init__(self, topology, load=BackgroundLoad.NONE, seed=0,
-                 noise_sigma=0.05, costs=None, noise="scalar"):
+                 noise_sigma=0.05, costs=None, noise="batched"):
         self.topology = topology
         self.load = load
         table = costs if costs is not None else DEFAULT_COSTS
         self.costs = table[load] if isinstance(table, dict) else table
         self.noise_sigma = noise_sigma
         self._rng = np.random.default_rng(seed)
-        if noise not in ("scalar", "batched"):
+        if noise != "batched":
             raise ValueError(f"unknown noise mode {noise!r}")
-        self.noise_mode = noise
         self._noise_stream = (
             BatchedLognormalStream(self._rng, noise_sigma)
-            if noise == "batched" and noise_sigma > 0 else None
+            if noise_sigma > 0 else None
         )
         #: optional per-CPU stall provider (duck-typed: ``multiplier(cpu)``
         #: -> float >= 1), installed by the fault-injection subsystem to
         #: model transient pipeline stalls / thermal throttling.  Applied
         #: *after* the noise draw — at consumption time, on the already
         #: drawn (possibly chunk-drawn) value — so installing it never
-        #: perturbs the RNG stream: a no-fault run stays bit-identical,
-        #: in either noise mode.
+        #: perturbs the RNG stream: a no-fault run stays bit-identical.
         self.stall = None
 
     def _noisy(self, value):
@@ -180,10 +177,7 @@ class XeonPhiCostModel(CostModel):
             return 0.0
         if self.noise_sigma <= 0:
             return value
-        stream = self._noise_stream
-        if stream is not None:
-            return value * stream.next()
-        return value * self._rng.lognormal(0.0, self.noise_sigma)
+        return value * self._noise_stream.next()
 
     def _stalled(self, value, owner):
         """Apply any active stall window; ``owner`` is a CPU id, a

@@ -14,8 +14,8 @@ it never flips ``bus.active`` — probe sites keep skipping payload
 construction entirely until a real observer (tracer, metrics, campaign
 counter, check runner) activates the bus, at which point the recorder
 rides along on the events those observers cause to be published.  This
-is the same hoisting discipline ``FastEngine.run`` applies: an idle bus
-costs nothing, on either backend.
+is the same hoisting discipline ``Engine.run`` applies: an idle bus
+costs nothing.
 
 Failure edges that dump automatically:
 
@@ -30,7 +30,7 @@ check_kernel_invariants` asks ``kernel.probes.flight`` to
 
 Determinism: events are recorded in publish order with simulated-time
 stamps and JSON-primitive payloads, so a seeded run dumps byte-identical
-artifacts on every execution and on either engine backend.
+artifacts on every execution.
 """
 
 import json

@@ -35,8 +35,7 @@ class RunReport:
                 watchdog=None, degrade=None, include_wallclock=True):
         """Build the report from a finished run's collaborators.
 
-        :param kernel: the simulated kernel (engine + queue counters,
-            engine backend name).
+        :param kernel: the simulated kernel (engine + queue counters).
         :param metrics: optional
             :class:`~repro.obs.metrics.SchedulerMetrics` (or a bare
             registry) — its sorted snapshot becomes the ``metrics``
@@ -56,7 +55,6 @@ class RunReport:
         report = cls()
         sections = report.sections
         sections["engine"] = {
-            "backend": getattr(kernel.backend, "name", "unknown"),
             "now": kernel.engine.now,
             "counters": kernel.engine.counters(),
         }
@@ -97,7 +95,7 @@ class RunReport:
 
         * ``engine`` — counters summed key-by-key (``peak_heap_size``
           by max); ``now`` becomes the *total* simulated time across
-          shards; ``backend`` stays the common name or ``"mixed"``;
+          shards;
         * ``queues`` — per-label (``cpu0`` ...) counter sums, ``peak_*``
           and ``level_peaks`` by max;
         * ``faults`` — injected counts, watchdog fires, degraded
@@ -116,9 +114,7 @@ class RunReport:
         merged.sections["shards"] = len(documents)
         engines = [doc["engine"] for doc in documents if "engine" in doc]
         if engines:
-            backends = sorted({engine["backend"] for engine in engines})
             merged.sections["engine"] = {
-                "backend": backends[0] if len(backends) == 1 else "mixed",
                 "now": sum(engine["now"] for engine in engines),
                 "counters": _merge_counters(
                     [engine["counters"] for engine in engines]

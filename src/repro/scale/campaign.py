@@ -51,7 +51,7 @@ def shard_task_counts(n_tasks, n_cores):
 
 
 def campaign_items(n_cores, threads_per_core, n_tasks, base_seed=0,
-                   utilization=0.5, horizon_periods=2, engine=None):
+                   utilization=0.5, horizon_periods=2):
     """The farm item list: one item per core that received tasks."""
     counts = shard_task_counts(n_tasks, n_cores)
     items = []
@@ -65,7 +65,6 @@ def campaign_items(n_cores, threads_per_core, n_tasks, base_seed=0,
             "n_tasks": count,
             "utilization": utilization,
             "horizon_periods": horizon_periods,
-            "engine": engine,
         })
     return items
 
@@ -90,8 +89,7 @@ def _scale_item(item):
         utilization=item["utilization"],
         horizon_periods=item["horizon_periods"],
     )
-    events, kernel, crash = run_middleware(scenario,
-                                           engine=item["engine"])
+    events, kernel, crash = run_middleware(scenario)
     violations = []
     if crash is None:
         violations.extend(check_kernel_trace(events, scenario.n_cpus))
@@ -200,11 +198,10 @@ def merge_scale_results(farm_result, params):
 
 
 def farm_scale(n_cores=57, threads_per_core=4, n_tasks=2000, seed=0,
-               utilization=0.5, horizon_periods=2, engine=None,
-               workers=1, heartbeat=DEFAULT_HEARTBEAT,
-               max_retries=DEFAULT_RETRIES, flight_dir=None,
-               on_event=None, context=None, checkpoint_path=None,
-               handle_signals=False):
+               utilization=0.5, horizon_periods=2, workers=1,
+               heartbeat=DEFAULT_HEARTBEAT, max_retries=DEFAULT_RETRIES,
+               flight_dir=None, on_event=None, context=None,
+               checkpoint_path=None, handle_signals=False):
     """Run a full-topology campaign across ``workers`` processes.
 
     Returns ``(document, farm_result)`` — the deterministic campaign
@@ -225,12 +222,10 @@ def farm_scale(n_cores=57, threads_per_core=4, n_tasks=2000, seed=0,
         "requested_tasks": n_tasks,
         "utilization": utilization,
         "horizon_periods": horizon_periods,
-        "engine": engine or "default",
     }
     items = campaign_items(
         n_cores, threads_per_core, n_tasks, base_seed=seed,
         utilization=utilization, horizon_periods=horizon_periods,
-        engine=engine,
     )
     checkpoint_meta = {"what": "scale", **params}
     farm_result = farm_map(

@@ -10,9 +10,9 @@ discrete-event simulation:
 * :mod:`repro.simkernel.cpu` — cores / hardware threads with SMT
   rate-sharing (the Xeon Phi's 4-way in-order SMT is modelled by
   :class:`~repro.simkernel.cpu.Topology`).
-* :mod:`repro.simkernel.runqueue` — per-CPU 99-level FIFO run queues
-  implemented, as in the paper's Figure 5, with a double circular linked
-  list per level plus a priority bitmap.
+* :mod:`repro.simkernel.runqueue` — the SCHED_FIFO priority range of
+  the per-CPU 99-level FIFO run queues (the paper's Figure 5: a FIFO
+  per level plus a priority bitmap).
 * :mod:`repro.simkernel.thread` — kernel threads wrapping Python
   generator coroutines that ``yield`` syscall requests.
 * :mod:`repro.simkernel.syscalls` — the syscall request vocabulary
@@ -30,7 +30,7 @@ discrete-event simulation:
   default charges zero so logic tests are exact.
 """
 
-from repro.engine.events import Engine, Event
+from repro.engine.events import Engine
 from repro.simkernel.costmodel import CostModel, ZeroCostModel
 from repro.simkernel.cpu import Core, HardwareThread, Topology
 from repro.simkernel.errors import (
@@ -43,7 +43,6 @@ from repro.simkernel.errors import (
     SignalUnwind,
 )
 from repro.simkernel.kernel import Kernel
-from repro.simkernel.runqueue import CircularDList, FifoRunQueue, PriorityBitmap
 from repro.simkernel.signals import (
     SIG_DFL,
     SIG_IGN,
@@ -92,7 +91,6 @@ __all__ = [
     "HardwareThread",
     "Topology",
     "Engine",
-    "Event",
     "DeadlockError",
     "InjectedFaultError",
     "InvariantViolationError",
@@ -101,9 +99,6 @@ __all__ = [
     "SimulationError",
     "SignalUnwind",
     "Kernel",
-    "CircularDList",
-    "FifoRunQueue",
-    "PriorityBitmap",
     "SIG_DFL",
     "SIG_IGN",
     "SIGALRM",

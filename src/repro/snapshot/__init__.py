@@ -1,7 +1,7 @@
 """``repro.snapshot`` — deterministic checkpoint / restore.
 
 Versioned, seed-stamped serialization of complete simulation state
-(``rtseed-snapshot/1``) with attested deterministic-replay restore.
+(``rtseed-snapshot/2``) with attested deterministic-replay restore.
 See ``docs/SNAPSHOTS.md`` for the format, the guarantees, and the
 resume workflows (farm checkpoints, check time-travel).
 """

@@ -1,4 +1,4 @@
-"""The ``rtseed-snapshot/1`` document: build, write, load, verify.
+"""The ``rtseed-snapshot/2`` document: build, write, load, verify.
 
 A snapshot is one JSON document with five parts:
 
@@ -6,8 +6,8 @@ A snapshot is one JSON document with five parts:
     :data:`SNAPSHOT_SCHEMA` — refused on mismatch.
 ``program``
     The *reconstructible program spec*: everything needed to rebuild
-    the exact run from scratch (kind, seed, backend, workload
-    parameters).  See :mod:`repro.snapshot.programs`.
+    the exact run from scratch (kind, seed, workload parameters).
+    See :mod:`repro.snapshot.programs`.
 ``barrier``
     Where in the run the snapshot was taken: the engine's
     ``events_processed`` count and simulated clock.
@@ -20,7 +20,7 @@ A snapshot is one JSON document with five parts:
 
 Integrity model: :func:`load_snapshot` re-computes the digest over the
 loaded ``state`` and refuses a tampered or truncated document;
-:func:`repro.snapshot.resume.resume_run` additionally re-executes the
+:func:`repro.snapshot.resume.restore` additionally re-executes the
 program to the barrier and refuses to continue unless the *live* state
 digests to the same value (:class:`SnapshotMismatchError`) — the
 restore is attested against the capture, bit for bit.
@@ -32,7 +32,12 @@ import os
 from repro.snapshot.state import capture_state, state_digest
 
 #: Snapshot document schema tag.
-SNAPSHOT_SCHEMA = "rtseed-snapshot/1"
+SNAPSHOT_SCHEMA = "rtseed-snapshot/2"
+
+#: The schema of snapshots taken by the build with two execution cores
+#: (refused with a take-it-again hint; see docs/SNAPSHOTS.md, "Schema
+#: 2").
+_TWO_ENGINE_SCHEMA = "rtseed-snapshot/1"
 
 
 class SnapshotError(Exception):
@@ -41,16 +46,15 @@ class SnapshotError(Exception):
 
 class SnapshotMismatchError(SnapshotError):
     """A resume refused: the re-executed state does not attest against
-    the captured digest (wrong seed/backend/code, or a tampered
+    the captured digest (wrong seed or code, or a tampered
     document)."""
 
 
-def build_snapshot(program, barrier, state, seed=None, backend=None):
+def build_snapshot(program, barrier, state, seed=None):
     """Assemble a snapshot document (digest computed here)."""
     return {
         "schema": SNAPSHOT_SCHEMA,
         "seed": seed,
-        "backend": backend,
         "program": program,
         "barrier": barrier,
         "state": state,
@@ -58,16 +62,14 @@ def build_snapshot(program, barrier, state, seed=None, backend=None):
     }
 
 
-def snapshot_kernel(kernel, program, extras=None, seed=None,
-                    backend=None):
+def snapshot_kernel(kernel, program, extras=None, seed=None):
     """Capture ``kernel`` right now into a snapshot document."""
     state = capture_state(kernel, extras=extras)
     barrier = {
         "events_processed": kernel.engine.events_processed,
         "now": kernel.engine.now,
     }
-    return build_snapshot(program, barrier, state, seed=seed,
-                          backend=backend)
+    return build_snapshot(program, barrier, state, seed=seed)
 
 
 def render_snapshot(document):
@@ -99,9 +101,13 @@ def validate_snapshot(document):
         raise SnapshotError("snapshot document must be a JSON object")
     schema = document.get("schema")
     if schema != SNAPSHOT_SCHEMA:
+        hint = ""
+        if schema == _TWO_ENGINE_SCHEMA:
+            hint = ("; this document came from the two-engine build, "
+                    "take the snapshot again")
         raise SnapshotError(
             f"unsupported snapshot schema {schema!r} "
-            f"(expected {SNAPSHOT_SCHEMA!r})"
+            f"(expected {SNAPSHOT_SCHEMA!r}){hint}"
         )
     for key in ("program", "barrier", "state", "digest"):
         if key not in document:
@@ -134,7 +140,6 @@ def inspect_snapshot(document):
     summary = {
         "schema": document["schema"],
         "seed": document.get("seed"),
-        "backend": document.get("backend"),
         "program": program,
         "barrier": barrier,
         "digest": document["digest"],
@@ -142,7 +147,6 @@ def inspect_snapshot(document):
     if "engine" in state:
         engine = state["engine"]
         summary["engine"] = {
-            "layout": engine["layout"],
             "now": engine["now"],
             "events_processed": engine["events_processed"],
             "pending": engine["pending"],

@@ -5,8 +5,8 @@ hold arbitrary Python closures pre-bound onto kernel objects — they
 cannot be deserialized from JSON.  The restore model is therefore
 **deterministic re-execution with state attestation** (see
 ``docs/SNAPSHOTS.md``): the snapshot records a *program spec* — the
-complete recipe to rebuild the run from scratch (kind, seed, backend,
-workload parameters) — and the restore rebuilds it, fast-forwards the
+complete recipe to rebuild the run from scratch (kind, seed, workload
+parameters) — and the restore rebuilds it, fast-forwards the
 engine to the barrier, and refuses to continue unless the live state
 digests to the captured value.
 
@@ -34,7 +34,6 @@ time-travel).
 import hashlib
 import json
 
-from repro.engine.backend import get_backend
 from repro.snapshot.core import SnapshotError
 from repro.snapshot.state import (
     capture_flight,
@@ -75,11 +74,6 @@ class ProgramRun:
     def __init__(self, spec):
         self.spec = dict(spec)
         self.spec["kind"] = self.kind
-        backend = get_backend(self.spec.get("engine"))
-        # pin the resolved backend into the spec so a resume in a
-        # process with a different $RTSEED_ENGINE rebuilds identically
-        self.spec["engine"] = backend.name
-        self.backend = backend
         self.kernel = None
         self.stream = _StreamHash()
 
@@ -152,7 +146,6 @@ class OverheadsProgram(ProgramRun):
         middleware = RTSeed(
             load=BackgroundLoad[spec.get("load", "NONE")],
             seed=self.seed,
-            engine=spec["engine"],
         )
         middleware.add_task(
             make_eval_task(spec.get("np", 8)),
@@ -193,7 +186,6 @@ class TradeProgram(ProgramRun):
             seed=self.seed,
             policy=spec.get("policy", "one_by_one"),
             load=BackgroundLoad[spec.get("load", "NONE")],
-            engine=spec["engine"],
         )
         self.system = system
         self._attach_observers(system.middleware.kernel)
@@ -233,7 +225,6 @@ class FaultsProgram(ProgramRun):
             spec["scenario"],
             n_seconds=spec.get("seconds", 12),
             seed=self.seed,
-            engine=spec["engine"],
         )
         self.scenario = scenario
         # the scenario wires its own flight recorder; ride it instead
@@ -278,7 +269,6 @@ class CheckProgram(ProgramRun):
             spec["scenario"],
             collect_kernel_events=spec.get("collect_kernel_events",
                                            True),
-            engine=spec["engine"],
             cost_model=spec.get("cost_model", "zero"),
             noise_seed=spec.get("noise_seed", 0),
         )

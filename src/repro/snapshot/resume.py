@@ -7,7 +7,7 @@ digest before handing the run back.  Because the rebuilt run is the
 same deterministic computation from t=0, everything it goes on to
 produce — probe streams, metrics, reports — is byte-identical to the
 uninterrupted run (the tier-1 suite and the CI ``snapshot-smoke`` job
-enforce exactly that, on both backends, fault plans included).
+enforce exactly that, fault plans included).
 """
 
 from repro.snapshot.core import (
@@ -27,42 +27,27 @@ def snapshot(run, at_events=None):
     :param at_events: optional barrier — the engine is driven to
         exactly this many processed events first (error if the run
         drains earlier); ``None`` captures wherever the run is now.
-    :returns: the ``rtseed-snapshot/1`` document.
+    :returns: the ``rtseed-snapshot/2`` document.
     """
     if run.kernel is None:
         raise SnapshotError("program not started: call run.start()")
     if at_events is not None:
         run.run_to_events(at_events)
     return snapshot_kernel(
-        run.kernel, dict(run.spec), extras=run.extras(),
-        seed=run.seed, backend=run.spec.get("engine"),
+        run.kernel, dict(run.spec), extras=run.extras(), seed=run.seed,
     )
 
 
-def restore(document, expect_backend=None):
+def restore(document):
     """Rebuild + fast-forward + attest; returns the positioned run.
 
     Refuses (:class:`SnapshotMismatchError`) when the re-executed
-    state does not reproduce the captured digest — wrong backend,
-    wrong seed, changed code, or a tampered document.  ``finish()``
-    on the returned run continues to the end of the run.
-
-    :param expect_backend: optional backend name the caller requires;
-        mismatching documents are refused before any work happens.
+    state does not reproduce the captured digest — wrong seed, changed
+    code, or a tampered document.  ``finish()`` on the returned run
+    continues to the end of the run.
     """
     validate_snapshot(document)
-    backend = document.get("backend")
-    if expect_backend is not None and backend != expect_backend:
-        raise SnapshotMismatchError(
-            f"snapshot was taken on the {backend!r} backend, "
-            f"resume requested {expect_backend!r}"
-        )
     run = build_program(document["program"])
-    if run.spec.get("engine") != backend:
-        raise SnapshotMismatchError(
-            f"program spec backend {run.spec.get('engine')!r} does "
-            f"not match snapshot header {backend!r}"
-        )
     run.start()
     barrier = document["barrier"]
     run.run_to_events(barrier["events_processed"])
@@ -84,6 +69,6 @@ def restore(document, expect_backend=None):
     return run
 
 
-def resume_to_end(document, expect_backend=None):
+def resume_to_end(document):
     """Restore and run to completion; returns the program payload."""
-    return restore(document, expect_backend=expect_backend).finish()
+    return restore(document).finish()

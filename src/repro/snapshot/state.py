@@ -1,12 +1,12 @@
-"""Complete simulation-state capture for ``rtseed-snapshot/1``.
+"""Complete simulation-state capture for ``rtseed-snapshot/2``.
 
 :func:`capture_state` walks a live :class:`~repro.simkernel.kernel.
 Kernel` and produces one JSON-ready dict covering every piece of state
-the ISSUE-9 snapshot format names: the engine event queue (both the
-reference tuple layout and the fast record layout), the per-CPU ready
-queues, kernel threads with their signal masks and pending signals,
-armed timers, core speeds, the cost model's noise-stream RNG state
-(scalar draws and the :class:`~repro.hardware.noise.
+the snapshot format names: the engine event queue (read through
+:meth:`repro.engine.events.Engine.records`), the per-CPU ready queues,
+kernel threads with their signal masks and pending signals, armed
+timers, core speeds, the cost model's noise-stream RNG state (the
+generator and the :class:`~repro.hardware.noise.
 BatchedLognormalStream` cursor), plus whatever *extras* the owning
 program contributes (resilience controllers, trading feed/broker
 state, the passive flight-recorder ring — see
@@ -38,12 +38,6 @@ attestation.  The rules that keep the capture on-contract:
 import functools
 import hashlib
 import json
-
-from repro.engine.events import Engine, Event
-from repro.engine.fastevents import FastEngine
-
-#: fast-engine record state codes -> stable labels.
-_FAST_STATE = {0: "pending", 1: "cancelled", 2: "done"}
 
 
 def describe_value(value):
@@ -78,7 +72,7 @@ def describe_callback(callback):
 
 
 def _capture_heap(engine):
-    """Canonical event-queue rows for either engine layout.
+    """Canonical event-queue rows.
 
     Rows are ``[time, priority, seq, status, callback-descriptor]``
     sorted by ``(time, priority, seq)`` — the heap's partial order is
@@ -87,29 +81,10 @@ def _capture_heap(engine):
     they are part of the physical state the deterministic replay must
     reproduce (compaction timing depends on them).
     """
-    rows = []
-    if isinstance(engine, FastEngine):
-        for record in engine._heap:
-            time, priority, seq, callback, state = record
-            rows.append([time, priority, seq,
-                         _FAST_STATE.get(state, str(state)),
-                         describe_callback(callback)])
-    elif isinstance(engine, Engine):
-        for _time, _priority, _seq, event in engine._heap:
-            rows.append([event.time, event.priority, event.seq,
-                         "cancelled" if event.cancelled else "pending",
-                         describe_callback(event.callback)])
-    else:  # duck-typed third backend: require an Event-like heap
-        for entry in engine._heap:
-            event = entry[-1]
-            if isinstance(event, Event):
-                rows.append([event.time, event.priority, event.seq,
-                             "cancelled" if event.cancelled
-                             else "pending",
-                             describe_callback(event.callback)])
-            else:
-                rows.append([entry[0], entry[1], entry[2], "pending",
-                             describe_callback(entry[3])])
+    rows = [
+        [time, priority, seq, status, describe_callback(callback)]
+        for time, priority, seq, status, callback in engine.records()
+    ]
     rows.sort(key=lambda row: (row[0], row[1], row[2]))
     return rows
 
@@ -119,7 +94,6 @@ def capture_engine(engine):
     and the telemetry counters (compaction history included — replay
     must reproduce those too)."""
     return {
-        "layout": type(engine).__name__,
         "now": engine.now,
         "events_processed": engine.events_processed,
         "pending": engine.pending_count,
@@ -132,7 +106,7 @@ def capture_engine(engine):
 def _capture_level_queue(queue):
     levels = {}
     for prio in range(queue.min_prio, queue.max_prio + 1):
-        names = [thread.name for thread in queue._levels[prio]]
+        names = [thread.name for thread in queue.items_at(prio)]
         if names:
             levels[str(prio)] = names
     return {"kind": "levels", "levels": levels}
@@ -223,18 +197,16 @@ def capture_cost_model(cost_model):
         return {"kind": type(cost_model).__name__}
     state = {
         "kind": type(cost_model).__name__,
-        "noise_mode": getattr(cost_model, "noise_mode", "scalar"),
         "noise_sigma": getattr(cost_model, "noise_sigma", None),
         "rng": _rng_state(rng),
     }
     stream = getattr(cost_model, "_noise_stream", None)
     if stream is not None:
-        buffered = stream._buf[stream._idx:] if stream._buf is not None \
-            else []
         state["stream"] = {
             "chunk": stream._chunk,
             "index": stream._idx,
-            "buffered": [float(value) for value in buffered],
+            "buffered": [float(value)
+                         for value in stream._buf[stream._idx:]],
         }
     return state
 

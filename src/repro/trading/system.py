@@ -306,8 +306,6 @@ class RealTimeTradingSystem:
         :class:`~repro.core.resilience.OverrunWatchdog`.
     :param degrade: optional
         :class:`~repro.core.resilience.DegradedModeController`.
-    :param engine: execution-core backend (``"reference"`` /
-        ``"fast"`` / ``None`` for the process default).
     """
 
     def __init__(self, n_seconds=60, seed=0, analyzers=None,
@@ -315,7 +313,7 @@ class RealTimeTradingSystem:
                  topology=None, cost_model="xeonphi", strategy=None,
                  optional_deadline=None, history_length=120,
                  network=None, retry_policy=None, watchdog=None,
-                 degrade=None, engine=None):
+                 degrade=None):
         self.feed = MarketFeed(seed=seed)
         self.broker = SimBroker()
         self.analyzers = analyzers or default_analyzers(seed)
@@ -331,8 +329,7 @@ class RealTimeTradingSystem:
         )
         self.middleware = RTSeed(topology=topology, load=load,
                                  cost_model=cost_model, seed=seed,
-                                 watchdog=watchdog, degrade=degrade,
-                                 engine=engine)
+                                 watchdog=watchdog, degrade=degrade)
         self.task.probes = self.middleware.probes
         self.middleware.add_task(
             self.task,

@@ -1,43 +1,86 @@
-"""The fast-vs-reference engine differential (``--engine-diff``).
+"""Whole-stack lockstep: the execution core against its executable model.
 
-Unlike the theory-oracle differential, this one runs the *same*
-middleware stack on both backends — noisy Xeon Phi cost model, fault
-plans allowed — and demands byte-identical probe streams.  Tested here:
-clean equivalence on fault-free and hardware-faulted scenarios
-(``core_throttle`` exercises mid-run repricing, ``cpu_stall`` the
-post-draw multiplier), an actual detection (a planted fast-path skew
-must be flagged as ``engine_mismatch``), and the farmed batch's
-counting.
+The same middleware scenario runs twice with the noisy Xeon Phi cost
+model — once as shipped, and once with the kernel's engine, the FIFO
+run queues and the cost-model noise swapped for the model
+(``tests/engine/reference.py``: the object-per-event engine, the
+circular-list level queue, and one scalar ``rng.lognormal`` draw per
+priced event).  The recorded ``rtseed.*``/``kernel.*`` probe streams,
+the final clock and the event count must be identical.
+
+Fault plans are allowed: ``core_throttle`` exercises mid-run repricing,
+``cpu_stall`` the stall multiplier composing after a batched draw.  A
+planted skew of the batched noise stream must be flagged, so the
+comparison is known to bite.  The swap is
+:func:`tests.engine.reference.model_core`.
 """
 
 import pytest
 
-from repro.check import ENGINE_DIFF_FAULT_SITE_MENU, run_engine_diff
+from repro.check.runner import run_middleware
 from repro.check.scenario import generate_scenario
-from repro.farm import farm_check
+from repro.hardware.noise import BatchedLognormalStream
+from tests.engine.reference import (
+    ReferenceEngine,
+    ReferenceLevelQueue,
+    model_core,
+)
 
 pytestmark = pytest.mark.tier1
 
 
+def _run(scenario):
+    return run_middleware(scenario, cost_model="xeonphi",
+                          noise_seed=scenario.seed)
+
+
+def lockstep(scenario):
+    """Run ``scenario`` as shipped and on the model; return the list of
+    mismatches (empty when the two runs are identical)."""
+    events, kernel, crash = _run(scenario)
+    with model_core():
+        model_events, model_kernel, model_crash = _run(scenario)
+    assert type(model_kernel.engine) is ReferenceEngine
+    assert type(model_kernel.runqueues[0]) is ReferenceLevelQueue
+
+    mismatches = []
+    if crash != model_crash:
+        mismatches.append(f"crash: {crash!r} != {model_crash!r}")
+    if len(events) != len(model_events):
+        mismatches.append(f"event count: {len(events)} != "
+                          f"{len(model_events)}")
+    for index, (got, want) in enumerate(zip(events, model_events)):
+        if got != want:
+            mismatches.append(f"stream at event {index}: {got!r} != "
+                              f"{want!r}")
+            break
+    if kernel.engine.now != model_kernel.engine.now:
+        mismatches.append(f"final clock: {kernel.engine.now!r} != "
+                          f"{model_kernel.engine.now!r}")
+    if kernel.engine.events_processed != \
+            model_kernel.engine.events_processed:
+        mismatches.append(
+            f"events processed: {kernel.engine.events_processed} != "
+            f"{model_kernel.engine.events_processed}"
+        )
+    assert events, "expected a non-empty probe stream"
+    return mismatches
+
+
 def test_fault_free_scenarios_are_equivalent():
     for seed in range(3):
-        scenario = generate_scenario(seed)
-        report = run_engine_diff(scenario)
-        assert report.differential_ran
-        assert report.ok, report.summary()
+        assert lockstep(generate_scenario(seed)) == [], f"seed {seed}"
 
 
 @pytest.mark.parametrize("site", ["core_throttle", "cpu_stall"])
 def test_hardware_faulted_scenarios_are_equivalent(site):
-    assert site in ENGINE_DIFF_FAULT_SITE_MENU
     checked = 0
     for seed in range(20):
         scenario = generate_scenario(seed, fault_rate=1.0,
                                      fault_sites=(site,))
         if not scenario.has_faults:
             continue
-        report = run_engine_diff(scenario)
-        assert report.ok, f"seed {seed}: {report.summary()}"
+        assert lockstep(scenario) == [], f"seed {seed}"
         checked += 1
         if checked == 2:
             break
@@ -45,40 +88,14 @@ def test_hardware_faulted_scenarios_are_equivalent(site):
 
 
 def test_planted_fast_path_skew_is_detected(monkeypatch):
-    """Corrupt the batched noise stream (fast backend only) by half an
-    ulp's worth of relative skew: the differential must flag it."""
-    from repro.hardware.noise import BatchedLognormalStream
-
+    """Skew the batched noise stream (the shipped path only) by a
+    relative 1e-4: the lockstep comparison must flag it."""
     original = BatchedLognormalStream.next
 
     def skewed(self):
         return original(self) * 1.0001
 
     monkeypatch.setattr(BatchedLognormalStream, "next", skewed)
-    report = run_engine_diff(generate_scenario(0))
-    assert not report.ok
-    assert report.divergences
-    assert all(d["kind"] == "engine_mismatch"
-               for d in report.divergences)
-
-
-def test_engine_diff_batch_counts_and_artifacts(monkeypatch):
-    document, _ = farm_check(3, seed=0, fault_rate=0.0, engine_diff=True)
-    assert document["completed_runs"] == 3
-    assert document["differential_runs"] == 3
-    assert document["total_failures"] == 0
-    assert document["failures"] == []
-
-    from repro.hardware.noise import BatchedLognormalStream
-
-    original = BatchedLognormalStream.next
-    monkeypatch.setattr(BatchedLognormalStream, "next",
-                        lambda self: original(self) * 1.0001)
-    document, _ = farm_check(3, seed=0, fault_rate=0.0, engine_diff=True,
-                             max_failures=1)
-    # no early stop: every run executes, then the list is truncated
-    assert document["completed_runs"] == 3
-    assert document["total_failures"] == 3
-    assert len(document["failures"]) == 1
-    artifact = document["failures"][0]
-    assert "engine_mismatch" in artifact["failure_kinds"]
+    mismatches = lockstep(generate_scenario(0))
+    assert mismatches
+    assert any(m.startswith("stream at event") for m in mismatches)

@@ -27,28 +27,3 @@ def test_failing_scenario_attaches_flight_snapshot(monkeypatch):
     assert snapshot["header"]["seed"] == report.scenario.seed
     assert snapshot["events"], "ring should hold the run's probe tail"
     assert report.to_dict()["flight"] is snapshot
-
-
-def test_engine_diff_divergence_attaches_both_sides(monkeypatch):
-    # make the fast side *appear* to diverge by corrupting its stream
-    real_run_middleware = runner.run_middleware
-
-    def skewed(scenario, **kwargs):
-        events, kernel, crash = real_run_middleware(scenario, **kwargs)
-        if kwargs.get("engine") == "fast" and events:
-            events[-1] = ("planted.divergence", 0.0, {})
-        return events, kernel, crash
-
-    monkeypatch.setattr(runner, "run_middleware", skewed)
-    report = runner.run_engine_diff(generate_scenario(0))
-    assert not report.ok
-    assert set(report.flight) == {"reference", "fast"}
-    for side in ("reference", "fast"):
-        header = report.flight[side]["header"]
-        assert header["reason"] == "engine_diff_divergence"
-
-
-def test_engine_diff_clean_run_attaches_no_flight():
-    report = runner.run_engine_diff(generate_scenario(0))
-    assert report.ok
-    assert report.flight is None

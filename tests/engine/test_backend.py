@@ -1,90 +1,70 @@
-"""The engine-backend seam: registry, env-var default, API parity.
+"""The execution core's public surface, and the description of it
+that the benchmark reads.
 
-The seam's contract is that every consumer can take any
-:data:`repro.engine.backend.BACKENDS` entry and get the same public
-surface — same factory methods, same engine/queue methods, same
-exception types on misuse of the checked paths that both backends keep.
+The engine and level-queue tests pin the surface every consumer (the
+kernel, the theory simulator, the snapshot layer) relies on.  Each runs
+on the execution core (``fast``, the name the benchmark records) and on
+its model in ``tests/engine/reference.py`` (``reference``): the two
+must share the surface for the equivalence properties in
+``test_backend_properties.py`` and the whole-stack lockstep test to
+compare them.
 """
 
 import pytest
 
-from repro.engine.backend import (
-    BACKENDS,
-    ENGINE_ENV_VAR,
-    EngineBackend,
-    FastBackend,
-    ReferenceBackend,
-    default_backend_name,
-    get_backend,
-)
+from repro.engine.backend import get_backend
+from repro.engine.classes import DMClass, EDFClass, Fifo99Class, RMClass
 from repro.engine.events import Engine
-from repro.engine.fastevents import FastEngine
-from repro.engine.fastqueue import FastLevelQueue
 from repro.engine.readyqueue import (
     HeapReadyQueue,
     IndexedLevelQueue,
     ReadyQueueError,
 )
+from repro.hardware.overheads import XeonPhiCostModel
+from repro.simkernel.cpu import Topology, uniform_share
+from repro.simkernel.kernel import Kernel
+from tests.engine.reference import ReferenceEngine, ReferenceLevelQueue
 
 pytestmark = pytest.mark.tier1
 
-
-def test_registry_has_both_backends():
-    assert sorted(BACKENDS) == ["fast", "reference"]
-    assert isinstance(BACKENDS["reference"], ReferenceBackend)
-    assert isinstance(BACKENDS["fast"], FastBackend)
+ENGINES = {"fast": Engine, "reference": ReferenceEngine}
+LEVEL_QUEUES = {"fast": IndexedLevelQueue, "reference": ReferenceLevelQueue}
 
 
-def test_get_backend_by_name_returns_singletons():
-    assert get_backend("reference") is BACKENDS["reference"]
-    assert get_backend("fast") is BACKENDS["fast"]
-
-
-def test_get_backend_passes_instances_through():
-    class Custom(EngineBackend):
-        name = "custom"
-
-    custom = Custom()
-    assert get_backend(custom) is custom
-
-
-def test_get_backend_rejects_unknown_names():
-    with pytest.raises(ValueError, match="unknown engine backend"):
-        get_backend("turbo")
-    with pytest.raises(ValueError, match="unknown engine backend"):
-        get_backend(42)
-
-
-def test_default_backend_honours_env_var(monkeypatch):
-    monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
-    assert default_backend_name() == "reference"
-    assert get_backend() is BACKENDS["reference"]
-    monkeypatch.setenv(ENGINE_ENV_VAR, "fast")
-    assert default_backend_name() == "fast"
-    assert get_backend() is BACKENDS["fast"]
+def test_backend_describes_the_single_core():
+    """``perfbench`` records ``.name`` and passes ``.noise_mode`` to
+    the cost model; there is nothing to choose."""
+    core = get_backend(None)
+    assert core.name == "fast"
+    topology = Topology(2, 1, share_fn=uniform_share)
+    XeonPhiCostModel(topology, noise=core.noise_mode)
 
 
 def test_backend_factories_build_the_right_classes():
-    reference = get_backend("reference")
-    fast = get_backend("fast")
-    assert type(reference.make_engine()) is Engine
-    assert type(fast.make_engine()) is FastEngine
-    assert type(reference.make_fifo_queue(1, 10)) is IndexedLevelQueue
-    assert type(fast.make_fifo_queue(1, 10)) is FastLevelQueue
-    # the keyed heap is shared: its entries are already plain tuples
-    for backend in (reference, fast):
-        assert type(backend.make_heap_queue(lambda item: item)) \
-            is HeapReadyQueue
+    """Consumers construct the core's classes directly: the kernel its
+    engine and FIFO run queues, the keyed-heap classes their heap."""
+    kernel = Kernel(Topology(2, 1, share_fn=uniform_share))
+    assert type(kernel.engine) is Engine
+    assert [type(queue) for queue in kernel.runqueues] \
+        == [IndexedLevelQueue, IndexedLevelQueue]
+    assert type(Fifo99Class().make_queue(cpu_id=1)) is IndexedLevelQueue
+    for sched_class in (RMClass(), DMClass(), EDFClass()):
+        assert type(sched_class.make_queue()) is HeapReadyQueue
 
 
 def test_noise_modes():
-    assert get_backend("reference").noise_mode == "scalar"
-    assert get_backend("fast").noise_mode == "batched"
+    """Cost-model noise is drawn in batches; the one-draw-per-event
+    mode lives on only as the model's ``scalar_noisy``."""
+    assert get_backend(None).noise_mode == "batched"
+    topology = Topology(2, 1, share_fn=uniform_share)
+    assert XeonPhiCostModel(topology)._noise_stream is not None
+    with pytest.raises(ValueError, match="unknown noise mode"):
+        XeonPhiCostModel(topology, noise="scalar")
 
 
 @pytest.mark.parametrize("name", ["reference", "fast"])
 def test_engine_api_parity(name):
-    engine = get_backend(name).make_engine(start_time=1.0)
+    engine = ENGINES[name](start_time=1.0)
     assert engine.now == 1.0
     assert engine.events_processed == 0
     assert engine.pending_count == 0
@@ -113,7 +93,7 @@ def test_engine_api_parity(name):
 
 @pytest.mark.parametrize("name", ["reference", "fast"])
 def test_engine_run_until_and_max_events(name):
-    engine = get_backend(name).make_engine()
+    engine = ENGINES[name]()
     fired = []
     for time in (1.0, 2.0, 3.0, 4.0):
         engine.schedule_at(time, lambda t=time: fired.append(t))
@@ -127,7 +107,7 @@ def test_engine_run_until_and_max_events(name):
 
 @pytest.mark.parametrize("name", ["reference", "fast"])
 def test_fifo_queue_api_parity(name):
-    queue = get_backend(name).make_fifo_queue(1, 10, cpu_id=3)
+    queue = LEVEL_QUEUES[name](1, 10, cpu_id=3)
     assert queue.cpu_id == 3
     assert not queue
     assert queue.peek() is None

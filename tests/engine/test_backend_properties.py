@@ -1,8 +1,8 @@
-"""Property-based equivalence of the fast and reference backends.
+"""Property-based equivalence of the execution core and its model.
 
-These are the tests that license ``--engine fast``: whatever operation
-sequence the kernel throws at them, the fast structures must be
-*observationally identical* to the checked reference ones —
+Whatever operation sequence the kernel throws at them, the production
+structures must be *observationally identical* to the checked
+object-per-record model in ``tests/engine/reference.py`` —
 
 * ready queues: same pops, same lengths, same iteration order under
   arbitrary enqueue / at-head enqueue / dequeue / pop interleavings;
@@ -21,8 +21,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.backend import get_backend
+from repro.engine.events import Engine
+from repro.engine.readyqueue import IndexedLevelQueue
 from repro.hardware.noise import BatchedLognormalStream
+from repro.hardware.overheads import XeonPhiCostModel
+from repro.simkernel.cpu import Topology, uniform_share
+from tests.engine.reference import (
+    ReferenceEngine,
+    ReferenceLevelQueue,
+    scalar_noisy,
+)
 
 pytestmark = pytest.mark.tier1
 
@@ -39,39 +47,37 @@ queue_ops = st.lists(
 @settings(max_examples=120, deadline=None)
 @given(ops=queue_ops)
 def test_fifo_queues_observationally_identical(ops):
-    reference = get_backend("reference").make_fifo_queue(
-        MIN_PRIO, MAX_PRIO
-    )
-    fast = get_backend("fast").make_fifo_queue(MIN_PRIO, MAX_PRIO)
+    model = ReferenceLevelQueue(MIN_PRIO, MAX_PRIO)
+    queue = IndexedLevelQueue(MIN_PRIO, MAX_PRIO)
     counter = 0
     for kind, prio, at_head in ops:
         if kind == 0:
             counter += 1
             item = f"i{counter}"
-            reference.enqueue(item, prio, at_head=at_head)
-            fast.enqueue(item, prio, at_head=at_head)
+            model.enqueue(item, prio, at_head=at_head)
+            queue.enqueue(item, prio, at_head=at_head)
         elif kind == 1:
-            live = list(reference)
+            live = list(model)
             if not live:
                 continue
             victim = live[prio % len(live)]
             level = next(
                 p for p in range(MIN_PRIO, MAX_PRIO + 1)
-                if victim in reference.items_at(p)
+                if victim in model.items_at(p)
             )
-            reference.dequeue(victim, level)
-            fast.dequeue(victim, level)
+            model.dequeue(victim, level)
+            queue.dequeue(victim, level)
         else:
-            if not reference:
-                assert not fast
+            if not model:
+                assert not queue
                 continue
-            assert reference.pop() == fast.pop()
-        assert len(reference) == len(fast)
-        assert reference.highest_priority() == fast.highest_priority()
-        assert reference.peek() == fast.peek()
-    assert list(reference) == list(fast)
+            assert model.pop() == queue.pop()
+        assert len(model) == len(queue)
+        assert model.highest_priority() == queue.highest_priority()
+        assert model.peek() == queue.peek()
+    assert list(model) == list(queue)
     for prio in range(MIN_PRIO, MAX_PRIO + 1):
-        assert reference.items_at(prio) == fast.items_at(prio)
+        assert model.items_at(prio) == queue.items_at(prio)
 
 
 # (kind, a, b): 0=schedule(delay=a, prio=b-2, respawn if b odd),
@@ -125,19 +131,17 @@ def _drive(engine, ops):
 @settings(max_examples=100, deadline=None)
 @given(ops=engine_ops)
 def test_engines_observationally_identical(ops):
-    reference = _drive(get_backend("reference").make_engine(), ops)
-    fast = _drive(get_backend("fast").make_engine(), ops)
-    assert reference == fast
+    assert _drive(Engine(), ops) == _drive(ReferenceEngine(), ops)
 
 
 @pytest.mark.parametrize("cancel_stride", [2, 3])
 def test_compaction_equivalence_under_cancel_storm(cancel_stride):
     """Enough cancels to cross the lazy-compaction threshold (64) on
-    both backends; survivors must drain identically, and the fast
+    both engines; survivors must drain identically, and the production
     engine's in-place rebuild must not lose or resurrect records."""
     logs = {}
-    for name in ("reference", "fast"):
-        engine = get_backend(name).make_engine()
+    for engine_cls in (ReferenceEngine, Engine):
+        engine = engine_cls()
         fired = []
         handles = [
             engine.schedule_at(float(i % 17), lambda i=i: fired.append(i),
@@ -148,9 +152,10 @@ def test_compaction_equivalence_under_cancel_storm(cancel_stride):
             engine.cancel(handles[i])
             engine.cancel(handles[i])  # double-cancel must stay no-op
         executed = engine.run()
-        logs[name] = (fired, executed, engine.now,
-                      engine.events_processed, engine.pending_count)
-    assert logs["reference"] == logs["fast"]
+        logs[engine_cls] = (fired, executed, engine.now,
+                            engine.events_processed,
+                            engine.pending_count)
+    assert logs[Engine] == logs[ReferenceEngine]
 
 
 sigma_values = st.sampled_from([0.01, 0.05, 0.3, 1.0])
@@ -182,10 +187,9 @@ class _Stall:
         return self.factor if cpu == 0 else 1.0
 
 
-def _price_sequence(noise_mode, stall=None, seed=7, n=120):
-    """Draw ``n`` priced syscall costs alternating between CPUs 0/1."""
-    from repro.hardware.overheads import XeonPhiCostModel
-    from repro.simkernel.cpu import Topology, uniform_share
+def _price_sequence(scalar=False, stall=None, seed=7, n=120):
+    """Draw ``n`` priced syscall costs alternating between CPUs 0/1,
+    from the batched stream or (``scalar``) the model's scalar draws."""
 
     class _Thread:
         def __init__(self, cpu):
@@ -193,11 +197,14 @@ def _price_sequence(noise_mode, stall=None, seed=7, n=120):
 
     topology = Topology(2, 1, share_fn=uniform_share,
                         background_weight=0.0)
-    model = XeonPhiCostModel(topology, seed=seed, noise=noise_mode)
-    model.stall = stall
-    return [
-        model.syscall(None, _Thread(i % 2), None) for i in range(n)
-    ]
+    with pytest.MonkeyPatch.context() as patch:
+        if scalar:
+            patch.setattr(XeonPhiCostModel, "_noisy", scalar_noisy)
+        model = XeonPhiCostModel(topology, seed=seed)
+        model.stall = stall
+        return [
+            model.syscall(None, _Thread(i % 2), None) for i in range(n)
+        ]
 
 
 @settings(max_examples=25, deadline=None)
@@ -205,14 +212,14 @@ def _price_sequence(noise_mode, stall=None, seed=7, n=120):
 def test_stall_multipliers_compose_after_the_draw(factor):
     """Installing a stall provider must not perturb the seeded noise
     stream: stalled costs are exactly ``unstalled * multiplier`` on the
-    stalled CPU and exactly unchanged elsewhere — in both noise modes,
-    and identically across them."""
-    baseline = _price_sequence("scalar")
-    assert _price_sequence("batched") == baseline
+    stalled CPU and exactly unchanged elsewhere — on the batched stream
+    and the scalar model alike, and identically across them."""
+    baseline = _price_sequence(scalar=True)
+    assert _price_sequence() == baseline
 
     stall = _Stall(factor)
-    for mode in ("scalar", "batched"):
-        stalled = _price_sequence(mode, stall=stall)
+    for scalar in (True, False):
+        stalled = _price_sequence(scalar=scalar, stall=stall)
         for i, (plain, priced) in enumerate(zip(baseline, stalled)):
             if i % 2 == 0:  # CPU 0: inside the stall window
                 assert priced == plain * factor

@@ -17,7 +17,7 @@ pytestmark = pytest.mark.tier1
 
 def _live_scan(engine):
     """Ground truth for pending_count: O(n) scan of the heap."""
-    return sum(1 for entry in engine._heap if not entry[3].cancelled)
+    return sum(1 for record in engine.records() if record[3] == "pending")
 
 
 def test_pending_count_is_live_counter():
@@ -35,19 +35,19 @@ def test_pending_count_is_live_counter():
 def test_pending_count_tracks_random_workload():
     rng = random.Random(7)
     engine = Engine()
-    live = []
-    for _ in range(2000):
+    live = {}
+    for key in range(2000):
         action = rng.random()
         if action < 0.5 or not live:
-            live.append(
-                engine.schedule_at(engine.now + rng.random(), lambda: None)
+            live[key] = engine.schedule_at(
+                engine.now + rng.random(),
+                lambda key=key: live.pop(key),
             )
         elif action < 0.8:
-            engine.cancel(live.pop(rng.randrange(len(live))))
+            engine.cancel(live.pop(rng.choice(sorted(live))))
         else:
-            if engine.step():
-                live = [e for e in live if e._in_heap and not e.cancelled]
-        assert engine.pending_count == _live_scan(engine)
+            engine.step()
+        assert engine.pending_count == _live_scan(engine) == len(live)
 
 
 def test_cancel_twice_and_cancel_after_execute_do_not_corrupt_counts():
@@ -67,8 +67,10 @@ def test_compaction_bounds_heap_size():
     """Cancelling most of the queue must shrink the physical heap, not
     leave a graveyard of dead entries."""
     engine = Engine()
+    fired = []
     events = [
-        engine.schedule_at(float(i), lambda: None) for i in range(1000)
+        engine.schedule_at(float(i), lambda t=float(i): fired.append(t))
+        for i in range(1000)
     ]
     for event in events[:900]:
         engine.cancel(event)
@@ -76,13 +78,9 @@ def test_compaction_bounds_heap_size():
     # compaction fired: dead entries can be at most half the heap
     assert engine.heap_size <= 2 * engine.pending_count
     # the survivors still fire, in order
-    fired = []
-    for event in events[900:]:
-        event.callback = lambda t=event.time: fired.append(t)
     while engine.step():
         pass
-    assert fired == sorted(fired)
-    assert len(fired) == 100
+    assert fired == [float(i) for i in range(900, 1000)]
 
 
 def test_compaction_does_not_fire_for_small_heaps():

@@ -1,16 +1,19 @@
-"""FastEngine publishes the same engine.* probe stream as Engine.
+"""The engine publishes the same engine.* probe stream as its model.
 
-The fast backend's drain path hoists the ``probes.active`` test out of
-the loop; these tests pin that when a bus IS active, the hoisted path
+The engine's drain path hoists the ``probes.active`` test out of the
+loop; these tests pin that when a bus IS active, the hoisted path
 still emits ``engine.event_pop`` and ``engine.compact`` exactly like
-the reference engine — topic for topic, payload for payload.
+the model engine (``tests/engine/reference.py``) — topic for topic,
+payload for payload, also with the whole middleware on top.  The
+lockstep comparison of the ``rtseed.*``/``kernel.*`` streams is
+``tests/check/test_engine_diff.py``.
 """
 
 import pytest
 
 from repro.engine.events import Engine
-from repro.engine.fastevents import FastEngine
 from repro.obs.bus import ProbeBus
+from tests.engine.reference import ReferenceEngine, model_core
 
 pytestmark = pytest.mark.tier1
 
@@ -78,26 +81,25 @@ def drive_compaction(engine):
     ids=["run", "step", "compact"],
 )
 def test_probe_streams_byte_identical(drive):
-    reference = observed(Engine, drive)
-    fast = observed(FastEngine, drive)
-    assert reference, "expected a non-empty probe stream"
-    assert reference == fast
+    model = observed(ReferenceEngine, drive)
+    assert model, "expected a non-empty probe stream"
+    assert observed(Engine, drive) == model
 
 
 def test_compaction_publishes_on_both_backends():
-    reference = observed(Engine, drive_compaction)
-    compacts = [entry for entry in reference
+    model = observed(ReferenceEngine, drive_compaction)
+    compacts = [entry for entry in model
                 if entry[0] == "engine.compact"]
     assert compacts, "workload must trip the compactor"
-    assert observed(FastEngine, drive_compaction) == reference
+    assert observed(Engine, drive_compaction) == model
 
 
 def test_full_middleware_engine_stream_matches():
     from repro.bench.overheads import OPTIONAL_DEADLINE, make_eval_task
     from repro.core.middleware import RTSeed
 
-    def run(engine):
-        middleware = RTSeed(seed=0, engine=engine)
+    def run():
+        middleware = RTSeed(seed=0)
         middleware.add_task(
             make_eval_task(4),
             n_jobs=2,
@@ -113,9 +115,13 @@ def test_full_middleware_engine_stream_matches():
             topics=["engine.*"],
         )
         middleware.run()
-        return stream
+        return middleware, stream
 
-    reference = run("reference")
+    with model_core():
+        model, model_stream = run()
+    assert type(model.kernel.engine) is ReferenceEngine
     assert any(topic == "engine.event_pop"
-               for topic, _time, _data in reference)
-    assert run("fast") == reference
+               for topic, _time, _data in model_stream)
+    middleware, stream = run()
+    assert type(middleware.kernel.engine) is Engine
+    assert stream == model_stream

@@ -19,6 +19,7 @@ from repro.scale import (
     render_scale_report,
     shard_task_counts,
 )
+from tests.engine.reference import model_core
 
 pytestmark = pytest.mark.tier1
 
@@ -96,13 +97,13 @@ def test_campaign_worker_count_invariant():
 
 
 def test_campaign_engine_backends_agree_on_simulation():
-    reference, _ = farm_scale(workers=1, engine="reference", **SMALL)
-    fast, _ = farm_scale(workers=1, engine="fast", **SMALL)
-    assert reference["engine"] == "reference"
-    assert fast["engine"] == "fast"
-    # the engine tag differs, the simulated outcomes must not
-    assert reference["totals"] == fast["totals"]
-    assert reference["shards"] == fast["shards"]
+    # one worker runs in-process, so the model core is what simulates
+    with model_core():
+        model, model_result = farm_scale(workers=1, **SMALL)
+    core, _ = farm_scale(workers=1, **SMALL)
+    assert model_result.ok
+    assert "engine" not in core
+    assert render_scale_report(model) == render_scale_report(core)
 
 
 def test_campaign_checkpoint_resume_byte_identical(tmp_path):
@@ -136,7 +137,7 @@ def test_merge_reports_farm_errors_with_seeds():
     result.results[index] = {"farm_error": "worker exploded"}
     params = {key: document[key] for key in (
         "base_seed", "n_cores", "threads_per_core", "n_cpus",
-        "requested_tasks", "utilization", "horizon_periods", "engine")}
+        "requested_tasks", "utilization", "horizon_periods")}
     merged = merge_scale_results(result, params)
     assert merged["completed_shards"] == 1
     assert len(merged["errors"]) == 1

@@ -1,19 +1,30 @@
-"""Unit and property tests for the SCHED_FIFO run-queue structures."""
+"""Unit and property tests for the SCHED_FIFO run-queue structures.
+
+The run queue is :class:`~repro.engine.readyqueue.IndexedLevelQueue`
+over the SCHED_FIFO range; the circular list and bitmap cases test the
+Figure 5 model in ``tests/engine/reference.py``.
+"""
+
+import os
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.readyqueue import ReadyQueueError
-from repro.simkernel.runqueue import (
-    MAX_RT_PRIO,
-    MIN_RT_PRIO,
-    CircularDList,
-    FifoRunQueue,
-    PriorityBitmap,
-)
+import repro.engine
+from repro.engine.readyqueue import IndexedLevelQueue, ReadyQueueError
+from repro.hardware.xeonphi import xeon_phi_topology
+from repro.simkernel.kernel import Kernel
+from repro.simkernel.runqueue import MAX_RT_PRIO, MIN_RT_PRIO
+from tests.engine.reference import CircularDList, PriorityBitmap
 
 pytestmark = pytest.mark.tier1
+
+
+def fifo_runqueue(cpu_id):
+    """One CPU's SCHED_FIFO run queue (levels 1..99)."""
+    return IndexedLevelQueue(MIN_RT_PRIO, MAX_RT_PRIO, cpu_id=cpu_id)
 
 
 class Item:
@@ -176,12 +187,12 @@ def test_bitmap_highest_matches_max(priorities):
 
 
 # ---------------------------------------------------------------------------
-# FifoRunQueue
+# the SCHED_FIFO run queue
 # ---------------------------------------------------------------------------
 
 
 def test_runqueue_priority_order():
-    runqueue = FifoRunQueue(0)
+    runqueue = fifo_runqueue(0)
     low, mid, high = Item("low"), Item("mid"), Item("high")
     runqueue.enqueue(low, 10)
     runqueue.enqueue(high, 90)
@@ -192,7 +203,7 @@ def test_runqueue_priority_order():
 
 
 def test_runqueue_fifo_within_level():
-    runqueue = FifoRunQueue(0)
+    runqueue = fifo_runqueue(0)
     first, second = Item("first"), Item("second")
     runqueue.enqueue(first, 50)
     runqueue.enqueue(second, 50)
@@ -201,7 +212,7 @@ def test_runqueue_fifo_within_level():
 
 
 def test_runqueue_preempted_thread_goes_to_head():
-    runqueue = FifoRunQueue(0)
+    runqueue = fifo_runqueue(0)
     waiting, preempted = Item("waiting"), Item("preempted")
     runqueue.enqueue(waiting, 50)
     runqueue.enqueue(preempted, 50, at_head=True)
@@ -209,7 +220,7 @@ def test_runqueue_preempted_thread_goes_to_head():
 
 
 def test_runqueue_priority_bounds():
-    runqueue = FifoRunQueue(0)
+    runqueue = fifo_runqueue(0)
     with pytest.raises(ReadyQueueError):
         runqueue.enqueue(Item("x"), 0)
     with pytest.raises(ReadyQueueError):
@@ -219,7 +230,7 @@ def test_runqueue_priority_bounds():
 
 
 def test_runqueue_dequeue_specific():
-    runqueue = FifoRunQueue(0)
+    runqueue = fifo_runqueue(0)
     a, b = Item("a"), Item("b")
     runqueue.enqueue(a, 60)
     runqueue.enqueue(b, 60)
@@ -230,11 +241,11 @@ def test_runqueue_dequeue_specific():
 
 def test_runqueue_empty_pop_rejected():
     with pytest.raises(ReadyQueueError):
-        FifoRunQueue(0).pop()
+        fifo_runqueue(0).pop()
 
 
 def test_runqueue_peek_does_not_remove():
-    runqueue = FifoRunQueue(0)
+    runqueue = fifo_runqueue(0)
     a = Item("a")
     runqueue.enqueue(a, 42)
     assert runqueue.peek() == (a, 42)
@@ -242,12 +253,12 @@ def test_runqueue_peek_does_not_remove():
 
 
 def test_runqueue_threads_at_level():
-    runqueue = FifoRunQueue(0)
+    runqueue = fifo_runqueue(0)
     a, b = Item("a"), Item("b")
     runqueue.enqueue(a, 7)
     runqueue.enqueue(b, 7)
-    assert runqueue.threads_at(7) == [a, b]
-    assert runqueue.threads_at(8) == []
+    assert runqueue.items_at(7) == [a, b]
+    assert runqueue.items_at(8) == []
 
 
 @settings(max_examples=150, deadline=None)
@@ -259,7 +270,7 @@ def test_runqueue_threads_at_level():
 )
 def test_runqueue_pop_is_highest_then_fifo(entries):
     """Property: pop() always returns the oldest item of the highest level."""
-    runqueue = FifoRunQueue(0)
+    runqueue = fifo_runqueue(0)
     model = {}
     counter = 0
     for priority, do_pop in entries:
@@ -280,3 +291,40 @@ def test_runqueue_pop_is_highest_then_fifo(entries):
         expected_highest = max(model) if model else None
         assert runqueue.highest_priority() == expected_highest
         assert len(runqueue) == sum(len(v) for v in model.values())
+
+
+def test_runqueue_dequeue_at_never_used_level_rejected():
+    runqueue = fifo_runqueue(0)
+    runqueue.enqueue(Item("a"), 40)
+    with pytest.raises(ReadyQueueError):
+        runqueue.dequeue(Item("b"), 41)
+    assert len(runqueue) == 1
+
+
+def test_runqueue_items_at_never_used_level_is_empty():
+    runqueue = fifo_runqueue(0)
+    assert runqueue.items_at(MIN_RT_PRIO) == []
+    assert runqueue.items_at(MAX_RT_PRIO) == []
+    runqueue.enqueue(Item("a"), 50)
+    assert runqueue.items_at(49) == []
+
+
+def test_kernel_run_queues_allocate_levels_lazily():
+    """The 228 run queues of the Xeon Phi topology stay under 1 MB:
+    a level's FIFO exists only once something was enqueued there
+    (99 eager levels per CPU cost 4-18 MB, depending on the list)."""
+    topology = xeon_phi_topology()
+    engine_files = os.path.join(os.path.dirname(repro.engine.__file__),
+                                "*")
+    tracemalloc.start()
+    try:
+        kernel = Kernel(topology)
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    traces = snapshot.filter_traces(
+        [tracemalloc.Filter(True, engine_files)]
+    ).traces
+    allocated = sum(trace.size for trace in traces)
+    assert len(kernel.runqueues) == 228
+    assert allocated < 1_000_000, f"{allocated} bytes"

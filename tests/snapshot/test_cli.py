@@ -30,8 +30,7 @@ def test_snapshot_run_emits_deterministic_payload():
 
 def test_snapshot_dump_inspect_resume_flow(tmp_path):
     snap = str(tmp_path / "snap.json")
-    program = ["--program", "trade", "--seconds", "4", "--seed", "3",
-               "--engine", "reference"]
+    program = ["--program", "trade", "--seconds", "4", "--seed", "3"]
     code, text = _run(["snapshot", "dump", *program,
                        "--at-events", "300", "--snapshot", snap])
     assert code == 0
@@ -40,8 +39,8 @@ def test_snapshot_dump_inspect_resume_flow(tmp_path):
     code, text = _run(["snapshot", "inspect", "--snapshot", snap])
     assert code == 0
     summary = json.loads(text)
-    assert summary["schema"] == "rtseed-snapshot/1"
-    assert summary["backend"] == "reference"
+    assert summary["schema"] == "rtseed-snapshot/2"
+    assert "backend" not in summary
     assert summary["barrier"]["events_processed"] == 300
     assert summary["engine"]["events_processed"] == 300
 
@@ -79,6 +78,26 @@ def test_snapshot_errors_are_exit_code_2(tmp_path):
     code, text = _run(["snapshot", "run", "--program", "check"])
     assert code == 2
     assert "--artifact" in text
+
+
+def test_two_engine_snapshot_resume_exits_2(tmp_path):
+    """A ``rtseed-snapshot/1`` document (backend header, spec pinned to
+    an engine) is refused with a take-it-again message."""
+    snap = tmp_path / "snap.json"
+    code, _text = _run(["snapshot", "dump", "--program", "trade",
+                        "--seconds", "4", "--at-events", "200",
+                        "--snapshot", str(snap)])
+    assert code == 0
+    document = json.loads(snap.read_text())
+    document["schema"] = "rtseed-snapshot/1"
+    document["backend"] = "fast"
+    document["program"]["engine"] = "fast"
+    snap.write_text(json.dumps(document))
+
+    code, text = _run(["snapshot", "resume", "--snapshot", str(snap)])
+    assert code == 2
+    assert "two-engine build" in text
+    assert "take the snapshot again" in text
 
 
 def test_faults_checkpoint_resume_identical(tmp_path):

@@ -5,9 +5,11 @@ The in-process round-trip (``test_roundtrip``) could in principle lean
 on leftover interpreter state; these tests dump a snapshot in one
 ``python -m repro.cli`` process and resume it in another, then require
 the resumed payload to be byte-identical (``cmp`` semantics: exact
-file equality) to an uninterrupted run — on both backends, and for a
-fault-plan scenario.  This is the same flow the CI ``snapshot-smoke``
-job drives.
+file equality) to an uninterrupted run — plain, and for a fault-plan
+scenario.  This is the same flow the CI ``snapshot-smoke``
+job drives.  In the ``reference`` case the uninterrupted run executes
+on the model of the execution core (``tests/engine/reference.py``),
+so the checkpointed core must also reproduce the model's bytes.
 """
 
 import os
@@ -18,19 +20,31 @@ import pytest
 
 pytestmark = pytest.mark.tier1
 
-REPO_SRC = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__)))),
-    "src",
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
+REPO_SRC = os.path.join(REPO_ROOT, "src")
+
+# ``repro.cli`` run inside ``model_core()``
+ON_MODEL = (
+    "import sys\n"
+    "from repro.cli import main\n"
+    "from tests.engine.reference import model_core\n"
+    "with model_core():\n"
+    "    status = main(sys.argv[1:])\n"
+    "sys.exit(status)\n"
 )
 
 
-def _cli(args, cwd):
+def _cli(args, cwd, engine="fast"):
     environment = dict(os.environ)
-    environment["PYTHONPATH"] = REPO_SRC
-    environment.pop("RTSEED_ENGINE", None)
+    if engine == "fast":
+        environment["PYTHONPATH"] = REPO_SRC
+        command = ["-m", "repro.cli"]
+    else:
+        environment["PYTHONPATH"] = os.pathsep.join([REPO_SRC, REPO_ROOT])
+        command = ["-c", ON_MODEL]
     return subprocess.run(
-        [sys.executable, "-m", "repro.cli", *args],
+        [sys.executable, *command, *args],
         cwd=cwd, env=environment, capture_output=True, text=True,
         timeout=300,
     )
@@ -39,10 +53,9 @@ def _cli(args, cwd):
 @pytest.mark.parametrize("engine", ["reference", "fast"])
 def test_fresh_process_resume_is_byte_identical(tmp_path, engine):
     base = ["snapshot"]
-    program = ["--program", "trade", "--seconds", "4", "--seed", "3",
-               "--engine", engine]
+    program = ["--program", "trade", "--seconds", "4", "--seed", "3"]
     run = _cli(base + ["run", *program, "--out", "full.json"],
-               cwd=str(tmp_path))
+               cwd=str(tmp_path), engine=engine)
     assert run.returncode == 0, run.stdout + run.stderr
     dump = _cli(base + ["dump", *program, "--at-events", "300",
                         "--snapshot", "snap.json"], cwd=str(tmp_path))
@@ -58,7 +71,7 @@ def test_fresh_process_resume_is_byte_identical(tmp_path, engine):
 def test_fresh_process_resume_with_fault_plan(tmp_path):
     base = ["snapshot"]
     program = ["--program", "faults", "--scenario", "cpu_stall",
-               "--seconds", "5", "--engine", "fast"]
+               "--seconds", "5"]
     run = _cli(base + ["run", *program, "--out", "full.json"],
                cwd=str(tmp_path))
     assert run.returncode == 0, run.stdout + run.stderr
@@ -70,15 +83,3 @@ def test_fresh_process_resume_with_fault_plan(tmp_path):
     assert resume.returncode == 0, resume.stdout + resume.stderr
     assert (tmp_path / "full.json").read_bytes() \
         == (tmp_path / "resumed.json").read_bytes()
-
-
-def test_fresh_process_refuses_other_backend(tmp_path):
-    dump = _cli(["snapshot", "dump", "--program", "trade",
-                 "--seconds", "4", "--engine", "fast",
-                 "--at-events", "200", "--snapshot", "snap.json"],
-                cwd=str(tmp_path))
-    assert dump.returncode == 0, dump.stdout + dump.stderr
-    resume = _cli(["snapshot", "resume", "--snapshot", "snap.json",
-                   "--expect-engine", "reference"], cwd=str(tmp_path))
-    assert resume.returncode == 2
-    assert "backend" in resume.stdout

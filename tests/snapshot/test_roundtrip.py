@@ -2,11 +2,14 @@
 
 Run-to-barrier → snapshot → restore → run-to-end must produce the
 exact payload (probe-stream hash, metrics, report) of the
-uninterrupted run — on both backends, including under an active fault
-plan.  Plus every refusal path: tampered state, wrong backend, wrong
-seed, barrier past the end of the run.
+uninterrupted run, including under an active fault plan — the
+uninterrupted run on the execution core (``fast``) and on its model
+(``reference``, ``tests/engine/reference.py``).  Plus every refusal
+path: tampered state, wrong seed, barrier past the end of the run, a
+schema other than ``rtseed-snapshot/2``.
 """
 
+import contextlib
 import copy
 
 import pytest
@@ -23,14 +26,17 @@ from repro.snapshot import (
     validate_snapshot,
     write_snapshot,
 )
+from tests.engine.reference import model_core
 
 pytestmark = pytest.mark.tier1
 
 ENGINES = ["reference", "fast"]
+CORES = {"fast": contextlib.nullcontext, "reference": model_core}
 
 
-def _uninterrupted(spec):
-    return build_program(dict(spec)).start().finish()
+def _uninterrupted(spec, engine="fast"):
+    with CORES[engine]():
+        return build_program(dict(spec)).start().finish()
 
 
 def _snapshot_at(spec, barrier):
@@ -40,10 +46,10 @@ def _snapshot_at(spec, barrier):
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_trade_resume_payload_identical(engine):
-    spec = {"kind": "trade", "seconds": 4, "seed": 3, "engine": engine}
-    expected = _uninterrupted(spec)
+    spec = {"kind": "trade", "seconds": 4, "seed": 3}
+    expected = _uninterrupted(spec, engine)
     document = _snapshot_at(spec, 300)
-    assert document["backend"] == engine
+    assert "backend" not in document
     assert resume_to_end(document) == expected
 
 
@@ -52,8 +58,8 @@ def test_faults_resume_identical_under_active_fault_plan(engine):
     # cpu_stall keeps its injector live mid-run: the snapshot lands
     # with armed fault state and the resume must replay it exactly
     spec = {"kind": "faults", "scenario": "cpu_stall", "seconds": 5,
-            "seed": 0, "engine": engine}
-    expected = _uninterrupted(spec)
+            "seed": 0}
+    expected = _uninterrupted(spec, engine)
     document = _snapshot_at(spec, 250)
     payload = resume_to_end(document)
     assert payload == expected
@@ -62,15 +68,13 @@ def test_faults_resume_identical_under_active_fault_plan(engine):
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_overheads_resume_payload_identical(engine):
-    spec = {"kind": "overheads", "np": 4, "jobs": 3, "seed": 1,
-            "engine": engine}
-    expected = _uninterrupted(spec)
+    spec = {"kind": "overheads", "np": 4, "jobs": 3, "seed": 1}
+    expected = _uninterrupted(spec, engine)
     assert resume_to_end(_snapshot_at(spec, 120)) == expected
 
 
 def test_snapshot_round_trips_through_disk(tmp_path):
-    spec = {"kind": "trade", "seconds": 4, "seed": 3,
-            "engine": "reference"}
+    spec = {"kind": "trade", "seconds": 4, "seed": 3}
     document = _snapshot_at(spec, 300)
     path = str(tmp_path / "snap.json")
     write_snapshot(path, document)
@@ -81,8 +85,7 @@ def test_snapshot_round_trips_through_disk(tmp_path):
 
 
 def test_restore_positions_engine_exactly_at_barrier():
-    spec = {"kind": "trade", "seconds": 4, "seed": 3,
-            "engine": "reference"}
+    spec = {"kind": "trade", "seconds": 4, "seed": 3}
     document = _snapshot_at(spec, 300)
     run = restore(document)
     assert run.kernel.engine.events_processed == 300
@@ -90,8 +93,7 @@ def test_restore_positions_engine_exactly_at_barrier():
 
 
 def test_tampered_state_refused():
-    spec = {"kind": "trade", "seconds": 4, "seed": 3,
-            "engine": "reference"}
+    spec = {"kind": "trade", "seconds": 4, "seed": 3}
     document = _snapshot_at(spec, 300)
     tampered = copy.deepcopy(document)
     tampered["state"]["engine"]["now"] += 1.0
@@ -100,8 +102,7 @@ def test_tampered_state_refused():
 
 
 def test_wrong_seed_refused_at_attestation():
-    spec = {"kind": "trade", "seconds": 4, "seed": 3,
-            "engine": "reference"}
+    spec = {"kind": "trade", "seconds": 4, "seed": 3}
     document = _snapshot_at(spec, 300)
     forged = copy.deepcopy(document)
     forged["program"]["seed"] = 4  # a different computation entirely
@@ -109,42 +110,22 @@ def test_wrong_seed_refused_at_attestation():
         restore(forged)
 
 
-def test_wrong_backend_refused_before_any_work():
-    spec = {"kind": "trade", "seconds": 4, "seed": 3,
-            "engine": "reference"}
-    document = _snapshot_at(spec, 300)
-    with pytest.raises(SnapshotMismatchError, match="backend"):
-        restore(document, expect_backend="fast")
-
-
 def test_barrier_past_end_of_run_refused():
-    spec = {"kind": "trade", "seconds": 4, "seed": 3,
-            "engine": "reference"}
+    spec = {"kind": "trade", "seconds": 4, "seed": 3}
     run = build_program(dict(spec)).start()
     with pytest.raises(SnapshotError, match="drained"):
         snapshot(run, at_events=10_000_000)
 
 
 def test_unknown_schema_and_program_kind_refused():
-    spec = {"kind": "trade", "seconds": 4, "seed": 3,
-            "engine": "reference"}
+    spec = {"kind": "trade", "seconds": 4, "seed": 3}
     document = _snapshot_at(spec, 300)
     wrong_schema = copy.deepcopy(document)
     wrong_schema["schema"] = "bogus/9"
     with pytest.raises(SnapshotError, match="schema"):
         validate_snapshot(wrong_schema)
+    wrong_schema["schema"] = "rtseed-snapshot/1"
+    with pytest.raises(SnapshotError, match="two-engine build"):
+        validate_snapshot(wrong_schema)
     with pytest.raises(SnapshotError, match="unknown program kind"):
         build_program({"kind": "nope"})
-
-
-def test_backend_pinned_into_spec_against_env(monkeypatch):
-    # a snapshot taken with the process default must restore
-    # identically even when $RTSEED_ENGINE later says otherwise
-    spec = {"kind": "trade", "seconds": 4, "seed": 3, "engine": None}
-    document = _snapshot_at(spec, 300)
-    pinned = document["program"]["engine"]
-    assert pinned in ENGINES
-    other = "fast" if pinned == "reference" else "reference"
-    monkeypatch.setenv("RTSEED_ENGINE", other)
-    run = restore(document)  # spec pin wins over the env
-    assert run.backend.name == pinned

@@ -4,9 +4,9 @@ Reads the committed ``BENCH_engine.json`` history (append-only, one
 entry per PR per engine — see ``benchmarks/bench_engine_perf.py``) and
 prints a per-engine table with a sparkline of the ``fig10_mandatory``
 events/sec trajectory.  Any entry more than 10% below its predecessor
-for the same engine is flagged and fails the run — the same tolerance
-``tools/engine_bench_smoke.py`` applies in CI, now runnable locally
-against the recorded history instead of a live benchmark.
+for the same engine is flagged and fails the run.  Entries from before
+the two execution cores became one keep their ``reference`` / ``fast``
+tags; later entries continue the ``fast`` line.
 
 Optionally cross-checks a ``repro report`` document (``--report``):
 the run report's engine counters are summarized next to the
@@ -22,7 +22,7 @@ import argparse
 import json
 import sys
 
-#: Same gate as ``engine_bench_smoke.REGRESSION_TOLERANCE``.
+#: Largest tolerated drop from one entry to the next.
 REGRESSION_TOLERANCE = 0.10
 
 _SPARK_GLYPHS = "▁▂▃▄▅▆▇█"
@@ -98,8 +98,7 @@ def render_run_report(report, out=None):
     out = out if out is not None else sys.stdout
     engine = report.get("engine", {})
     counters = engine.get("counters", {})
-    print(f"\nrun report: backend={engine.get('backend', '?')} "
-          f"now={engine.get('now', '?')}", file=out)
+    print(f"\nrun report: now={engine.get('now', '?')}", file=out)
     for key in ("events_processed", "events_scheduled",
                 "events_cancelled", "peak_heap_size", "compactions",
                 "compacted_swept"):

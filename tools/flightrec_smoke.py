@@ -10,10 +10,10 @@ Three checks (all seeded, CI-friendly):
 2. **Byte determinism** — the same planted run executed twice must
    write byte-identical dumps (the artifact is a function of the seed,
    nothing else).
-3. **Tail parity** — a quick fig10 workload runs on *both* engine
-   backends with an activating subscriber; the fast backend carries a
-   flight recorder, and its ring tail must equal the canonical tail of
-   the reference backend's full probe stream for the same seed.
+3. **Tail parity** — a quick fig10 workload runs with an activating
+   subscriber that records the full probe stream and a flight
+   recorder riding along; the ring's tail must equal the canonical
+   tail of that same run's full stream.
 
 Usage::
 
@@ -105,14 +105,14 @@ def check_planted(flight_dir, n_seconds, seed):
     return True
 
 
-def _observed_run(engine, n_jobs, with_recorder):
+def _observed_run(n_jobs):
     """Quick fig10 run; returns (canonical probe stream, recorder)."""
     from repro.bench.overheads import OPTIONAL_DEADLINE, make_eval_task
     from repro.core.middleware import RTSeed
     from repro.hardware.loads import BackgroundLoad
     from repro.obs.flightrec import FlightRecorder
 
-    middleware = RTSeed(load=BackgroundLoad.NONE, seed=0, engine=engine)
+    middleware = RTSeed(load=BackgroundLoad.NONE, seed=0)
     middleware.add_task(
         make_eval_task(57),
         n_jobs=n_jobs,
@@ -126,36 +126,30 @@ def _observed_run(engine, n_jobs, with_recorder):
             (topic, time, tuple(sorted(data.items())))
         ),
     )
-    recorder = None
-    if with_recorder:
-        recorder = FlightRecorder.attach(middleware.kernel, seed=0)
+    recorder = FlightRecorder.attach(middleware.kernel, seed=0)
     middleware.run()
     return stream, recorder
 
 
 def check_tail_parity(n_jobs):
-    """Check 3: fast-backend ring tail == reference stream tail."""
-    reference_stream, _ = _observed_run("reference", n_jobs,
-                                        with_recorder=False)
-    fast_stream, recorder = _observed_run("fast", n_jobs,
-                                          with_recorder=True)
-    if reference_stream != fast_stream:
-        print(f"FAIL: probe streams diverge between backends "
-              f"({len(reference_stream)} vs {len(fast_stream)} events)")
-        return False
+    """Check 3: the ring tail == the same run's full-stream tail."""
+    stream, recorder = _observed_run(n_jobs)
     tail = recorder.tail()
-    expected = reference_stream[-len(tail):]
+    if not tail:
+        print("FAIL: the flight recorder's ring is empty")
+        return False
+    expected = stream[-len(tail):]
     if tail != expected:
         for index, (got, want) in enumerate(zip(tail, expected)):
             if got != want:
-                print(f"FAIL: ring tail diverges from reference "
+                print(f"FAIL: ring tail diverges from the probe "
                       f"stream at tail event {index}:\n"
-                      f"  ring:      {got!r}\n  reference: {want!r}")
+                      f"  ring:   {got!r}\n  stream: {want!r}")
                 return False
         print(f"FAIL: ring tail length {len(tail)} mismatches")
         return False
     print(f"tail-parity check OK: {len(tail)} ring events match the "
-          f"reference stream tail ({recorder.recorded} recorded, "
+          f"probe stream tail ({recorder.recorded} recorded, "
           f"{recorder.dropped} dropped)")
     return True
 
