@@ -14,7 +14,7 @@ part's role.
 """
 
 from repro.core.queues import nrtq_priority
-from repro.core.task import Task, TaskContext
+from repro.core.task import Task, TaskContext, checked_chunk, refine
 from repro.core.termination import SigjmpTermination
 from repro.simkernel.sync import CondVar, Mutex
 from repro.simkernel.syscalls import (
@@ -64,7 +64,13 @@ class PracticalTask(Task):
 
 
 class PracticalWorkloadTask(PracticalTask):
-    """Fixed-length parts, for tests and benches."""
+    """Fixed-length parts, for tests and benches.
+
+    ``chunk`` follows :class:`~repro.core.task.WorkloadTask`'s rule: by
+    default one ``Compute`` per optional part under any-time
+    termination and ``optional_length / 50`` chunks otherwise; an
+    explicit ``chunk`` is a refinement step under every strategy.
+    """
 
     def __init__(self, name, mandatory_parts, optional_length, period,
                  parts_per_stage=1, chunk=None):
@@ -72,23 +78,16 @@ class PracticalWorkloadTask(PracticalTask):
                          parts_per_stage)
         self.mandatory_parts = [float(m) for m in mandatory_parts]
         self.optional_length = float(optional_length)
-        self.chunk = float(chunk) if chunk else max(
-            self.optional_length / 50.0, 1.0
-        )
+        self.chunk = checked_chunk(name, chunk)
 
     def exec_mandatory_part(self, ctx, phase):
         yield ctx.compute(self.mandatory_parts[phase],
                           tag=f"mandatory[{phase}]")
 
     def exec_optional_stage(self, ctx, stage, part_index):
-        remaining = self.optional_length
-        progress = 0.0
-        while remaining > 0:
-            step = min(self.chunk, remaining)
-            yield ctx.compute(step, tag=f"optional[{stage}][{part_index}]")
-            remaining -= step
-            progress += step
-            ctx.publish((stage, part_index), progress)
+        return refine(ctx, (stage, part_index), self.optional_length,
+                      self.chunk, max(self.optional_length / 50.0, 1.0),
+                      f"optional[{stage}][{part_index}]")
 
     def to_model(self):
         from repro.model.practical import PracticalImpreciseTask
@@ -221,7 +220,8 @@ class PracticalRealTimeProcess:
             )
             self.probes.append(probe)
             ctx = TaskContext(task, job_index, release,
-                              probe.stage_ods[0], probe.deadline_abs)
+                              probe.stage_ods[0], probe.deadline_abs,
+                              self.strategy.any_time_termination)
 
             for phase in range(task.n_phases):
                 probe.mandatory_start.append((yield GetTime()))

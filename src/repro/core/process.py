@@ -275,7 +275,8 @@ class RealTimeProcess:
                             delta_m=probe.delta_m)
 
             ctx = TaskContext(task, job_index, release,
-                              probe.od_abs, probe.deadline_abs)
+                              probe.od_abs, probe.deadline_abs,
+                              self.strategy.any_time_termination)
             try:
                 yield from task.exec_mandatory(ctx)
             except JobAbortError as error:

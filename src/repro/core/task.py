@@ -9,19 +9,24 @@ with three primary member functions; this module is the Python analog:
 
 Each is a *generator* receiving a :class:`TaskContext` and yielding
 simulated-kernel requests (usually ``ctx.compute(...)``).  Optional
-parts must be written so that termination at any yield point is safe:
-no resource reservation, no lock acquisition — pure CPU-bound
-refinement, exactly the restriction Section IV-D imposes on
-``sigsetjmp``/``siglongjmp`` termination.
+parts must be written so that termination at any instant is safe: no
+resource reservation, no lock acquisition — pure CPU-bound refinement,
+exactly the restriction Section IV-D imposes on
+``sigsetjmp``/``siglongjmp`` termination.  The timer-based strategies
+cut a part in the middle of a ``Compute``; only the periodic-check
+strategy waits for the part's next yield, so how finely a part yields
+matters for its publish points and for periodic-check latency, and for
+nothing else.
 
 Results flow through :meth:`TaskContext.publish` /
 :meth:`TaskContext.collect`: an optional part publishes whatever it has
-refined so far after each chunk; the wind-up part collects whatever the
-parts managed to publish before completion or termination.  That is the
+refined so far; the wind-up part collects whatever the parts managed to
+publish before completion or termination.  That is the
 imprecise-computation contract — a terminated part contributes its
 latest (lower-QoS) published value.
 """
 
+from repro.simkernel.errors import SignalUnwind
 from repro.simkernel.syscalls import Compute, GetCpu, GetTime
 
 
@@ -31,15 +36,22 @@ class TaskContext:
     Wraps the syscall vocabulary for user code and carries the
     publish/collect mailbox connecting optional parts to the wind-up
     part.
+
+    :param any_time_termination: the running termination strategy's
+        Table I flag — True when it can cut an optional part at any
+        instant, so the part needs no check points.  The real-time
+        process sets it from its strategy; the default (False) keeps
+        the check points.
     """
 
     def __init__(self, task, job_index, release, optional_deadline,
-                 deadline):
+                 deadline, any_time_termination=False):
         self.task = task
         self.job_index = job_index
         self.release = release
         self.optional_deadline = optional_deadline
         self.deadline = deadline
+        self.any_time_termination = any_time_termination
         self._mailbox = {}
         #: free-form per-job scratch space: the mandatory part stashes
         #: inputs (e.g. the fetched market tick) here for the optional
@@ -108,8 +120,10 @@ class Task:
     def exec_optional(self, ctx, part_index):
         """One parallel optional part (generator).  Default: no work.
 
-        Must be safe to terminate at any yield point: CPU-bound chunks
-        only, publish partial results via ``ctx.publish``.
+        Must be safe to terminate at any instant: CPU-bound work only,
+        publish partial results via ``ctx.publish``.  A timer-based
+        strategy cuts the part mid-``Compute``; the periodic-check
+        strategy stops it at its next yield.
         """
         return
         yield  # pragma: no cover - makes this a generator
@@ -126,18 +140,65 @@ class Task:
         )
 
 
+def checked_chunk(name, chunk):
+    """Validate a task's ``chunk`` argument: ``None`` or positive."""
+    if chunk is None:
+        return None
+    chunk = float(chunk)
+    if not chunk > 0:  # also refuses NaN
+        raise ValueError(f"{name}: chunk must be positive, got {chunk}")
+    return chunk
+
+
+def refine(ctx, key, length, chunk, default_chunk, tag):
+    """Issue ``length`` of optional work, publishing progress under ``key``.
+
+    With ``chunk=None`` under a strategy that can cut the part at any
+    instant (``ctx.any_time_termination``) the work is one ``Compute``:
+    nothing needs a check point, and a terminated part publishes the
+    work the kernel executed before the unwind.  Otherwise the work is
+    issued in ``chunk`` steps (``default_chunk`` when ``chunk`` is
+    ``None``), each a check point for the periodic-check strategy and a
+    publish point; work in flight at termination is lost.
+    """
+    if chunk is None:
+        if ctx.any_time_termination:
+            if length > 0:
+                try:
+                    yield Compute(length, tag=tag)
+                except SignalUnwind as unwind:
+                    ctx.publish(key, length - unwind.abandoned)
+                    raise
+                ctx.publish(key, length)
+            return
+        chunk = default_chunk
+    remaining = length
+    progress = 0.0
+    publish = ctx.publish
+    while remaining > 0:
+        step = chunk if chunk < remaining else remaining
+        yield Compute(step, tag=tag)
+        remaining -= step
+        progress += step
+        publish(key, progress)
+
+
 class WorkloadTask(Task):
     """A synthetic task with fixed part lengths — the evaluation workload.
 
     Section V-A: ``m = 250 ms``, ``o = 1 s`` (every optional part always
-    overruns), ``w = 250 ms``, ``T = 1 s``.  Optional work is issued in
-    ``chunk`` increments so a periodic-check termination strategy has
-    check points; the default chunk is fine enough not to distort the
-    timer-based strategies.
+    overruns), ``w = 250 ms``, ``T = 1 s``.  With the default
+    ``chunk=None`` each optional part is one ``Compute`` when the
+    termination strategy can cut it at any instant (sigsetjmp,
+    try-catch), and ``optional / 100`` chunks otherwise, so the
+    periodic-check strategy has check points.  An explicit ``chunk`` is
+    a refinement step under every strategy: progress is published after
+    each step (see :func:`refine`).
 
     :param mandatory: mandatory WCET (ns).
     :param optional: per-part optional execution time (ns).
     :param windup: wind-up WCET (ns).
+    :param chunk: optional refinement step (ns), or ``None``.
     """
 
     def __init__(self, name, mandatory, optional, windup, period,
@@ -150,23 +211,15 @@ class WorkloadTask(Task):
         self.mandatory = float(mandatory)
         self.optional = float(optional)
         self.windup = float(windup)
-        self.chunk = float(chunk) if chunk else max(optional / 100.0, 1.0)
+        self.chunk = checked_chunk(name, chunk)
 
     def exec_mandatory(self, ctx):
         yield ctx.compute(self.mandatory, tag="mandatory")
 
     def exec_optional(self, ctx, part_index):
-        remaining = self.optional
-        progress = 0.0
-        chunk = self.chunk
-        tag = f"optional[{part_index}]"
-        publish = ctx.publish
-        while remaining > 0:
-            step = chunk if chunk < remaining else remaining
-            yield Compute(step, tag=tag)
-            remaining -= step
-            progress += step
-            publish(part_index, progress)
+        return refine(ctx, part_index, self.optional, self.chunk,
+                      max(self.optional / 100.0, 1.0),
+                      f"optional[{part_index}]")
 
     def exec_windup(self, ctx):
         yield ctx.compute(self.windup, tag="windup")

@@ -17,6 +17,15 @@ C++ try / catch          yes                    **no** — the next job's
 Each strategy wraps the user's ``exec_optional`` generator and returns
 an :class:`OptionalOutcome`.
 
+The any-time column also decides how a default-chunk workload part
+(:class:`~repro.core.task.WorkloadTask`,
+:class:`~repro.core.practical.PracticalWorkloadTask`) is issued; the
+process hands the flag over in the part's
+:class:`~repro.core.task.TaskContext`.  Under the two timer strategies
+the part is one ``Compute``, cut mid-flight, and it publishes the work
+the kernel executed before the unwind.  Under periodic check it keeps
+its check-point chunks, the only points where it can be stopped.
+
 When a probe bus is passed to :meth:`TerminationStrategy.run`, each
 outcome is published as ``termination.completed`` (with the part's
 duration) or ``termination.terminated`` (with the overrun past the

@@ -132,6 +132,11 @@ class SignalUnwind(BaseException):
     :param forced: True when the unwind was injected by the overrun
         watchdog (:class:`repro.core.resilience.OverrunWatchdog`) rather
         than by an armed timer's signal delivery.
+
+    ``abandoned`` is the compute work (nanoseconds of unit-rate work)
+    the unwind cut off: the kernel sets it at delivery from its
+    consumed-work accounting, so a part issued as one ``Compute`` can
+    report exactly how much of it ran.
     """
 
     def __init__(self, signum, restore_mask=True, forced=False):
@@ -139,3 +144,4 @@ class SignalUnwind(BaseException):
         self.signum = signum
         self.restore_mask = restore_mask
         self.forced = forced
+        self.abandoned = 0.0

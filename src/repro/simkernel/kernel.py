@@ -1162,6 +1162,7 @@ class Kernel:
             self.engine.cancel(thread.completion_event)
             thread.completion_event = None
             self._charge(thread)
+            exception.abandoned = thread.work_remaining
             thread.work_remaining = 0.0
             thread.latency_remaining = cost
             thread.resume_exception = exception
@@ -1169,6 +1170,9 @@ class Kernel:
             self._recompute_core(core)
             return
 
+        # not computing: a part READY after a preemption still holds the
+        # work left when it was charged off its CPU
+        exception.abandoned = thread.work_remaining
         thread.resume_exception = exception
         thread.work_remaining = 0.0
         thread.latency_remaining = cost

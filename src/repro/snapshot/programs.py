@@ -42,6 +42,11 @@ from repro.snapshot.state import (
 )
 
 
+#: ``json.dumps(obj, sort_keys=True, default=str)`` without building a
+#: new encoder per call: the same bytes, once per probe event.
+_encode_event = json.JSONEncoder(sort_keys=True, default=str).encode
+
+
 class _StreamHash:
     """Probe subscriber that folds every event into a SHA-256.
 
@@ -57,10 +62,9 @@ class _StreamHash:
 
     def __call__(self, topic, time, data):
         self.events += 1
-        self._hash.update(json.dumps(
-            [topic, time, sorted(data.items())],
-            sort_keys=True, default=str,
-        ).encode())
+        self._hash.update(
+            _encode_event([topic, time, sorted(data.items())]).encode()
+        )
 
     def hexdigest(self):
         return self._hash.hexdigest()

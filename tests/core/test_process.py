@@ -2,10 +2,24 @@
 
 import pytest
 
+from repro.bench.overheads import (
+    OPTIONAL_DEADLINE,
+    OPTIONAL_LENGTH,
+    make_eval_task,
+)
+from repro.core.middleware import RTSeed
+from repro.core.policies import POLICIES
 from repro.core.process import JobProbe, RealTimeProcess
+from repro.core.resilience import OverrunWatchdog
 from repro.core.task import Task, WorkloadTask
+from repro.core.termination import (
+    PeriodicCheckTermination,
+    TryCatchTermination,
+)
+from repro.hardware.loads import BackgroundLoad
 from repro.simkernel import Kernel, Topology
 from repro.simkernel.cpu import uniform_share
+from repro.simkernel.syscalls import ClockNanosleep, Compute
 from repro.simkernel.time_units import MSEC, SEC
 
 pytestmark = pytest.mark.tier1
@@ -223,3 +237,129 @@ def test_job_probe_properties_none_before_measurement():
     assert probe.delta_e is None
     assert probe.delta_us("m") is None
     assert not probe.deadline_met
+
+
+# -- optional-part granularity: one Compute under any-time termination --
+
+
+def test_periodic_check_keeps_default_check_points():
+    """Periodic check has no timer, so a default-chunk part must still
+    yield check points: it stops within one chunk after the OD."""
+    kernel = make_kernel()
+    task = WorkloadTask("tau1", 100 * MSEC, 2 * SEC, 100 * MSEC, 1 * SEC,
+                        n_parallel=2)
+    default_chunk = 2 * SEC / 100
+    # the 510 ms window is not a whole number of 20 ms chunks
+    process = run_process(kernel, task, [0, 2], od=610 * MSEC, n_jobs=2,
+                          strategy=PeriodicCheckTermination())
+    for probe in process.probes:
+        assert probe.optional_fate == ["terminated", "terminated"]
+        for end in probe.optional_end:
+            assert probe.od_abs < end <= probe.od_abs + default_chunk
+        assert probe.deadline_met
+
+
+def test_terminated_part_publishes_exactly_the_executed_window():
+    """One Compute per part: a part cut at the OD publishes the work the
+    kernel executed, not the last completed chunk (680 ms of 700)."""
+    kernel = make_kernel()
+    task = WorkloadTask("tau1", 100 * MSEC, 2 * SEC, 100 * MSEC, 1 * SEC,
+                        n_parallel=2)
+    process = run_process(kernel, task, [0, 2], od=800 * MSEC, n_jobs=2)
+    for probe in process.probes:
+        for part in range(2):
+            window = probe.optional_end[part] - probe.optional_start[part]
+            assert window == 700 * MSEC
+            assert probe.results[part] == window
+
+
+def test_unwind_progress_follows_a_core_speed_change():
+    """The part (CPU 2, core 1) runs 200 ms at full speed, then 500 ms at
+    half speed until its OD: 200 + 0.5 * 500 = 450 ms of work."""
+    kernel = make_kernel()
+    task = WorkloadTask("tau1", 100 * MSEC, 2 * SEC, 100 * MSEC, 1 * SEC)
+    kernel.engine.schedule_at(1300 * MSEC,
+                              lambda: kernel.set_core_speed(1, 0.5))
+    process = run_process(kernel, task, [2], od=800 * MSEC, n_jobs=1)
+    probe = process.probes[0]
+    assert probe.optional_fate == ["terminated"]
+    assert probe.results[0] == 450 * MSEC
+
+
+def test_part_unwound_while_preempted_publishes_work_before_preemption():
+    """A higher-priority thread takes the part's CPU 210 ms into it and
+    holds it past the OD: the unwind lands while the part is READY."""
+    kernel = make_kernel()
+    task = WorkloadTask("tau1", 100 * MSEC, 2 * SEC, 100 * MSEC, 1 * SEC)
+
+    def hog(thread):
+        yield ClockNanosleep(1310 * MSEC)
+        yield Compute(1 * SEC)
+
+    kernel.create_thread("hog", hog, cpu=2, priority=95)
+    process = run_process(kernel, task, [2], od=800 * MSEC, n_jobs=1)
+    probe = process.probes[0]
+    assert probe.optional_fate == ["terminated"]
+    assert probe.optional_end[0] == 2310 * MSEC  # unwound once re-run
+    assert probe.results[0] == 210 * MSEC
+
+
+def test_forced_unwind_publishes_the_work_consumed():
+    """Try-catch leaves SIGALRM masked after job 0, so only the overrun
+    watchdog stops job 1's part, 30 ms past its OD."""
+    kernel = make_kernel()
+    task = WorkloadTask("tau1", 100 * MSEC, 2 * SEC, 100 * MSEC, 1 * SEC)
+    watchdog = OverrunWatchdog(grace=30 * MSEC)
+    process = run_process(kernel, task, [2], od=800 * MSEC, n_jobs=2,
+                          strategy=TryCatchTermination(),
+                          watchdog=watchdog)
+    first, second = process.probes
+    assert [job for job, _part, _at in watchdog.fired] == [1]
+    assert first.results[0] == 700 * MSEC
+    assert second.results[0] == 730 * MSEC
+
+
+def _eval_timeline(n_parallel, policy, load, chunk=None):
+    """Run the Section V-A task for 2 jobs; return every JobProbe
+    timestamp and fate, the final clock and the events processed."""
+    task = make_eval_task(n_parallel)
+    if chunk is not None:
+        task = WorkloadTask(task.name, task.mandatory, task.optional,
+                            task.windup, task.period,
+                            n_parallel=n_parallel, chunk=chunk)
+    middleware = RTSeed(load=load, seed=0)
+    middleware.add_task(task, n_jobs=2, cpu=0, policy=policy,
+                        optional_deadline=OPTIONAL_DEADLINE)
+    result = middleware.run()
+    timeline = [
+        (probe.release, probe.mandatory_start, probe.mandatory_end,
+         probe.signal_end, probe.mandatory_blocked,
+         probe.optional_start, probe.optional_end, probe.optional_fate,
+         probe.windup_start, probe.windup_end)
+        for probe in result.tasks[task.name].probes
+    ]
+    engine = result.kernel.engine
+    return timeline, engine.now, engine.events_processed
+
+
+@pytest.mark.parametrize("load", list(BackgroundLoad),
+                         ids=lambda load: load.name)
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+def test_one_compute_per_part_keeps_the_timeline(policy, load):
+    """Default chunking (one Compute under sigsetjmp) and today's 100
+    explicit chunks give the same timeline, to the bit."""
+    one, now_one, _ = _eval_timeline(8, policy, load)
+    chunked, now_chunked, _ = _eval_timeline(
+        8, policy, load, chunk=OPTIONAL_LENGTH / 100)
+    assert one == chunked
+    assert now_one == now_chunked
+
+
+def test_one_compute_per_part_cuts_events_at_np57():
+    load = BackgroundLoad.CPU_MEMORY
+    one, now_one, events_one = _eval_timeline(57, "one_by_one", load)
+    chunked, now_chunked, events_chunked = _eval_timeline(
+        57, "one_by_one", load, chunk=OPTIONAL_LENGTH / 100)
+    assert one == chunked
+    assert now_one == now_chunked
+    assert events_chunked >= 2.5 * events_one

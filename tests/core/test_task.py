@@ -4,6 +4,8 @@ import pytest
 
 from repro.core.task import Task, TaskContext, WorkloadTask
 from repro.model.task_model import ParallelExtendedImpreciseTask
+from repro.simkernel.errors import SignalUnwind
+from repro.simkernel.signals import SIGALRM
 from repro.simkernel.syscalls import Compute
 from repro.simkernel.time_units import MSEC, SEC
 
@@ -52,6 +54,12 @@ def test_workload_task_validation():
         WorkloadTask("bad", 1, 1, 0, 10)
 
 
+@pytest.mark.parametrize("chunk", [0, -5 * MSEC, float("nan")])
+def test_workload_task_rejects_bad_chunk(chunk):
+    with pytest.raises(ValueError, match="chunk must be positive"):
+        WorkloadTask("bad", 10.0, 100.0, 10.0, 1000.0, chunk=chunk)
+
+
 def test_workload_task_mandatory_emits_single_compute():
     task = WorkloadTask("w", 250 * MSEC, 1 * SEC, 250 * MSEC, 1 * SEC)
     ctx = TaskContext(task, 0, 0.0, 750 * MSEC, 1 * SEC)
@@ -89,3 +97,55 @@ def test_workload_task_to_model():
     assert model.windup == pytest.approx(250 * MSEC)
     assert model.n_parallel == 8
     assert model.utilization == pytest.approx(0.5)
+
+
+def _optional_requests(task, any_time_termination, part_index=0):
+    ctx = TaskContext(task, 0, 0.0, 750 * MSEC, 1 * SEC,
+                      any_time_termination=any_time_termination)
+    requests = list(task.exec_optional(ctx, part_index))
+    return requests, ctx
+
+
+def test_default_chunk_is_one_compute_under_any_time_termination():
+    task = WorkloadTask("w", 250 * MSEC, 1 * SEC, 250 * MSEC, 1 * SEC)
+    requests, ctx = _optional_requests(task, any_time_termination=True)
+    assert [(r.work, r.tag) for r in requests] == [(1 * SEC, "optional[0]")]
+    assert ctx.collect() == {0: 1 * SEC}
+
+
+def test_default_chunk_keeps_check_points_on_a_bare_context():
+    task = WorkloadTask("w", 250 * MSEC, 1 * SEC, 250 * MSEC, 1 * SEC)
+    ctx = TaskContext(task, 0, 0.0, 750 * MSEC, 1 * SEC)
+    requests = list(task.exec_optional(ctx, 0))
+    assert [r.work for r in requests] == [10 * MSEC] * 100
+    assert ctx.collect()[0] == pytest.approx(1 * SEC)
+
+
+@pytest.mark.parametrize("any_time_termination", [True, False])
+def test_explicit_chunk_is_kept_under_every_strategy(any_time_termination):
+    task = WorkloadTask("w", 10.0, 100.0, 10.0, 1000.0, chunk=30.0)
+    requests, _ = _optional_requests(task, any_time_termination)
+    assert [r.work for r in requests] == [30.0, 30.0, 30.0, 10.0]
+
+
+def test_zero_length_optional_part_issues_nothing():
+    task = WorkloadTask("w", 10.0, 0.0, 10.0, 1000.0)
+    for any_time_termination in (True, False):
+        requests, ctx = _optional_requests(task, any_time_termination)
+        assert requests == []
+        assert ctx.collect() == {}
+
+
+def test_unwound_single_compute_publishes_executed_work():
+    """The part reads its progress off the unwind: the work the kernel
+    abandoned is subtracted from the part's length."""
+    task = WorkloadTask("w", 10.0, 1000.0, 10.0, 2000.0)
+    ctx = TaskContext(task, 0, 0.0, 900.0, 2000.0,
+                      any_time_termination=True)
+    gen = task.exec_optional(ctx, 3)
+    assert next(gen).work == 1000.0
+    unwind = SignalUnwind(SIGALRM)
+    unwind.abandoned = 275.0
+    with pytest.raises(SignalUnwind):
+        gen.throw(unwind)
+    assert ctx.collect() == {3: 725.0}

@@ -14,6 +14,7 @@ import copy
 
 import pytest
 
+from repro.simkernel.time_units import SEC
 from repro.snapshot import (
     SnapshotError,
     SnapshotMismatchError,
@@ -71,6 +72,23 @@ def test_overheads_resume_payload_identical(engine):
     spec = {"kind": "overheads", "np": 4, "jobs": 3, "seed": 1}
     expected = _uninterrupted(spec, engine)
     assert resume_to_end(_snapshot_at(spec, 120)) == expected
+
+
+def test_overheads_resume_identical_from_inside_the_optional_window():
+    """Barrier in job 0's optional window (release 1 s, OD 1.75 s):
+    every optional part is mid-``Compute`` when the snapshot is taken,
+    and the resume must still reproduce the uninterrupted payload."""
+    spec = {"kind": "overheads", "np": 8, "jobs": 2, "seed": 1,
+            "load": "CPU_MEMORY"}
+    scout = build_program(dict(spec)).start()
+    scout.kernel.run(until=1.5 * SEC)
+    barrier = scout.kernel.engine.events_processed
+    expected = _uninterrupted(spec)
+    run = restore(_snapshot_at(spec, barrier))
+    optional = [t for t in run.kernel.threads if "-optional-" in t.name]
+    assert len(optional) == 8
+    assert all(t.is_computing for t in optional)
+    assert run.finish() == expected
 
 
 def test_snapshot_round_trips_through_disk(tmp_path):
