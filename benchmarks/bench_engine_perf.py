@@ -507,7 +507,7 @@ def main(argv=None):
                         help="samples for the median (with --append)")
     parser.add_argument("--quick", action="store_true",
                         help="smoke mode: fewer fig10 jobs and a "
-                             "single sample (CI bench-smoke)")
+                             "single sample")
     args = parser.parse_args(argv)
 
     n_jobs = 6 if args.quick else FIG10_N_JOBS

@@ -1,19 +1,21 @@
-"""Experiment harness: regenerates every table and figure of Section V.
+"""Experiment harness for Section V.
 
-* :mod:`repro.bench.overheads` — the Figure 10-13 overhead sweep (four
-  overheads x three loads x three policies x np in {4..228}).
+* :mod:`repro.bench.overheads` — one Figures 10-13 overhead
+  configuration (four overheads for one load, policy and np).
 * :mod:`repro.bench.traces` — Figure 2/3 trace generation.
 * :mod:`repro.bench.reporting` — ASCII series/tables matching the
   paper's presentation.
-* :mod:`repro.bench.sweeps` — the same grids flattened into farmable
+* :mod:`repro.bench.sweeps` — the Figures 10-13 grid (three loads x
+  three policies x np in {4..228}) and the three ablations as farmable
   point lists for ``repro scale --what sweep``.
+* :mod:`repro.bench.claims` — the paper's shapes as checked claims on
+  the merged sweep document (imported by the merge, not here).
 """
 
 from repro.bench.overheads import (
     PARALLEL_COUNTS,
     OverheadSample,
     make_eval_task,
-    overhead_sweep,
     run_overhead_experiment,
 )
 from repro.bench.reporting import format_series, format_table
@@ -32,7 +34,6 @@ __all__ = [
     "PARALLEL_COUNTS",
     "OverheadSample",
     "make_eval_task",
-    "overhead_sweep",
     "run_overhead_experiment",
     "format_series",
     "format_table",

@@ -13,8 +13,8 @@ Configuration (Section V-A):
 * mandatory/wind-up pinned to hardware thread 0 of core 0;
 * three assignment policies x three background loads.
 
-One run yields all four overheads (Δm, Δb, Δs, Δe), so the sweep is
-shared by the four figure benches.
+One run yields all four overheads (Δm, Δb, Δs, Δe), so one sweep point
+(:mod:`repro.bench.sweeps`) serves all four figures.
 
 The paper notes "the overheads of real-time scheduling are included in
 the WCETs": with zero slack (m + w fills everything outside the optional
@@ -27,7 +27,6 @@ hence OD = 750 ms) at the paper's values.
 import statistics
 
 from repro.core.middleware import RTSeed
-from repro.core.policies import POLICIES
 from repro.core.task import WorkloadTask
 from repro.hardware.loads import BackgroundLoad
 from repro.simkernel.time_units import MSEC, SEC
@@ -109,45 +108,3 @@ def run_overhead_experiment(n_parallel, policy="one_by_one",
     )
     result = middleware.run()
     return OverheadSample(policy, load, n_parallel, result.tasks[task.name])
-
-
-def overhead_sweep(policies=None, loads=None, counts=PARALLEL_COUNTS,
-                   n_jobs=100, seed=0,
-                   overhead_allowance=DEFAULT_ALLOWANCE):
-    """The full Section V sweep.
-
-    :returns: dict ``(policy_name, load, n_parallel) -> OverheadSample``.
-    """
-    policies = list(policies or POLICIES)
-    loads = list(loads or BackgroundLoad)
-    samples = {}
-    for load in loads:
-        for policy in policies:
-            for n_parallel in counts:
-                samples[(policy, load, n_parallel)] = run_overhead_experiment(
-                    n_parallel,
-                    policy=policy,
-                    load=load,
-                    n_jobs=n_jobs,
-                    seed=seed,
-                    overhead_allowance=overhead_allowance,
-                )
-    return samples
-
-
-def figure_series(samples, which, load):
-    """Figure-shaped view of a sweep: policy -> [(np, mean_us), ...].
-
-    ``which`` is one of 'm' (Fig. 10), 's' (Fig. 11), 'b' (Fig. 12),
-    'e' (Fig. 13).
-    """
-    series = {}
-    for (policy, sample_load, n_parallel), sample in sorted(
-        samples.items(), key=lambda item: item[0][2]
-    ):
-        if sample_load is not load:
-            continue
-        series.setdefault(policy, []).append(
-            (n_parallel, sample.mean(which))
-        )
-    return series

@@ -1,14 +1,16 @@
-"""Shardable sweep specs: the fig-series grid and the three ablations
-as flat, farmable point lists.
+"""The one sweep definition: the Figures 10-13 grid and the three
+ablations as flat, farmable point lists.
 
-The figure benches (``benchmarks/bench_fig10..13_*.py``) and the three
+The Figures 10-13 configurations (policy x load x np) and the three
 ablation studies (schedulability, QoS-vs-policy,
 global-vs-partitioned) are all grids of independent measurements; this
 module flattens them into JSON item dicts so the scale layer
-(:func:`repro.scale.farm_scale_sweep`) can shard them across farm
-workers.  Every payload is a pure function of its item — simulated
-outcomes only, no wall-clock — which is what keeps the merged sweep
-document byte-identical at any worker count.
+(:func:`repro.scale.farm_scale_sweep`, ``repro scale --what sweep``)
+can shard them across farm workers, and :mod:`repro.bench.claims`
+checks the paper's shapes on the merged points.  Every payload is a
+pure function of its item — simulated outcomes only, no wall-clock —
+which is what keeps the merged sweep document byte-identical at any
+worker count.
 
 ``run_sweep_item`` dispatches on the item's ``kind``:
 
@@ -16,12 +18,14 @@ document byte-identical at any worker count.
   (policy x load x np): mean/std/max of the four overheads plus the
   optional-part fates;
 * ``ablation_schedulability`` — one utilization point of the
-  acceptance-ratio study (same algorithm family and seeding as
-  ``benchmarks/bench_ablation_schedulability.py``);
+  acceptance-ratio study: RM (Liu-Layland bound and exact RTA), RMWP,
+  P-RMWP (first-fit, worst-fit) and G-RMWP over seeded random
+  extended-imprecise task sets;
 * ``ablation_qos`` — one (policy, np) point of the SMT QoS study:
   optional work completed per job under the SMT-accurate share curve;
 * ``ablation_global_vs_partitioned`` — one utilization point of the
-  migration-overhead study.
+  migration-overhead study: the same random task sets scheduled
+  globally and P-RMWP-partitioned on 4 CPUs.
 """
 
 from repro.bench.overheads import PARALLEL_COUNTS
@@ -32,7 +36,7 @@ SWEEP_POLICIES = ("one_by_one", "two_by_two", "all_by_all")
 #: The three background loads, by value.
 SWEEP_LOADS = ("none", "cpu", "cpu_memory")
 
-#: Ablation axes (matching the benchmark modules).
+#: Ablation axes.
 SCHEDULABILITY_UTILIZATIONS = (0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 QOS_COUNTS = (16, 32, 57, 114)
 GLOBAL_UTILIZATIONS = (0.4, 0.5, 0.6)
@@ -50,40 +54,30 @@ def figure_items(counts=PARALLEL_COUNTS, policies=SWEEP_POLICIES,
     ]
 
 
-def ablation_items(quick=False):
-    """Every ablation point; ``quick`` keeps one cheap point each."""
-    sched_points = SCHEDULABILITY_UTILIZATIONS if not quick else (0.5,)
-    qos_counts = QOS_COUNTS if not quick else (16,)
-    global_points = GLOBAL_UTILIZATIONS if not quick else (0.5,)
-    trials = 40 if not quick else 4
-    global_trials = 25 if not quick else 3
+def ablation_items():
+    """Every ablation point."""
     items = [
         {"kind": "ablation_schedulability",
-         "utilization": float(utilization), "trials": trials}
-        for utilization in sched_points
+         "utilization": float(utilization), "trials": 40}
+        for utilization in SCHEDULABILITY_UTILIZATIONS
     ]
     items.extend(
         {"kind": "ablation_qos", "policy": policy, "np": int(count),
          "jobs": 3}
-        for count in qos_counts
+        for count in QOS_COUNTS
         for policy in SWEEP_POLICIES
     )
     items.extend(
         {"kind": "ablation_global_vs_partitioned",
-         "utilization": float(utilization), "trials": global_trials}
-        for utilization in global_points
+         "utilization": float(utilization), "trials": 25}
+        for utilization in GLOBAL_UTILIZATIONS
     )
     return items
 
 
-def sweep_items(quick=False, seed=0):
+def sweep_items(seed=0):
     """The full farmable sweep: figure grid + every ablation point."""
-    if quick:
-        figures = figure_items(counts=(4, 8), loads=("none",),
-                               n_jobs=2, seed=seed)
-    else:
-        figures = figure_items(seed=seed)
-    return figures + ablation_items(quick=quick)
+    return figure_items(seed=seed) + ablation_items()
 
 
 def run_sweep_item(item):

@@ -6,15 +6,8 @@ Commands
 ``overheads``
     Run one Section V overhead configuration and print Δm/Δb/Δs/Δe.
 
-``sweep``
-    Run the full figure sweep (policies x loads x np) and print the
-    four figure tables.  Slow at paper fidelity; tune ``--jobs``.
-
 ``trade``
     Run the real-time trading system and print the session report.
-
-``figures``
-    Regenerate the cheap figures/tables (Figure 3, Figure 8, Table I).
 
 ``admit``
     Demonstrate admission control on a random workload.
@@ -48,8 +41,8 @@ parallel scenario farm (docs/FARM.md): ``--workers`` (default 1,
 in-process) never changes the report bytes, and ``--checkpoint FILE``
 resumes an interrupted batch.  Without ``--out`` the report document
 alone goes to stdout; with it, farm progress and status lines do.
-Exit codes: 0 clean, 1 failures or errors, 2 quarantine, incomplete
-batch or refused checkpoint, 3 interrupted.
+Exit codes: 0 clean, 1 failures, errors or a failed sweep claim, 2
+quarantine, incomplete batch or refused checkpoint, 3 interrupted.
 
 ``farm status``
     Inspect farm checkpoints on disk without running anything.
@@ -57,9 +50,11 @@ batch or refused checkpoint, 3 interrupted.
 ``scale``
     Full-topology scale campaigns (docs/FARM.md "Full-topology
     sweeps"): fill a 57-core x 4-HT Xeon Phi (or any subset) with
-    thousands of RMWP-schedulable tasks, one farm shard per core, or
-    farm the fig-series sweep grid and the three ablations
-    (``--what sweep``), with a jobs/minute throughput line.
+    thousands of RMWP-schedulable tasks, one farm shard per core, with
+    a jobs/minute throughput line.  ``--what sweep`` farms the Figures
+    10-13 grid and the three ablations and checks the paper's claims
+    on the merged points (EXPERIMENTS.md); it exits 1 when any claim
+    fails.
 
 ``snapshot``
     Deterministic checkpoint/restore: run a program to completion, dump
@@ -86,15 +81,6 @@ def _add_overheads_parser(subparsers):
     parser.add_argument("--seed", type=int, default=0)
 
 
-def _add_sweep_parser(subparsers):
-    parser = subparsers.add_parser(
-        "sweep", help="full Figures 10-13 sweep"
-    )
-    parser.add_argument("--jobs", type=int, default=5)
-    parser.add_argument("--counts", default=None,
-                        help="comma-separated np values")
-
-
 def _add_trade_parser(subparsers):
     parser = subparsers.add_parser(
         "trade", help="run the real-time trading system"
@@ -107,12 +93,6 @@ def _add_trade_parser(subparsers):
                         choices=["none", "cpu", "cpu_memory"])
     parser.add_argument("--od-ms", type=float, default=None,
                         help="relative optional deadline in ms")
-
-
-def _add_figures_parser(subparsers):
-    subparsers.add_parser(
-        "figures", help="regenerate Figure 3 / Figure 8 / Table I"
-    )
 
 
 def _add_admit_parser(subparsers):
@@ -282,8 +262,9 @@ def _add_scale_parser(subparsers):
                         choices=["campaign", "sweep"],
                         help="campaign: fill the topology with "
                              "RMWP-schedulable tasks (one shard per "
-                             "core); sweep: farm the fig-series grid "
-                             "and the three ablations")
+                             "core); sweep: farm the Figures 10-13 grid "
+                             "and the three ablations and check the "
+                             "paper's claims")
     parser.add_argument("--cores", type=int, default=57,
                         help="cores of the (subset) Xeon Phi topology")
     parser.add_argument("--threads-per-core", type=int, default=4,
@@ -302,8 +283,6 @@ def _add_scale_parser(subparsers):
     parser.add_argument("--workers", type=int, default=1,
                         help="farm worker processes; the merged report "
                              "is byte-identical at any count")
-    parser.add_argument("--quick", action="store_true",
-                        help="sweep: smoke-sized point grid")
     parser.add_argument("--heartbeat", type=float, default=None,
                         help="seconds of worker silence before the "
                              "parent declares a hang")
@@ -405,34 +384,6 @@ def cmd_overheads(args, out):
     return 0
 
 
-def cmd_sweep(args, out):
-    from repro.bench.overheads import (
-        PARALLEL_COUNTS,
-        figure_series,
-        overhead_sweep,
-    )
-    from repro.bench.reporting import format_series
-    from repro.hardware.loads import BackgroundLoad
-
-    counts = PARALLEL_COUNTS
-    if args.counts:
-        counts = tuple(int(c) for c in args.counts.split(","))
-    samples = overhead_sweep(counts=counts, n_jobs=args.jobs)
-    titles = {
-        "m": "Figure 10: beginning the mandatory part [us]",
-        "s": "Figure 11: switching mandatory -> optional [us]",
-        "b": "Figure 12: beginning the optional parts [us]",
-        "e": "Figure 13: ending the optional parts [us]",
-    }
-    for which in "msbe":
-        print(f"\n=== {titles[which]} ===", file=out)
-        for load in BackgroundLoad:
-            series = figure_series(samples, which, load)
-            print(format_series(f"({load.label})", series, unit="us"),
-                  file=out)
-    return 0
-
-
 def cmd_trade(args, out):
     from repro.bench.reporting import format_table
     from repro.simkernel.time_units import MSEC
@@ -454,39 +405,6 @@ def cmd_trade(args, out):
     print(format_table(["metric", "value"], rows,
                        title=f"trading session ({args.seconds}s)"),
           file=out)
-    return 0
-
-
-def cmd_figures(args, out):
-    from repro.bench.reporting import format_table
-    from repro.bench.traces import fig3_remaining_time_traces
-    from repro.core.policies import POLICIES
-    from repro.core.termination import termination_table
-    from repro.hardware.xeonphi import xeon_phi_topology
-
-    traces = fig3_remaining_time_traces()
-    print("=== Figure 3: remaining execution time ===", file=out)
-    for name, points in traces.items():
-        rendered = " -> ".join(f"({t:.0f},{r:.0f})" for t, r in points)
-        print(f"{name:10s}: {rendered}", file=out)
-
-    print("\n=== Figure 8: 171 parts per core (C0..C56) ===", file=out)
-    topology = xeon_phi_topology()
-    for name, policy in POLICIES.items():
-        counts = policy.occupancy(topology, 171)
-        row = "".join(str(counts.get(core, 0)) for core in range(57))
-        print(f"{name:12s} {row}", file=out)
-
-    print("\n=== Table I: termination strategies ===", file=out)
-    rows = [
-        [name, "X" if any_time else "", "X" if mask else ""]
-        for name, any_time, mask in termination_table()
-    ]
-    print(format_table(
-        ["implementation", "any-time termination",
-         "signal-mask restoration"],
-        rows,
-    ), file=out)
     return 0
 
 
@@ -884,10 +802,10 @@ def cmd_scale(args, out):
         "handle_signals": bool(args.checkpoint),
     }
     if args.what == "sweep":
-        document, farm_result = farm_scale_sweep(
-            quick=args.quick, seed=args.seed, **batch,
-        )
-        failed = bool(document["errors"])
+        document, farm_result = farm_scale_sweep(seed=args.seed, **batch)
+        failed_claims = [claim for claim in document["claims"]
+                         if not claim["holds"]]
+        failed = bool(document["errors"] or failed_claims)
     else:
         document, farm_result = farm_scale(
             n_cores=spec.n_cores,
@@ -905,6 +823,19 @@ def cmd_scale(args, out):
                   "merged report")
     if args.out:
         _farm_status(farm_result, out)
+    if args.out and args.what == "sweep":
+        claims = document["claims"]
+        print(f"scale: {len(claims) - len(failed_claims)}/{len(claims)} "
+              f"claim(s) hold", file=out)
+        for claim in failed_claims:
+            if claim["missing"]:
+                detail = f"{len(claim['missing'])} point(s) missing"
+            else:
+                detail = f"at {claim['point']}"
+                if claim["margin"] is not None:
+                    detail += f", margin {claim['margin']}"
+            print(f"scale: claim {claim['id']} FAILED ({detail})",
+                  file=out)
     if args.out and args.what == "campaign":
         totals = document["totals"]
         wall = farm_result.stats.get("wall_seconds") or 0
@@ -1010,9 +941,7 @@ def cmd_snapshot(args, out):
 
 _COMMANDS = {
     "overheads": cmd_overheads,
-    "sweep": cmd_sweep,
     "trade": cmd_trade,
-    "figures": cmd_figures,
     "admit": cmd_admit,
     "trace": cmd_trace,
     "metrics": cmd_metrics,
@@ -1033,9 +962,7 @@ def build_parser():
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
     _add_overheads_parser(subparsers)
-    _add_sweep_parser(subparsers)
     _add_trade_parser(subparsers)
-    _add_figures_parser(subparsers)
     _add_admit_parser(subparsers)
     _add_trace_parser(subparsers)
     _add_metrics_parser(subparsers)

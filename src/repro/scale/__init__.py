@@ -9,9 +9,10 @@ at thousands of tasks, farmed.
   executed on the middleware and judged by the trace oracles, with
   per-core telemetry merged through
   :meth:`repro.obs.report.RunReport.merge`;
-* **sweep** — :func:`farm_scale_sweep`: the fig-series benchmark grid
-  and the three ablations flattened into independent points
-  (:mod:`repro.bench.sweeps`) and sharded across workers.
+* **sweep** — :func:`farm_scale_sweep`: the Figures 10-13 grid and the
+  three ablations flattened into independent points
+  (:mod:`repro.bench.sweeps`), sharded across workers, and judged by
+  the paper's claims (:mod:`repro.bench.claims`).
 
 Both inherit the farm's determinism contract (byte-identical merged
 reports at any worker count, checkpoint/resume, quarantine; see

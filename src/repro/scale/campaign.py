@@ -20,6 +20,7 @@ computed by callers from :attr:`FarmResult.stats` and never enters the
 document.
 """
 
+import hashlib
 import json
 
 from repro.farm.core import DEFAULT_HEARTBEAT, DEFAULT_RETRIES, farm_map
@@ -28,8 +29,8 @@ from repro.farm.core import DEFAULT_HEARTBEAT, DEFAULT_RETRIES, farm_map
 SCALE_SCHEMA = "rtseed-scale/1"
 
 #: Farmed-sweep report document schema tag (see
-#: :mod:`repro.bench.sweeps`).
-SCALE_SWEEP_SCHEMA = "rtseed-scale-sweep/1"
+#: :mod:`repro.bench.sweeps` and :mod:`repro.bench.claims`).
+SCALE_SWEEP_SCHEMA = "rtseed-scale-sweep/2"
 
 #: Violations/crashes kept verbatim in the document (counts are total).
 MAX_RECORDED_FAILURES = 10
@@ -247,7 +248,11 @@ def _sweep_item(item):
 
 
 def merge_sweep_results(farm_result, items, params):
-    """Index-ordered merge of sweep-point payloads."""
+    """Index-ordered merge of sweep-point payloads, with the verdict
+    of every paper claim (:mod:`repro.bench.claims`) on the merged
+    points."""
+    from repro.bench.claims import evaluate
+
     points = []
     errors = []
     for index, payload in farm_result.ordered_items():
@@ -275,30 +280,36 @@ def merge_sweep_results(farm_result, items, params):
             }
             for entry in farm_result.quarantined
         ],
+        "claims": evaluate(points),
     }
     return document
 
 
-def farm_scale_sweep(items=None, quick=False, seed=0, workers=1,
+def farm_scale_sweep(items=None, seed=0, workers=1,
                      heartbeat=DEFAULT_HEARTBEAT,
                      max_retries=DEFAULT_RETRIES, flight_dir=None,
                      on_event=None, context=None, checkpoint_path=None,
                      handle_signals=False):
-    """Farm the fig-series sweep grid and the three ablations.
+    """Farm the Figures 10-13 grid and the three ablations, and check
+    the paper's claims on the merged points.
 
     ``items`` defaults to :func:`repro.bench.sweeps.sweep_items` (the
-    full figure grid plus every ablation point; ``quick`` shrinks it to
-    a smoke-sized subset).  Every point is an independent pure
-    function of its item dict, so the merged document is byte-identical
-    at any worker count and checkpoints compose the usual way.
+    full figure grid plus every ablation point).  Every point is an
+    independent pure function of its item dict, so the merged document
+    is byte-identical at any worker count and checkpoints compose the
+    usual way; the checkpoint fingerprint covers the items themselves,
+    so a checkpoint resumes only the grid it was written for.
     """
     from repro.bench.sweeps import sweep_items
 
     if items is None:
-        items = sweep_items(quick=quick, seed=seed)
-    params = {"base_seed": seed, "quick": bool(quick)}
-    checkpoint_meta = {"what": "scale-sweep", **params,
-                       "points": len(items)}
+        items = sweep_items(seed=seed)
+    params = {"base_seed": seed}
+    canonical = json.dumps(items, sort_keys=True, separators=(",", ":"))
+    checkpoint_meta = {
+        "what": "scale-sweep", **params, "points": len(items),
+        "items_sha256": hashlib.sha256(canonical.encode()).hexdigest(),
+    }
     farm_result = farm_map(
         _sweep_item, items, n_workers=workers, heartbeat=heartbeat,
         max_retries=max_retries, context=context, flight_dir=flight_dir,

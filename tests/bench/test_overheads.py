@@ -1,8 +1,8 @@
 """Shape tests for the Section V overhead experiment.
 
 These assert the *qualitative findings* of Figures 10-13 on reduced
-configurations (few jobs, a subset of np values), so the full benches in
-``benchmarks/`` only need to print the series.
+configurations (few jobs, a subset of np values); the claims of
+:mod:`repro.bench.claims` check them on the full sweep.
 """
 
 import pytest
@@ -10,9 +10,7 @@ import pytest
 from repro.bench.overheads import (
     OPTIONAL_DEADLINE,
     PARALLEL_COUNTS,
-    figure_series,
     make_eval_task,
-    overhead_sweep,
     run_overhead_experiment,
 )
 from repro.hardware.loads import BackgroundLoad
@@ -36,12 +34,16 @@ def test_eval_task_parameters():
 
 @pytest.fixture(scope="module")
 def samples():
-    """A reduced sweep shared by the shape assertions."""
-    return overhead_sweep(
-        policies=("one_by_one", "all_by_all"),
-        counts=(4, 57),
-        n_jobs=4,
-    )
+    """A reduced sweep shared by the shape assertions:
+    ``(policy, load, np) -> OverheadSample``."""
+    return {
+        (policy, load, n_parallel): run_overhead_experiment(
+            n_parallel, policy=policy, load=load, n_jobs=4,
+        )
+        for load in BackgroundLoad
+        for policy in ("one_by_one", "all_by_all")
+        for n_parallel in (4, 57)
+    }
 
 
 def test_every_part_always_terminated(samples):
@@ -122,12 +124,6 @@ def test_deadlines_hold_with_allowance(samples):
     for sample in samples.values():
         deltas = sample.raw["m"]
         assert max(deltas) < 1_000.0  # never more than 1 ms late
-
-
-def test_figure_series_view(samples):
-    series = figure_series(samples, "e", BackgroundLoad.CPU)
-    assert set(series) == {"one_by_one", "all_by_all"}
-    assert [np_ for np_, _v in series["one_by_one"]] == [4, 57]
 
 
 def test_run_overhead_experiment_deterministic():

@@ -34,6 +34,7 @@ def test_first_part_on_cpu0(phi):
     processor that executes the mandatory thread (CPU 0)."""
     for policy in POLICIES.values():
         assert policy.assign(phi, 1)[0] == 0
+        assert policy.assign(phi, 171)[0] == 0
         assert policy.assign(phi, 228)[0] == 0
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import RTSeed, WorkloadTask
 from repro.core.termination import (
     STRATEGIES,
     PeriodicCheckTermination,
@@ -12,7 +13,7 @@ from repro.core.termination import (
 from repro.simkernel import Kernel, KTimer, Topology
 from repro.simkernel.cpu import uniform_share
 from repro.simkernel.syscalls import Compute, GetTime
-from repro.simkernel.time_units import MSEC
+from repro.simkernel.time_units import MSEC, SEC
 
 pytestmark = pytest.mark.tier1
 
@@ -151,3 +152,48 @@ def test_periodic_check_repeats_across_jobs():
     outcomes = run_strategy_jobs(PeriodicCheckTermination(), n_jobs=2,
                                  chunk=15 * MSEC)
     assert [o.completed for o in outcomes] == [False, False]
+
+
+# ---------------------------------------------------------------------------
+# Table I, behaviourally: the same overrunning workload under each strategy
+# ---------------------------------------------------------------------------
+
+
+def run_strategy(strategy):
+    middleware = RTSeed(cost_model="zero")
+    # 17 ms chunks deliberately misalign with the OD so the periodic
+    # check's granularity shows up as a nonzero overshoot
+    task = WorkloadTask("tau1", 200 * MSEC, 2 * SEC, 200 * MSEC, 1 * SEC,
+                        n_parallel=2, chunk=17 * MSEC)
+    middleware.add_task(task, n_jobs=3, strategy=strategy)
+    result = middleware.run()
+    task_result = result.tasks["tau1"]
+    overshoots = []
+    for probe in task_result.probes:
+        for end in probe.optional_end:
+            if end is not None:
+                overshoots.append(end - probe.od_abs)
+    job2_fates = task_result.probes[1].optional_fate
+    return {
+        "max_overshoot_ms": max(overshoots) / MSEC if overshoots else None,
+        "job2_terminated": all(f == "terminated" for f in job2_fates),
+        "deadlines": task_result.all_deadlines_met,
+    }
+
+
+def test_table1_observed_behaviour():
+    observed = {name: run_strategy(strategy)
+                for name, strategy in STRATEGIES.items()}
+    sigjmp = observed["sigsetjmp/siglongjmp"]
+    periodic = observed["periodic-check"]
+    trycatch = observed["try-catch"]
+    # sigsetjmp/siglongjmp: any-time, mask restored -> everything works
+    assert sigjmp["max_overshoot_ms"] < 1.0
+    assert sigjmp["job2_terminated"]
+    assert sigjmp["deadlines"]
+    # periodic check: chunk-granular termination (overshoot ~ one chunk)
+    assert 0.0 < periodic["max_overshoot_ms"] <= 18.0
+    assert periodic["job2_terminated"]
+    # try/catch: job 1 fine, but job 2's timer interrupt never arrives
+    assert not trycatch["job2_terminated"]
+    assert not trycatch["deadlines"]

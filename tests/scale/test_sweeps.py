@@ -6,16 +6,19 @@ functions of their items — that, plus the index-ordered merge, is what
 makes ``repro scale --what sweep`` worker-count-invariant.
 """
 
+import json
+
 import pytest
 
+from repro.bench.claims import CLAIMS
 from repro.bench.sweeps import (
     SWEEP_LOADS,
     SWEEP_POLICIES,
-    ablation_items,
     figure_items,
     run_sweep_item,
     sweep_items,
 )
+from repro.farm import CheckpointMismatchError
 from repro.scale import (
     SCALE_SWEEP_SCHEMA,
     farm_scale_sweep,
@@ -35,20 +38,10 @@ def test_figure_items_cover_grid():
         assert item["np"] in (4, 8)
 
 
-def test_ablation_items_quick_one_point_each():
-    kinds = {item["kind"] for item in ablation_items(quick=True)}
-    assert kinds == {
-        "ablation_schedulability",
-        "ablation_qos",
-        "ablation_global_vs_partitioned",
-    }
-
-
 def test_sweep_items_json_safe():
-    import json
-
-    items = sweep_items(quick=True)
+    items = sweep_items()
     assert items == json.loads(json.dumps(items))
+    assert len(items) == 93
 
 
 def test_run_sweep_item_figure_point():
@@ -103,3 +96,46 @@ def test_farmed_sweep_worker_count_invariant():
     # points come back in item order with their items attached
     assert [point["item"] for point in serial["points"]] == items
     assert render_scale_report(serial) == render_scale_report(parallel)
+
+
+def _small_items(np_):
+    return [
+        {"kind": "figure", "policy": "one_by_one", "load": "none",
+         "np": np_, "jobs": 2, "seed": 0},
+        {"kind": "ablation_global_vs_partitioned", "utilization": 0.5,
+         "trials": 1},
+    ]
+
+
+def test_sweep_document_carries_claims_sorted_by_id():
+    document, _result = farm_scale_sweep(items=_small_items(4))
+    assert "quick" not in document
+    claims = document["claims"]
+    assert [claim["id"] for claim in claims] == sorted(
+        claim_id for claim_id, _anchor, _check in CLAIMS
+    )
+    # a custom grid lacks most points: a claim that reads one fails and
+    # names it; a claim whose points are all present is judged
+    verdicts = {claim["id"]: claim for claim in claims}
+    growth = verdicts["fig13.growth"]
+    assert not growth["holds"] and growth["margin"] is None
+    assert {"kind": "figure", "load": "none", "policy": "one_by_one",
+            "np": 57} in growth["missing"]
+    assert verdicts[
+        "global_vs_partitioned.partitioned_never_migrates"
+    ]["missing"] == [
+        {"kind": "ablation_global_vs_partitioned", "utilization": 0.4},
+        {"kind": "ablation_global_vs_partitioned", "utilization": 0.6},
+    ]
+
+
+def test_checkpoint_resumes_only_the_items_it_was_written_for(tmp_path):
+    path = tmp_path / "sweep.jsonl"
+    first, _result = farm_scale_sweep(items=_small_items(4),
+                                      checkpoint_path=str(path))
+    resumed, _result = farm_scale_sweep(items=_small_items(4),
+                                        checkpoint_path=str(path))
+    assert render_scale_report(resumed) == render_scale_report(first)
+    # same length, same seed, different items: refused, not relabelled
+    with pytest.raises(CheckpointMismatchError):
+        farm_scale_sweep(items=_small_items(8), checkpoint_path=str(path))
