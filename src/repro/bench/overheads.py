@@ -26,7 +26,6 @@ hence OD = 750 ms) at the paper's values.
 
 import statistics
 
-from repro.core.middleware import RTSeed
 from repro.core.task import WorkloadTask
 from repro.hardware.loads import BackgroundLoad
 from repro.simkernel.time_units import MSEC, SEC
@@ -94,17 +93,13 @@ class OverheadSample:
 
 
 def run_overhead_experiment(n_parallel, policy="one_by_one",
-                            load=BackgroundLoad.NONE, n_jobs=100, seed=0,
-                            overhead_allowance=DEFAULT_ALLOWANCE):
-    """Run one configuration and return its :class:`OverheadSample`."""
-    middleware = RTSeed(load=load, seed=seed)
-    task = make_eval_task(n_parallel, overhead_allowance)
-    middleware.add_task(
-        task,
-        n_jobs=n_jobs,
-        cpu=0,
-        policy=policy,
-        optional_deadline=OPTIONAL_DEADLINE,
-    )
-    result = middleware.run()
-    return OverheadSample(policy, load, n_parallel, result.tasks[task.name])
+                            load=BackgroundLoad.NONE, n_jobs=100, seed=0):
+    """Run one configuration, unobserved, and return its
+    :class:`OverheadSample`."""
+    from repro.snapshot.programs import OverheadsProgram
+
+    program = OverheadsProgram({"np": n_parallel, "jobs": n_jobs,
+                                "policy": policy, "load": load.name,
+                                "seed": seed})
+    result = program.build().spawn().drain()
+    return OverheadSample(policy, load, n_parallel, result.tasks["tau1"])

@@ -3,28 +3,17 @@
 Commands
 --------
 
-``overheads``
-    Run one Section V overhead configuration and print Δm/Δb/Δs/Δe.
-
-``trade``
-    Run the real-time trading system and print the session report.
-
 ``admit``
     Demonstrate admission control on a random workload.
 
-``trace``
-    Run a workload with the Chrome-trace exporter attached and write a
-    Perfetto-loadable JSON trace (and optionally a JSONL event stream).
-
-``metrics``
-    Run a workload with the metrics collector attached and print the
-    simulated-time metrics snapshot (counters + latency quantiles).
-
-``report``
-    Run a workload with every telemetry source attached (scheduler
-    metrics, engine/queue counters, wall-clock profile) and emit one
-    unified JSON run report (``rtseed-run-report/1``), consumable by
-    ``tools/bench_report.py``.
+``run``
+    Run one program of the registry (:mod:`repro.snapshot.programs`):
+    ``overheads`` (the Section V-A task), ``trade``, ``faults`` or
+    ``check``.  Each repeatable ``--emit KIND[=PATH]`` asks for one
+    document (``table``, the default, ``trace``, ``jsonl``, ``flight``,
+    ``metrics``, ``report`` or ``payload``) and attaches only the
+    observers it needs.  ``=PATH`` writes a file and prints a status
+    line; at most one document goes to stdout, and then prints alone.
 
 ``faults``
     Run seeded fault-injection scenarios against the trading system and
@@ -43,6 +32,8 @@ resumes an interrupted batch.  Without ``--out`` the report document
 alone goes to stdout; with it, farm progress and status lines do.
 Exit codes: 0 clean, 1 failures, errors or a failed sweep claim, 2
 quarantine, incomplete batch or refused checkpoint, 3 interrupted.
+``run`` and ``snapshot`` exit 2 with a one-line message on input they
+refuse, including a program spec that cannot be built.
 
 ``farm status``
     Inspect farm checkpoints on disk without running anything.
@@ -57,42 +48,15 @@ quarantine, incomplete batch or refused checkpoint, 3 interrupted.
     fails.
 
 ``snapshot``
-    Deterministic checkpoint/restore: run a program to completion, dump
-    an ``rtseed-snapshot/2`` at an event barrier, inspect a snapshot,
-    or resume one to the end — the resumed payload is byte-identical
-    to the uninterrupted run (see docs/SNAPSHOTS.md).
+    Deterministic checkpoint/restore: dump an ``rtseed-snapshot/3`` of
+    a program at an event barrier, inspect a snapshot, or resume one to
+    the end — the resumed payload is byte-identical to ``repro run
+    --emit payload`` with the same program arguments (see
+    docs/SNAPSHOTS.md).
 """
 
 import argparse
 import sys
-
-
-def _add_overheads_parser(subparsers):
-    parser = subparsers.add_parser(
-        "overheads", help="run one overhead configuration (Section V)"
-    )
-    parser.add_argument("--np", dest="n_parallel", type=int, default=57,
-                        help="number of parallel optional parts")
-    parser.add_argument("--policy", default="one_by_one",
-                        choices=["one_by_one", "two_by_two", "all_by_all"])
-    parser.add_argument("--load", default="none",
-                        choices=["none", "cpu", "cpu_memory"])
-    parser.add_argument("--jobs", type=int, default=20)
-    parser.add_argument("--seed", type=int, default=0)
-
-
-def _add_trade_parser(subparsers):
-    parser = subparsers.add_parser(
-        "trade", help="run the real-time trading system"
-    )
-    parser.add_argument("--seconds", type=int, default=60)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--policy", default="one_by_one",
-                        choices=["one_by_one", "two_by_two", "all_by_all"])
-    parser.add_argument("--load", default="none",
-                        choices=["none", "cpu", "cpu_memory"])
-    parser.add_argument("--od-ms", type=float, default=None,
-                        help="relative optional deadline in ms")
 
 
 def _add_admit_parser(subparsers):
@@ -104,61 +68,62 @@ def _add_admit_parser(subparsers):
     parser.add_argument("--seed", type=int, default=0)
 
 
-def _add_workload_arguments(parser):
-    """Shared workload selection for the observability commands."""
-    parser.add_argument("--workload", default="overheads",
-                        choices=["overheads", "trade"],
-                        help="what to run under observation")
+def _add_program_arguments(parser, required):
+    """The program spec, shared by ``run`` and ``snapshot``."""
+    parser.add_argument("--program", required=required,
+                        choices=["overheads", "trade", "faults",
+                                 "check"],
+                        help="which program of the registry to run")
     parser.add_argument("--np", dest="n_parallel", type=int, default=8,
-                        help="parallel optional parts (overheads "
-                             "workload)")
+                        help="parallel optional parts (overheads)")
     parser.add_argument("--jobs", type=int, default=5,
-                        help="jobs (overheads) / seconds (trade)")
+                        help="jobs (overheads)")
+    parser.add_argument("--seconds", type=int, default=6,
+                        help="trading duration (trade / faults)")
     parser.add_argument("--policy", default="one_by_one",
-                        choices=["one_by_one", "two_by_two", "all_by_all"])
+                        choices=["one_by_one", "two_by_two",
+                                 "all_by_all"])
     parser.add_argument("--load", default="none",
                         choices=["none", "cpu", "cpu_memory"])
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--scenario", default="cpu_stall",
+                        help="faults program: campaign scenario name")
+    parser.add_argument("--artifact", default=None, metavar="FILE",
+                        help="check program: repro artifact supplying "
+                             "the scenario")
+    parser.add_argument("--od-ms", type=float, default=None,
+                        help="trade program: relative optional deadline "
+                             "in ms (default: the system's)")
 
 
-def _add_trace_parser(subparsers):
+#: ``repro run`` emissions, in the order their documents are written.
+_EMISSIONS = ("table", "trace", "jsonl", "metrics", "report", "payload",
+              "flight")
+
+
+def _emission(value):
+    kind, _, path = value.partition("=")
+    if kind not in _EMISSIONS:
+        raise argparse.ArgumentTypeError(
+            f"unknown emission {kind!r} (choose from "
+            f"{', '.join(_EMISSIONS)})"
+        )
+    return kind, path or None
+
+
+def _add_run_parser(subparsers):
     parser = subparsers.add_parser(
-        "trace", help="export a Perfetto/Chrome trace of a workload"
+        "run", help="run one program and emit its documents"
     )
-    _add_workload_arguments(parser)
-    parser.add_argument("--out", default="trace.json",
-                        help="Chrome trace-event JSON output path")
-    parser.add_argument("--jsonl", default=None,
-                        help="also stream every probe event to this "
-                             "JSONL file")
-    parser.add_argument("--flight-dump", default=None, metavar="PATH",
-                        help="also dump the flight-recorder ring (last "
-                             "512 probe events + kernel state) to this "
-                             "JSONL file after the run")
-
-
-def _add_metrics_parser(subparsers):
-    parser = subparsers.add_parser(
-        "metrics", help="collect simulated-time metrics for a workload"
-    )
-    _add_workload_arguments(parser)
-    parser.add_argument("--format", default=None,
-                        choices=["json", "table"],
-                        help="output format (default: table)")
-    parser.add_argument("--json", action="store_true",
-                        help="shorthand for --format json")
-
-
-def _add_report_parser(subparsers):
-    parser = subparsers.add_parser(
-        "report", help="emit a unified JSON run report for a workload"
-    )
-    _add_workload_arguments(parser)
-    parser.add_argument("--out", default=None,
-                        help="write the report here instead of stdout")
+    _add_program_arguments(parser, required=True)
+    parser.add_argument("--emit", action="append", type=_emission,
+                        metavar="KIND[=PATH]",
+                        help="document to emit (repeatable): "
+                             f"{', '.join(_EMISSIONS)}; default table. "
+                             "Without =PATH it goes to stdout")
     parser.add_argument("--no-wallclock", action="store_true",
-                        help="omit the wall-clock profile section "
-                             "(byte-deterministic report)")
+                        help="omit the report's wall-clock profile "
+                             "section (byte-deterministic report)")
 
 
 def _add_faults_parser(subparsers):
@@ -299,113 +264,33 @@ def _add_scale_parser(subparsers):
                              "(exit code 3)")
 
 
+def _non_negative(value):
+    number = int(value)
+    if number < 0:
+        raise argparse.ArgumentTypeError(f"{number} is negative")
+    return number
+
+
 def _add_snapshot_parser(subparsers):
     parser = subparsers.add_parser(
         "snapshot",
         help="deterministic checkpoint/restore of a seeded run",
     )
-    parser.add_argument("action",
-                        choices=["run", "dump", "inspect", "resume"],
-                        help="run: program to completion (payload "
-                             "JSON); dump: snapshot at --at-events; "
+    parser.add_argument("action", choices=["dump", "inspect", "resume"],
+                        help="dump: snapshot --program at --at-events; "
                              "inspect: summarize a snapshot; resume: "
                              "restore + finish (payload JSON, "
-                             "byte-identical to run)")
-    parser.add_argument("--program", default="trade",
-                        choices=["overheads", "trade", "faults",
-                                 "check"],
-                        help="which program to run/dump")
-    parser.add_argument("--np", dest="n_parallel", type=int, default=8,
-                        help="parallel optional parts (overheads)")
-    parser.add_argument("--jobs", type=int, default=5,
-                        help="jobs (overheads)")
-    parser.add_argument("--seconds", type=int, default=6,
-                        help="trading duration (trade / faults)")
-    parser.add_argument("--policy", default="one_by_one",
-                        choices=["one_by_one", "two_by_two",
-                                 "all_by_all"])
-    parser.add_argument("--load", default="none",
-                        choices=["none", "cpu", "cpu_memory"])
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--scenario", default="cpu_stall",
-                        help="faults program: campaign scenario name")
-    parser.add_argument("--artifact", default=None, metavar="FILE",
-                        help="check program: repro artifact supplying "
-                             "the scenario")
-    parser.add_argument("--at-events", type=int, default=None,
+                             "byte-identical to run --emit payload)")
+    _add_program_arguments(parser, required=False)
+    parser.add_argument("--at-events", type=_non_negative, default=None,
                         help="dump: engine event barrier to snapshot "
                              "at (required for dump)")
     parser.add_argument("--snapshot", default=None, metavar="FILE",
                         help="snapshot path (dump writes it; "
                              "inspect/resume read it)")
     parser.add_argument("--out", default=None, metavar="FILE",
-                        help="write the payload JSON here instead of "
-                             "stdout (run/resume)")
-
-
-def _load_from_name(name):
-    from repro.hardware.loads import BackgroundLoad
-
-    return {
-        "none": BackgroundLoad.NONE,
-        "cpu": BackgroundLoad.CPU,
-        "cpu_memory": BackgroundLoad.CPU_MEMORY,
-    }[name]
-
-
-def cmd_overheads(args, out):
-    from repro.bench.overheads import run_overhead_experiment
-    from repro.bench.reporting import format_table
-
-    sample = run_overhead_experiment(
-        args.n_parallel,
-        policy=args.policy,
-        load=_load_from_name(args.load),
-        n_jobs=args.jobs,
-        seed=args.seed,
-    )
-    rows = [
-        [f"Δ{which}", f"{sample.mean(which):.1f}",
-         f"{sample.std(which):.1f}", f"{sample.max(which):.1f}"]
-        for which in "mbse"
-    ]
-    print(
-        format_table(
-            ["overhead", "mean [us]", "std", "max [us]"],
-            rows,
-            title=(
-                f"np={args.n_parallel} policy={args.policy} "
-                f"load={args.load} jobs={args.jobs}"
-            ),
-        ),
-        file=out,
-    )
-    print(f"part fates: {sample.fates}", file=out)
-    return 0
-
-
-def cmd_trade(args, out):
-    from repro.bench.reporting import format_table
-    from repro.simkernel.time_units import MSEC
-    from repro.trading.system import RealTimeTradingSystem
-
-    system = RealTimeTradingSystem(
-        n_seconds=args.seconds,
-        seed=args.seed,
-        policy=args.policy,
-        load=_load_from_name(args.load),
-        optional_deadline=(
-            None if args.od_ms is None else args.od_ms * MSEC
-        ),
-    )
-    report = system.run()
-    summary = report.summary()
-    rows = [[key, value if not isinstance(value, float) else f"{value:.2f}"]
-            for key, value in summary.items()]
-    print(format_table(["metric", "value"], rows,
-                       title=f"trading session ({args.seconds}s)"),
-          file=out)
-    return 0
+                        help="resume: write the payload JSON here "
+                             "instead of stdout")
 
 
 def cmd_admit(args, out):
@@ -440,109 +325,188 @@ def cmd_admit(args, out):
     return 0
 
 
-def _build_workload(args):
-    """Build the workload under observation; return ``(kernel, run)``.
+#: What building a program from its spec raises on input it refuses.
+_BUILD_ERRORS = (ValueError, LookupError, OSError)
 
-    ``run()`` executes the workload to completion; observers must be
-    subscribed to ``kernel.probes`` before calling it.
-    """
-    if args.workload == "trade":
-        from repro.trading.system import RealTimeTradingSystem
 
-        system = RealTimeTradingSystem(
-            n_seconds=args.jobs,
-            seed=args.seed,
-            policy=args.policy,
-            load=_load_from_name(args.load),
-        )
-        return system.middleware.kernel, system.run
+def _program_spec(args):
+    """The program spec the ``run`` / ``snapshot`` arguments describe."""
+    load = args.load.upper()
+    if args.program == "overheads":
+        return {"kind": "overheads", "np": args.n_parallel,
+                "jobs": args.jobs, "policy": args.policy, "load": load,
+                "seed": args.seed}
+    if args.program == "trade":
+        spec = {"kind": "trade", "seconds": args.seconds,
+                "policy": args.policy, "load": load, "seed": args.seed}
+        if args.od_ms is not None:
+            spec["od_ms"] = args.od_ms
+        return spec
+    if args.program == "faults":
+        from repro.faults.campaign import SCENARIOS
 
-    from repro.bench.overheads import OPTIONAL_DEADLINE, make_eval_task
-    from repro.core.middleware import RTSeed
+        if args.scenario not in SCENARIOS:
+            raise ValueError(f"unknown scenario {args.scenario!r}; "
+                             f"valid: {sorted(SCENARIOS)}")
+        return {"kind": "faults", "scenario": args.scenario,
+                "seconds": args.seconds, "seed": args.seed}
+    if args.artifact is None:
+        raise ValueError("--program check needs --artifact FILE (a "
+                         "repro artifact supplying the scenario)")
+    from repro.check.shrink import load_artifact
+    from repro.check.timetravel import artifact_check_spec
 
-    middleware = RTSeed(load=_load_from_name(args.load), seed=args.seed)
-    middleware.add_task(
-        make_eval_task(args.n_parallel),
-        n_jobs=args.jobs,
-        cpu=0,
-        policy=args.policy,
-        optional_deadline=OPTIONAL_DEADLINE,
+    return artifact_check_spec(load_artifact(args.artifact))
+
+
+def _attach(program, emits, out):
+    """Attach the observers the emissions need (before the spawn);
+    ``payload`` brings the attested set, whose metrics and flight
+    recorder the other emissions then share."""
+    from repro.obs import (
+        ChromeTraceExporter,
+        FlightRecorder,
+        JsonlExporter,
+        SchedulerMetrics,
     )
-    return middleware.kernel, middleware.run
+
+    kernel = program.kernel
+    if "payload" in emits:
+        program.attach_attested()
+    observers = {}
+    if "trace" in emits:
+        observers["trace"] = ChromeTraceExporter.attach(kernel)
+    if "jsonl" in emits:
+        path = emits["jsonl"]
+        observers["jsonl"] = JsonlExporter.attach(
+            kernel, open(path, "w") if path else out)
+    if "metrics" in emits or "report" in emits:
+        observers["metrics"] = (
+            program.metrics if program.metrics is not None
+            else SchedulerMetrics.attach(kernel))
+    if "flight" in emits:
+        # on its own the ring must keep the bus active to see anything
+        observers["flight"] = (
+            program.recorder if program.recorder is not None
+            else FlightRecorder.attach(kernel, seed=program.seed,
+                                       passive=False))
+    return observers
 
 
-def cmd_trace(args, out):
-    from repro.obs import ChromeTraceExporter, FlightRecorder, JsonlExporter
+def _table(args, result):
+    from repro.bench.reporting import format_table
 
-    kernel, run = _build_workload(args)
-    exporter = ChromeTraceExporter.attach(kernel)
-    recorder = None
-    if args.flight_dump:
-        recorder = FlightRecorder.attach(kernel, seed=args.seed)
-    jsonl_stream = None
-    jsonl = None
-    if args.jsonl:
-        jsonl_stream = open(args.jsonl, "w")
-        jsonl = JsonlExporter.attach(kernel, jsonl_stream)
-    try:
-        run()
-    finally:
-        if jsonl_stream is not None:
-            jsonl_stream.close()
-    exporter.write(args.out)
-    print(f"wrote {len(exporter.events)} trace events to {args.out}",
-          file=out)
-    if jsonl is not None:
-        print(f"wrote {jsonl.lines} probe events to {args.jsonl}",
-              file=out)
-    if recorder is not None:
-        recorder.dump(args.flight_dump, "on_demand")
-        print(f"wrote flight dump ({len(recorder)} events, "
-              f"{recorder.dropped} dropped) to {args.flight_dump}",
-              file=out)
-    print("open in https://ui.perfetto.dev or chrome://tracing",
-          file=out)
-    return 0
+    if args.program == "trade":
+        rows = [[key, f"{value:.2f}" if isinstance(value, float)
+                 else value] for key, value in result.summary().items()]
+        return format_table(["metric", "value"], rows,
+                            title=f"trading session ({args.seconds}s)") \
+            + "\n"
+    from repro.bench.overheads import OverheadSample
+    from repro.hardware.loads import BackgroundLoad
+
+    sample = OverheadSample(args.policy, BackgroundLoad[args.load.upper()],
+                            args.n_parallel, result.tasks["tau1"])
+    rows = [
+        [f"Δ{which}", f"{sample.mean(which):.1f}",
+         f"{sample.std(which):.1f}", f"{sample.max(which):.1f}"]
+        for which in "mbse"
+    ]
+    title = (f"np={args.n_parallel} policy={args.policy} "
+             f"load={args.load} jobs={args.jobs}")
+    return (format_table(["overhead", "mean [us]", "std", "max [us]"],
+                         rows, title=title)
+            + f"\npart fates: {sample.fates}\n")
 
 
-def cmd_metrics(args, out):
+def _documents(args, emits, program, result, observers, profile):
+    """``(kind, text, what)`` per emission, in :data:`_EMISSIONS`
+    order; ``what`` names what a file holds, and ``jsonl``'s text is
+    ``None`` because it streamed during the run."""
     import json as json_module
 
-    from repro.obs import SchedulerMetrics
+    from repro.obs import validate_chrome_trace
+    from repro.obs.flightrec import render_dump
 
-    output_format = args.format or ("json" if args.json else "table")
-    kernel, run = _build_workload(args)
-    metrics = SchedulerMetrics.attach(kernel)
-    run()
-    if output_format == "json":
-        print(json_module.dumps(metrics.registry.snapshot(), indent=2,
-                                sort_keys=True), file=out)
-    else:
-        print(metrics.format(), file=out)
-    return 0
+    if "table" in emits:
+        yield "table", _table(args, result), "table"
+    if "trace" in emits:
+        document = observers["trace"].to_dict()
+        validate_chrome_trace(document)
+        yield ("trace", json_module.dumps(document, separators=(",", ":")),
+               f"{len(observers['trace'].events)} trace events")
+    if "jsonl" in emits:
+        yield "jsonl", None, f"{observers['jsonl'].lines} probe events"
+    if "metrics" in emits:
+        yield ("metrics", observers["metrics"].format() + "\n",
+               "metrics table")
+    if "report" in emits:
+        report = program.run_report(observers["metrics"], profile,
+                                    not args.no_wallclock)
+        yield ("report", report.to_json(),
+               f"run report ({len(report.sections) - 1} sections)")
+    if "payload" in emits:
+        yield ("payload", json_module.dumps(program.payload(result),
+                                            indent=2, sort_keys=True)
+               + "\n", "payload")
+    if "flight" in emits:
+        document = observers["flight"].snapshot("on_demand")
+        yield ("flight", render_dump(document),
+               f"flight dump ({len(document['events'])} events, "
+               f"{document['header']['dropped']} dropped)")
 
 
-def cmd_report(args, out):
-    from repro.obs import (
-        FlightRecorder,
-        RunReport,
-        SchedulerMetrics,
-        WallClockProfile,
-    )
+def cmd_run(args, out):
+    from repro.obs import WallClockProfile
+    from repro.snapshot import build_program
+
+    emits = {}
+    for kind, path in args.emit or [("table", None)]:
+        if kind in emits:
+            print(f"run: --emit {kind} given twice", file=out)
+            return 2
+        emits[kind] = path
+    to_stdout = [kind for kind, path in emits.items() if path is None]
+    if len(to_stdout) > 1:
+        print(f"run: only one emission may go to stdout, got "
+              f"{', '.join(to_stdout)}", file=out)
+        return 2
+    if "table" in emits and args.program not in ("overheads", "trade"):
+        print(f"run: --program {args.program} has no table; emit one of "
+              f"{', '.join(_EMISSIONS[1:])}", file=out)
+        return 2
 
     profile = WallClockProfile()
-    with profile.section("report.build"):
-        kernel, run = _build_workload(args)
-        metrics = SchedulerMetrics.attach(kernel)
-        FlightRecorder.attach(kernel, seed=args.seed)
-    with profile.section("report.run"):
-        run()
-    report = RunReport.collect(
-        kernel, metrics=metrics, profile=profile,
-        include_wallclock=not args.no_wallclock,
-    )
-    _write_report(args, out, report.to_json(),
-                  f"run report ({len(report.sections) - 1} sections)")
+    observers = {}
+    try:
+        try:
+            with profile.section("report.build"):
+                program = build_program(_program_spec(args)).build()
+                observers = _attach(program, emits, out)
+                program.spawn()
+        except _BUILD_ERRORS as error:
+            # refused before the first event; a failing run propagates
+            print(f"run: {error}", file=out)
+            return 2
+        with profile.section("report.run"):
+            result = program.drain()
+    finally:
+        if "jsonl" in observers and emits["jsonl"]:
+            observers["jsonl"].stream.close()
+    for kind, text, what in _documents(args, emits, program, result,
+                                       observers, profile):
+        path = emits[kind]
+        if path is None:
+            out.write(text)
+            continue
+        if text is not None:
+            with open(path, "w") as handle:
+                handle.write(text)
+        if not to_stdout:
+            print(f"wrote {what} to {path}", file=out)
+            if kind == "trace":
+                print("open in https://ui.perfetto.dev or "
+                      "chrome://tracing", file=out)
     return 0
 
 
@@ -852,36 +816,6 @@ def cmd_scale(args, out):
     return 1 if failed else 0
 
 
-def _snapshot_spec(args, out):
-    """Program spec from ``repro snapshot`` arguments (or ``None`` +
-    error message on stderr-equivalent ``out``)."""
-    if args.program == "overheads":
-        return {"kind": "overheads", "np": args.n_parallel,
-                "jobs": args.jobs, "policy": args.policy,
-                "load": args.load.upper(), "seed": args.seed}
-    if args.program == "trade":
-        return {"kind": "trade", "seconds": args.seconds,
-                "policy": args.policy, "load": args.load.upper(),
-                "seed": args.seed}
-    if args.program == "faults":
-        from repro.faults.campaign import SCENARIOS
-
-        if args.scenario not in SCENARIOS:
-            print(f"unknown scenario {args.scenario!r}; valid: "
-                  f"{sorted(SCENARIOS)}", file=out)
-            return None
-        return {"kind": "faults", "scenario": args.scenario,
-                "seconds": args.seconds, "seed": args.seed}
-    if args.artifact is None:
-        print("--program check needs --artifact FILE (a repro "
-              "artifact supplying the scenario)", file=out)
-        return None
-    from repro.check.shrink import load_artifact
-    from repro.check.timetravel import artifact_check_spec
-
-    return artifact_check_spec(load_artifact(args.artifact))
-
-
 def cmd_snapshot(args, out):
     import json as json_module
 
@@ -894,10 +828,6 @@ def cmd_snapshot(args, out):
         write_snapshot,
     )
     from repro.snapshot import snapshot as take_snapshot
-
-    def emit_payload(payload):
-        _write_report(args, out, json_module.dumps(
-            payload, indent=2, sort_keys=True) + "\n", "payload")
 
     try:
         if args.action == "inspect":
@@ -912,27 +842,25 @@ def cmd_snapshot(args, out):
             if not args.snapshot:
                 print("resume needs --snapshot FILE", file=out)
                 return 2
-            document = load_snapshot(args.snapshot)
-            payload = resume_to_end(document)
-            emit_payload(payload)
+            payload = resume_to_end(load_snapshot(args.snapshot))
+            _write_report(args, out, json_module.dumps(
+                payload, indent=2, sort_keys=True) + "\n", "payload")
             return 0
-
-        spec = _snapshot_spec(args, out)
-        if spec is None:
+        if not args.program or args.at_events is None \
+                or not args.snapshot:
+            print("dump needs --program, --at-events N and --snapshot "
+                  "FILE", file=out)
             return 2
-        run = build_program(spec).start()
-        if args.action == "dump":
-            if args.at_events is None or not args.snapshot:
-                print("dump needs --at-events N and --snapshot FILE",
-                      file=out)
-                return 2
-            document = take_snapshot(run, at_events=args.at_events)
-            write_snapshot(args.snapshot, document)
-            print(f"wrote snapshot of {spec['kind']} at "
-                  f"{args.at_events} events to {args.snapshot}",
-                  file=out)
-            return 0
-        emit_payload(run.finish())
+        try:
+            spec = _program_spec(args)
+            run = build_program(spec).start()
+        except _BUILD_ERRORS as error:
+            print(f"snapshot: {error}", file=out)
+            return 2
+        document = take_snapshot(run, at_events=args.at_events)
+        write_snapshot(args.snapshot, document)
+        print(f"wrote snapshot of {spec['kind']} at {args.at_events} "
+              f"events to {args.snapshot}", file=out)
         return 0
     except SnapshotError as error:
         print(f"snapshot: {error}", file=out)
@@ -940,12 +868,8 @@ def cmd_snapshot(args, out):
 
 
 _COMMANDS = {
-    "overheads": cmd_overheads,
-    "trade": cmd_trade,
     "admit": cmd_admit,
-    "trace": cmd_trace,
-    "metrics": cmd_metrics,
-    "report": cmd_report,
+    "run": cmd_run,
     "faults": cmd_faults,
     "check": cmd_check,
     "farm": cmd_farm,
@@ -961,12 +885,8 @@ def build_parser():
                     "priority scheduling (MIDDLEWARE 2014)",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    _add_overheads_parser(subparsers)
-    _add_trade_parser(subparsers)
     _add_admit_parser(subparsers)
-    _add_trace_parser(subparsers)
-    _add_metrics_parser(subparsers)
-    _add_report_parser(subparsers)
+    _add_run_parser(subparsers)
     _add_faults_parser(subparsers)
     _add_check_parser(subparsers)
     _add_farm_parser(subparsers)

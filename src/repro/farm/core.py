@@ -15,6 +15,10 @@ deterministic reports must not include.
 
 Resilience (exercised by ``tests/farm/test_crash.py``):
 
+* each worker messages the parent over its own pipe, whose ``send``
+  is synchronous: no feeder thread, no lock shared between workers, so
+  a worker killed mid-message cannot wedge its siblings and what it
+  sent before dying arrives;
 * a worker that **crashes** (the process dies without draining its
   shard) or **hangs** (no message for ``heartbeat`` seconds) is
   detected by the parent;
@@ -35,9 +39,9 @@ unstable): ``farm.start``, ``farm.item_start``, ``farm.item_done``,
 
 import multiprocessing
 import os
-import queue as queue_module
 import signal as signal_module
 import time
+from multiprocessing.connection import wait as wait_readable
 
 from repro.farm.checkpoint import FarmCheckpoint, load_farm_checkpoint
 from repro.farm.partition import partition_shards
@@ -115,19 +119,20 @@ def _run_item(task, item):
         return {"farm_error": f"{type(error).__name__}: {error}"}
 
 
-def _worker_main(shard_id, generation, task, numbered_items, out_queue):
+def _worker_main(shard_id, generation, task, numbered_items, conn):
     """Worker process body: run the shard in index order, message home.
 
-    Messages are ``(kind, shard_id, generation, index, payload)``;
-    ``generation`` lets the parent discard stale lifecycle messages
-    from a worker it already replaced (results are always accepted —
-    they are deterministic per item).
+    Messages are ``(kind, shard_id, generation, index, payload)``, sent
+    on the worker's own pipe ``conn``; ``generation`` lets the parent
+    discard stale lifecycle messages from a worker it already replaced
+    (results are always accepted — they are deterministic per item).
     """
     for index, item in numbered_items:
-        out_queue.put(("start", shard_id, generation, index, None))
+        conn.send(("start", shard_id, generation, index, None))
         payload = _run_item(task, item)
-        out_queue.put(("result", shard_id, generation, index, payload))
-    out_queue.put(("exit", shard_id, generation, None, None))
+        conn.send(("result", shard_id, generation, index, payload))
+    conn.send(("exit", shard_id, generation, None, None))
+    conn.close()
 
 
 class FarmResult:
@@ -277,6 +282,7 @@ def farm_map(task, items, n_workers=1, heartbeat=DEFAULT_HEARTBEAT,
                 completed=len(result.results),
                 remaining=sum(len(p) for p in pending_shards))
 
+    readers = set()  # open pipe ends; a worker's closes at its EOF
     try:
         if n_workers == 1:
             for index, item in enumerate(items):
@@ -294,17 +300,20 @@ def farm_map(task, items, n_workers=1, heartbeat=DEFAULT_HEARTBEAT,
             return result
 
         ctx = resolve_context(context)
-        out_queue = ctx.Queue()
         states = {}
 
         def spawn(shard_id, indices, attempt):
             numbered = [(index, items[index]) for index in indices]
+            reader, writer = ctx.Pipe(duplex=False)
             process = ctx.Process(
                 target=_worker_main,
-                args=(shard_id, attempt, task, numbered, out_queue),
+                args=(shard_id, attempt, task, numbered, writer),
                 daemon=True,
             )
             process.start()
+            # the worker holds the only write end, so its death is EOF
+            writer.close()
+            readers.add(reader)
             states[shard_id] = {
                 "process": process,
                 "generation": attempt,
@@ -340,12 +349,22 @@ def farm_map(task, items, n_workers=1, heartbeat=DEFAULT_HEARTBEAT,
                 state["exited"] = True
                 publish("farm.shard_done", shard=shard_id)
 
-        def drain():
-            while True:
+        def receive(timeout):
+            """Handle what is ready within ``timeout``; False if none."""
+            ready = wait_readable(list(readers), timeout)
+            for reader in ready:
                 try:
-                    handle(out_queue.get_nowait())
-                except queue_module.Empty:
-                    return
+                    message = reader.recv()
+                except EOFError:
+                    readers.discard(reader)
+                    reader.close()
+                    continue
+                handle(message)
+            return bool(ready)
+
+        def drain():
+            while receive(0):
+                pass
 
         def fail_shard(shard_id, reason):
             state = states[shard_id]
@@ -393,10 +412,7 @@ def farm_map(task, items, n_workers=1, heartbeat=DEFAULT_HEARTBEAT,
                         process.join(timeout=2)
                 drain()
                 interrupted()
-            try:
-                handle(out_queue.get(timeout=poll))
-            except queue_module.Empty:
-                pass
+            receive(poll)
             now = time.monotonic()
             for shard_id in sorted(active):
                 state = states[shard_id]
@@ -405,8 +421,8 @@ def farm_map(task, items, n_workers=1, heartbeat=DEFAULT_HEARTBEAT,
                     process.join(timeout=5)
                     active.discard(shard_id)
                 elif not process.is_alive():
-                    # give queued messages (possibly including the exit
-                    # marker) a chance to land before declaring a crash
+                    # read what the worker sent (possibly the exit
+                    # marker) before declaring a crash
                     drain()
                     process.join(timeout=5)
                     if state["exited"]:
@@ -428,6 +444,8 @@ def farm_map(task, items, n_workers=1, heartbeat=DEFAULT_HEARTBEAT,
         publish("farm.done", completed=len(result.results))
         return result
     finally:
+        for reader in readers:
+            reader.close()
         if checkpoint is not None:
             checkpoint.close()
         for signum, handler in previous_handlers.items():

@@ -181,12 +181,14 @@ class ScenarioRun:
     """A prepared (not yet run) campaign scenario.
 
     :func:`prepare_scenario` builds the full system + fault plan +
-    hardening stack and *starts* the middleware (plan + spawn) without
-    driving the engine.  :meth:`finish` drains the kernel and builds
-    the scenario's report dict.  The split exists for the snapshot
-    layer (:mod:`repro.snapshot.programs`), which fast-forwards the
-    engine to a barrier between the two; :func:`run_scenario` is the
-    one-shot composition everything else uses.
+    hardening stack and wires the campaign's own subscribers, but
+    spawns nothing: ``system.start()`` plans and spawns, and
+    :meth:`finish` drains the kernel and builds the scenario's report
+    dict.  The split exists for the program registry
+    (:class:`repro.snapshot.programs.FaultsProgram`), which attaches
+    its observers before the spawn and may fast-forward the engine to
+    a barrier before the drain; :func:`run_scenario` is the one-shot
+    composition the campaign uses.
     """
 
     def __init__(self, name, config, n_seconds, seed, plan, injector,
@@ -253,7 +255,7 @@ class ScenarioRun:
 
 def prepare_scenario(name, n_seconds=30, seed=0, flight_dir=None,
                      _sabotage=None):
-    """Build one canned scenario, started but not run; returns a
+    """Build one canned scenario, not yet spawned; returns a
     :class:`ScenarioRun` (see :func:`run_scenario` for parameters)."""
     if name not in SCENARIOS:
         raise KeyError(
@@ -296,7 +298,6 @@ def prepare_scenario(name, n_seconds=30, seed=0, flight_dir=None,
     injector.attach(kernel)
     if _sabotage is not None:
         _sabotage(kernel)
-    system.start()
 
     return ScenarioRun(name, config, n_seconds, seed, plan, injector,
                        system, events, retry, watchdog, degrade,
@@ -316,10 +317,12 @@ def run_scenario(name, n_seconds=30, seed=0, flight_dir=None,
         before the run; used to plant invariant violations for
         flight-recorder smoke tests.
     """
-    return prepare_scenario(
+    scenario = prepare_scenario(
         name, n_seconds=n_seconds, seed=seed, flight_dir=flight_dir,
         _sabotage=_sabotage,
-    ).finish()
+    )
+    scenario.system.start()
+    return scenario.finish()
 
 
 def assemble_campaign(names, n_seconds, seed, results):

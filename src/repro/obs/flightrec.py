@@ -26,7 +26,7 @@ check_kernel_invariants` asks ``kernel.probes.flight`` to
   snapshot into the ``repro-check-repro/1`` artifact;
 * ``degrade.enter`` / ``degrade.watchdog_fire`` — the recorder watches
   for these topics itself (:data:`AUTO_DUMP_TOPICS`);
-* on demand — ``repro trace --flight-dump PATH``.
+* on demand — ``repro run --emit flight=PATH``.
 
 Determinism: events are recorded in publish order with simulated-time
 stamps and JSON-primitive payloads, so a seeded run dumps byte-identical
@@ -107,6 +107,14 @@ def kernel_state_summary(kernel, degrade=None):
     }
 
 
+def render_dump(document):
+    """The JSONL bytes of a :meth:`FlightRecorder.snapshot` document:
+    header, kernel summary, then the events oldest-first."""
+    lines = [document["header"], document["kernel"], *document["events"]]
+    return "".join(json.dumps(line, sort_keys=True) + "\n"
+                   for line in lines)
+
+
 class FlightRecorder:
     """Bounded ring of probe events with failure-edge dumping.
 
@@ -136,25 +144,27 @@ class FlightRecorder:
 
     @classmethod
     def attach(cls, kernel, capacity=DEFAULT_CAPACITY, dump_dir=None,
-               seed=None):
-        """Create a recorder wired to ``kernel`` (the usual entry)."""
+               seed=None, passive=True):
+        """Create a recorder wired to ``kernel`` (the usual entry);
+        ``passive=False`` activates the bus, so the ring holds the full
+        probe stream with nothing else attached."""
         recorder = cls(capacity=capacity, dump_dir=dump_dir, seed=seed)
-        return recorder.wire(kernel)
+        return recorder.wire(kernel, passive=passive)
 
-    def wire(self, kernel):
-        """Subscribe passively to the kernel's bus and register as its
-        ``probes.flight`` recorder; returns ``self``."""
+    def wire(self, kernel, passive=True):
+        """Subscribe (passively by default) to the kernel's bus and
+        register as its ``probes.flight`` recorder; returns ``self``."""
         self._kernel = kernel
-        return self.wire_bus(kernel.probes)
+        return self.wire_bus(kernel.probes, passive=passive)
 
-    def wire_bus(self, bus):
-        """Subscribe passively to a bare :class:`~repro.obs.bus.\
-ProbeBus` with no kernel behind it; returns ``self``.
+    def wire_bus(self, bus, passive=True):
+        """Subscribe (passively by default) to a bare :class:`~repro.\
+obs.bus.ProbeBus` with no kernel behind it; returns ``self``.
 
         Used by publishers that own their event stream outright — the
         scenario farm records its ``farm.*`` lifecycle this way.  Dumps
         carry ``null`` in place of the kernel state summary."""
-        bus.subscribe(self._on_event, passive=True)
+        bus.subscribe(self._on_event, passive=passive)
         bus.flight = self
         self._bus = bus
         return self
@@ -226,12 +236,7 @@ ProbeBus` with no kernel behind it; returns ``self``.
         if document is None:
             document = self.snapshot(reason)
         with open(path, "w") as handle:
-            handle.write(json.dumps(document["header"],
-                                    sort_keys=True) + "\n")
-            handle.write(json.dumps(document["kernel"],
-                                    sort_keys=True) + "\n")
-            for event in document["events"]:
-                handle.write(json.dumps(event, sort_keys=True) + "\n")
+            handle.write(render_dump(document))
         self.dumps.append(path)
         bus = self._bus
         if bus is not None and bus.active:

@@ -1,7 +1,7 @@
 """``repro.snapshot`` — deterministic checkpoint / restore.
 
 Versioned, seed-stamped serialization of complete simulation state
-(``rtseed-snapshot/2``) with attested deterministic-replay restore.
+(``rtseed-snapshot/3``) with attested deterministic-replay restore.
 See ``docs/SNAPSHOTS.md`` for the format, the guarantees, and the
 resume workflows (farm checkpoints, check time-travel).
 """
@@ -10,7 +10,6 @@ from repro.snapshot.core import (
     SNAPSHOT_SCHEMA,
     SnapshotError,
     SnapshotMismatchError,
-    build_snapshot,
     inspect_snapshot,
     load_snapshot,
     render_snapshot,
@@ -38,7 +37,6 @@ __all__ = [
     "SNAPSHOT_SCHEMA",
     "SnapshotError",
     "SnapshotMismatchError",
-    "build_snapshot",
     "inspect_snapshot",
     "load_snapshot",
     "render_snapshot",

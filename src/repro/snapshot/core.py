@@ -1,4 +1,4 @@
-"""The ``rtseed-snapshot/2`` document: build, write, load, verify.
+"""The ``rtseed-snapshot/3`` document: build, write, load, verify.
 
 A snapshot is one JSON document with five parts:
 
@@ -13,17 +13,19 @@ A snapshot is one JSON document with five parts:
     ``events_processed`` count and simulated clock.
 ``state``
     The complete captured simulation state
-    (:func:`repro.snapshot.state.capture_state`).
+    (:func:`repro.snapshot.state.capture_state`), including a copy of
+    the program spec under ``state["program"]``.
 ``digest``
     SHA-256 over the canonical JSON of ``state``
     (:func:`repro.snapshot.state.state_digest`).
 
 Integrity model: :func:`load_snapshot` re-computes the digest over the
-loaded ``state`` and refuses a tampered or truncated document;
+loaded ``state`` and refuses a tampered or truncated document, and a
+``program`` that differs from the attested copy in ``state``;
 :func:`repro.snapshot.resume.restore` additionally re-executes the
 program to the barrier and refuses to continue unless the *live* state
 digests to the same value (:class:`SnapshotMismatchError`) — the
-restore is attested against the capture, bit for bit.
+restore is attested against the capture, bit for bit, recipe included.
 """
 
 import json
@@ -32,12 +34,14 @@ import os
 from repro.snapshot.state import capture_state, state_digest
 
 #: Snapshot document schema tag.
-SNAPSHOT_SCHEMA = "rtseed-snapshot/2"
+SNAPSHOT_SCHEMA = "rtseed-snapshot/3"
 
-#: The schema of snapshots taken by the build with two execution cores
-#: (refused with a take-it-again hint; see docs/SNAPSHOTS.md, "Schema
-#: 2").
-_TWO_ENGINE_SCHEMA = "rtseed-snapshot/1"
+#: Older schemas, refused with a take-it-again hint (docs/SNAPSHOTS.md,
+#: "Schema 2" and "Schema 3").
+_OLD_SCHEMAS = {
+    "rtseed-snapshot/1": "this document came from the two-engine build",
+    "rtseed-snapshot/2": "this document's program spec is not attested",
+}
 
 
 class SnapshotError(Exception):
@@ -50,26 +54,17 @@ class SnapshotMismatchError(SnapshotError):
     document)."""
 
 
-def build_snapshot(program, barrier, state, seed=None):
-    """Assemble a snapshot document (digest computed here)."""
+def snapshot_kernel(kernel, program, extras=None):
+    """Capture ``kernel`` right now into a snapshot document."""
+    state = capture_state(kernel, extras=extras)
     return {
         "schema": SNAPSHOT_SCHEMA,
-        "seed": seed,
         "program": program,
-        "barrier": barrier,
+        "barrier": {"events_processed": kernel.engine.events_processed,
+                    "now": kernel.engine.now},
         "state": state,
         "digest": state_digest(state),
     }
-
-
-def snapshot_kernel(kernel, program, extras=None, seed=None):
-    """Capture ``kernel`` right now into a snapshot document."""
-    state = capture_state(kernel, extras=extras)
-    barrier = {
-        "events_processed": kernel.engine.events_processed,
-        "now": kernel.engine.now,
-    }
-    return build_snapshot(program, barrier, state, seed=seed)
 
 
 def render_snapshot(document):
@@ -94,17 +89,17 @@ def validate_snapshot(document):
     """Schema + integrity checks on an in-memory document.
 
     Raises :class:`SnapshotError` on a wrong schema or missing parts,
-    and on a ``state`` whose digest does not match the recorded one
-    (tampering / truncation).  Returns the document.
+    on a ``state`` whose digest does not match the recorded one
+    (tampering / truncation), and on a ``program`` that differs from
+    the attested copy in ``state``.  Returns the document.
     """
     if not isinstance(document, dict):
         raise SnapshotError("snapshot document must be a JSON object")
     schema = document.get("schema")
     if schema != SNAPSHOT_SCHEMA:
         hint = ""
-        if schema == _TWO_ENGINE_SCHEMA:
-            hint = ("; this document came from the two-engine build, "
-                    "take the snapshot again")
+        if schema in _OLD_SCHEMAS:
+            hint = f"; {_OLD_SCHEMAS[schema]}, take the snapshot again"
         raise SnapshotError(
             f"unsupported snapshot schema {schema!r} "
             f"(expected {SNAPSHOT_SCHEMA!r}){hint}"
@@ -118,6 +113,11 @@ def validate_snapshot(document):
             f"snapshot digest mismatch: document says "
             f"{document['digest']}, state hashes to {digest} "
             f"(tampered or truncated)"
+        )
+    if document["program"] != document["state"].get("program"):
+        raise SnapshotMismatchError(
+            "snapshot program spec differs from the attested spec in "
+            "its state (edited document)"
         )
     return document
 
@@ -139,7 +139,6 @@ def inspect_snapshot(document):
     state = document["state"]
     summary = {
         "schema": document["schema"],
-        "seed": document.get("seed"),
         "program": program,
         "barrier": barrier,
         "digest": document["digest"],

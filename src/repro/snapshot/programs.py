@@ -10,25 +10,32 @@ parameters) — and the restore rebuilds it, fast-forwards the
 engine to the barrier, and refuses to continue unless the live state
 digests to the captured value.
 
-Every program exposes the same four-step surface:
+These classes are the only code that constructs a run, in three
+steps: ``build()`` constructs the workload from the spec (no spawn, no
+observer), ``spawn()`` plans and spawns every process, and ``drain()``
+runs to the end and returns the domain result (``RTSeedResult``,
+``TradingReport``, the scenario dict, or the check crash).  The caller
+attaches its observers between build and spawn: ``repro run`` only
+what its emissions need, the snapshot surface one fixed, *attested*
+set (the probe-stream hash, ``SchedulerMetrics`` and a
+``FlightRecorder``):
 
 ``start()``
-    Build the workload and spawn everything (no events run yet).
+    ``build()``, the attested observers, ``spawn()``.
 ``run_to_events(n)``
     Drive the engine to exactly ``n`` processed events.
 ``finish()``
-    Drain to completion and return the program's deterministic JSON
-    payload (the byte-identity object CI ``cmp``'s).
+    ``drain()``, then the program's deterministic JSON payload (the
+    byte-identity object CI ``cmp``'s).
 ``extras()``
-    Program-specific state sections merged into the capture
-    (resilience controllers, trading feed/broker state, the flight
-    ring).
+    The spec itself plus program-specific state sections merged into
+    the capture (resilience controllers, trading feed/broker state, the
+    flight ring), so the digest attests the recipe with the state.
 
 Four program kinds cover the robustness surfaces: ``overheads`` (the
-fig10-style evaluation workload), ``trade`` (the end-to-end trading
-system), ``faults:<scenario>`` (a canned resilience scenario, fault
-plan active), and ``check`` (a conformance scenario, for check-artifact
-time-travel).
+Section V-A evaluation workload), ``trade`` (the end-to-end trading
+system), ``faults`` (a canned resilience scenario, fault plan active),
+and ``check`` (a conformance scenario, for check-artifact time-travel).
 """
 
 import hashlib
@@ -71,7 +78,8 @@ class _StreamHash:
 
 
 class ProgramRun:
-    """Base class: engine fast-forward + payload plumbing."""
+    """Base class: the build/spawn/drain steps, engine fast-forward and
+    payload plumbing."""
 
     kind = "abstract"
 
@@ -79,14 +87,34 @@ class ProgramRun:
         self.spec = dict(spec)
         self.spec["kind"] = self.kind
         self.kernel = None
-        self.stream = _StreamHash()
+        self.stream = None
+        self.metrics = None
+        self.recorder = None
 
     @property
     def seed(self):
         return self.spec.get("seed", 0)
 
+    # subclasses define build() (setting kernel) and spawn(), both
+    # returning self, drain(), and payload(result)
+
     def start(self):
-        raise NotImplementedError
+        self.build()
+        self.attach_attested()
+        return self.spawn()
+
+    def finish(self):
+        return self.payload(self.drain())
+
+    def attach_attested(self):
+        """The identical observer set on every execution of this
+        program — uninterrupted, checkpointed, or resumed."""
+        from repro.obs import FlightRecorder, SchedulerMetrics
+
+        self.stream = _StreamHash()
+        self.kernel.probes.subscribe(self.stream)
+        self.metrics = SchedulerMetrics.attach(self.kernel)
+        self.recorder = FlightRecorder.attach(self.kernel, seed=self.seed)
 
     def run_to_events(self, barrier):
         """Drive the engine to exactly ``barrier`` processed events."""
@@ -105,21 +133,18 @@ class ProgramRun:
                 f"before the {barrier}-event barrier"
             )
 
-    def finish(self):
-        raise NotImplementedError
-
     def extras(self):
-        return {}
+        return {"program": dict(self.spec),
+                "flight": capture_flight(self.recorder)}
 
-    def _attach_observers(self, kernel):
-        """The identical observer set on every execution of this
-        program — uninterrupted, checkpointed, or resumed."""
-        from repro.obs import FlightRecorder, SchedulerMetrics
+    def run_report(self, metrics=None, profile=None,
+                   include_wallclock=False):
+        """The drained run's :class:`~repro.obs.report.RunReport`."""
+        from repro.obs import RunReport
 
-        self.kernel = kernel
-        kernel.probes.subscribe(self.stream)
-        self.metrics = SchedulerMetrics.attach(kernel)
-        self.recorder = FlightRecorder.attach(kernel, seed=self.seed)
+        return RunReport.collect(self.kernel, metrics=metrics,
+                                 profile=profile,
+                                 include_wallclock=include_wallclock)
 
     def _base_payload(self, run_report):
         return {
@@ -133,12 +158,12 @@ class ProgramRun:
 
 
 class OverheadsProgram(ProgramRun):
-    """The fig10-style evaluation workload (``repro report``'s default
-    shape): one task, ``np`` parallel optional parts, ``jobs`` jobs."""
+    """The Section V-A evaluation workload: one task, ``np`` parallel
+    optional parts, ``jobs`` jobs."""
 
     kind = "overheads"
 
-    def start(self):
+    def build(self):
         from repro.bench.overheads import (
             OPTIONAL_DEADLINE,
             make_eval_task,
@@ -159,60 +184,60 @@ class OverheadsProgram(ProgramRun):
             optional_deadline=OPTIONAL_DEADLINE,
         )
         self.middleware = middleware
-        self._attach_observers(middleware.kernel)
-        middleware.start()
+        self.kernel = middleware.kernel
         return self
 
-    def finish(self):
-        from repro.obs import RunReport
+    def spawn(self):
+        self.middleware.start()
+        return self
 
-        self.middleware.finish()
-        report = RunReport.collect(self.kernel, metrics=self.metrics,
-                                   include_wallclock=False)
-        return self._base_payload(report.to_dict())
+    def drain(self):
+        return self.middleware.finish()
 
-    def extras(self):
-        return {"flight": capture_flight(self.recorder)}
+    def payload(self, result):
+        return self._base_payload(self.run_report(self.metrics).to_dict())
 
 
 class TradeProgram(ProgramRun):
-    """The end-to-end real-time trading system."""
+    """The end-to-end real-time trading system; ``od_ms`` (optional)
+    is the relative optional deadline in milliseconds."""
 
     kind = "trade"
 
-    def start(self):
+    def build(self):
         from repro.hardware.loads import BackgroundLoad
+        from repro.simkernel.time_units import MSEC
         from repro.trading.system import RealTimeTradingSystem
 
         spec = self.spec
-        system = RealTimeTradingSystem(
+        od_ms = spec.get("od_ms")
+        self.system = RealTimeTradingSystem(
             n_seconds=spec.get("seconds", 12),
             seed=self.seed,
             policy=spec.get("policy", "one_by_one"),
             load=BackgroundLoad[spec.get("load", "NONE")],
+            optional_deadline=None if od_ms is None else od_ms * MSEC,
         )
-        self.system = system
-        self._attach_observers(system.middleware.kernel)
-        system.start()
+        self.kernel = self.system.middleware.kernel
         return self
 
-    def finish(self):
-        from repro.obs import RunReport
+    def spawn(self):
+        self.system.start()
+        return self
 
-        report = self.system.finish()
-        run_report = RunReport.collect(self.kernel,
-                                       metrics=self.metrics,
-                                       include_wallclock=False)
-        payload = self._base_payload(run_report.to_dict())
+    def drain(self):
+        return self.system.finish()
+
+    def payload(self, report):
+        payload = self._base_payload(self.run_report(self.metrics).to_dict())
         payload["trading"] = report.summary()
         return payload
 
     def extras(self):
-        return {
-            "trading": capture_trading(self.system.task,
-                                       self.system.broker),
-            "flight": capture_flight(self.recorder),
-        }
+        extras = super().extras()
+        extras["trading"] = capture_trading(self.system.task,
+                                            self.system.broker)
+        return extras
 
 
 class FaultsProgram(ProgramRun):
@@ -221,41 +246,61 @@ class FaultsProgram(ProgramRun):
 
     kind = "faults"
 
-    def start(self):
+    def build(self):
         from repro.faults.campaign import prepare_scenario
 
         spec = self.spec
-        scenario = prepare_scenario(
+        self.scenario = prepare_scenario(
             spec["scenario"],
             n_seconds=spec.get("seconds", 12),
             seed=self.seed,
         )
-        self.scenario = scenario
+        self.kernel = self.scenario.kernel
         # the scenario wires its own flight recorder; ride it instead
         # of attaching a second ring
-        self.kernel = scenario.kernel
-        self.kernel.probes.subscribe(self.stream)
-        self.recorder = scenario.recorder
+        self.recorder = self.scenario.recorder
         return self
 
-    def finish(self):
-        result = self.scenario.finish()
+    def attach_attested(self):
+        self.stream = _StreamHash()
+        self.kernel.probes.subscribe(self.stream)
+
+    def spawn(self):
+        self.scenario.system.start()
+        return self
+
+    def drain(self):
+        return self.scenario.finish()
+
+    def payload(self, result):
+        result = dict(result)
         payload = self._base_payload(result.pop("run_report"))
         payload["scenario"] = result
         return payload
 
+    def run_report(self, metrics=None, profile=None,
+                   include_wallclock=False):
+        from repro.obs import RunReport
+
+        scenario = self.scenario
+        return RunReport.collect(
+            self.kernel, metrics=metrics, profile=profile,
+            injector=scenario.injector, watchdog=scenario.watchdog,
+            degrade=scenario.degrade, include_wallclock=include_wallclock)
+
     def extras(self):
         scenario = self.scenario
-        return {
-            "resilience": capture_resilience(
+        extras = super().extras()
+        extras.update(
+            resilience=capture_resilience(
                 retry=scenario.retry, watchdog=scenario.watchdog,
                 degrade=scenario.degrade,
             ),
-            "injected": dict(scenario.injector.counts),
-            "trading": capture_trading(scenario.system.task,
-                                       scenario.system.broker),
-            "flight": capture_flight(self.recorder),
-        }
+            injected=dict(scenario.injector.counts),
+            trading=capture_trading(scenario.system.task,
+                                    scenario.system.broker),
+        )
+        return extras
 
 
 class CheckProgram(ProgramRun):
@@ -265,26 +310,28 @@ class CheckProgram(ProgramRun):
 
     kind = "check"
 
-    def start(self):
+    def build(self):
         from repro.check.runner import build_middleware
 
         spec = self.spec
-        middleware, events = build_middleware(
+        self.middleware, self.events = build_middleware(
             spec["scenario"],
             collect_kernel_events=spec.get("collect_kernel_events",
                                            True),
             cost_model=spec.get("cost_model", "zero"),
             noise_seed=spec.get("noise_seed", 0),
         )
-        self.middleware = middleware
-        self.events = events
-        self._attach_observers(middleware.kernel)
-        middleware.start()
+        self.kernel = self.middleware.kernel
         return self
 
-    def finish(self):
+    def spawn(self):
+        self.middleware.start()
+        return self
+
+    def drain(self):
+        """Run to the end (or the check event budget); returns the
+        crash line, ``None`` for a clean run."""
         from repro.check.runner import MAX_KERNEL_EVENTS
-        from repro.obs import RunReport
         from repro.simkernel.errors import SimKernelError
 
         crash = None
@@ -294,15 +341,13 @@ class CheckProgram(ProgramRun):
         except SimKernelError as error:
             crash = f"{type(error).__name__}: {error}"
         self.crash = crash
-        report = RunReport.collect(self.kernel, metrics=self.metrics,
-                                   include_wallclock=False)
-        payload = self._base_payload(report.to_dict())
+        return crash
+
+    def payload(self, crash):
+        payload = self._base_payload(self.run_report(self.metrics).to_dict())
         payload["crash"] = crash
         payload["check_events"] = len(self.events)
         return payload
-
-    def extras(self):
-        return {"flight": capture_flight(self.recorder)}
 
 
 #: Program registry: spec ``kind`` -> class.
@@ -315,7 +360,7 @@ PROGRAMS = {
 
 
 def build_program(spec):
-    """Instantiate (without starting) the program a spec describes."""
+    """Instantiate (without building) the program a spec describes."""
     kind = spec.get("kind")
     if kind not in PROGRAMS:
         raise SnapshotError(

@@ -27,15 +27,14 @@ def snapshot(run, at_events=None):
     :param at_events: optional barrier — the engine is driven to
         exactly this many processed events first (error if the run
         drains earlier); ``None`` captures wherever the run is now.
-    :returns: the ``rtseed-snapshot/2`` document.
+    :returns: the ``rtseed-snapshot/3`` document.
     """
-    if run.kernel is None:
+    if run.stream is None:
         raise SnapshotError("program not started: call run.start()")
     if at_events is not None:
         run.run_to_events(at_events)
-    return snapshot_kernel(
-        run.kernel, dict(run.spec), extras=run.extras(), seed=run.seed,
-    )
+    return snapshot_kernel(run.kernel, dict(run.spec),
+                           extras=run.extras())
 
 
 def restore(document):

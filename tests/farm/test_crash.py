@@ -47,6 +47,55 @@ def test_crash_then_retry_succeeds(tmp_path):
     assert "farm.quarantine" not in events
 
 
+def _farm_semlocks():
+    import gc
+    from multiprocessing.synchronize import SemLock
+
+    return [obj for obj in gc.get_objects() if isinstance(obj, SemLock)]
+
+
+def test_worker_killed_holding_a_farm_lock_spares_its_siblings(tmp_path):
+    """Regression: the workers shared one result queue whose feeder
+    threads write under one cross-process lock.  A worker killed while
+    its feeder held that lock (SIGKILL, an OOM kill) wedged every
+    sibling until the heartbeat, and both shards were quarantined as
+    hung.  The crashing task plays that kill: it takes every lock the
+    farm created before forking, then dies."""
+    marker = tmp_path / "crashed-once"
+    existing = {id(lock) for lock in _farm_semlocks()}
+
+    def task(item):
+        if item == 2 and not marker.exists():
+            marker.write_text("x")
+            for lock in _farm_semlocks():
+                if id(lock) not in existing:
+                    lock.acquire(False)
+            os._exit(13)
+        time.sleep(0.05)
+        return item
+
+    started = time.monotonic()
+    result = farm_map(task, range(6), n_workers=2, context="fork",
+                      heartbeat=3.0)
+    assert time.monotonic() - started < 3.0  # no heartbeat expired
+    assert result.ok
+    assert result.retries == 1
+    assert result.ordered() == list(range(6))
+
+
+def test_results_sent_before_a_crash_are_kept():
+    """Regression: a result still in a dying worker's send buffer was
+    lost, so the quarantine listed an item that had finished."""
+    def task(item):
+        if item == 2:
+            os._exit(13)
+        return item
+
+    result = farm_map(task, range(6), n_workers=2, context="fork")
+    assert [entry["indices"] for entry in result.quarantined] == [[2, 4]]
+    assert result.results[0] == 0
+
+
 def test_crash_twice_quarantines(tmp_path):
     def task(item):
         if item % 2 == 0:

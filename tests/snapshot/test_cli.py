@@ -1,4 +1,5 @@
-"""``repro snapshot`` CLI surface and the resumable campaign."""
+"""``repro snapshot`` CLI surface (with ``repro run --emit payload``
+as the uninterrupted reference) and the resumable campaign."""
 
 import io
 import json
@@ -17,10 +18,10 @@ def _run(argv):
 
 
 def test_snapshot_run_emits_deterministic_payload():
-    code1, text1 = _run(["snapshot", "run", "--program", "trade",
-                         "--seconds", "4", "--seed", "3"])
-    code2, text2 = _run(["snapshot", "run", "--program", "trade",
-                         "--seconds", "4", "--seed", "3"])
+    run = ["run", "--program", "trade", "--seconds", "4", "--seed", "3",
+           "--emit", "payload"]
+    code1, text1 = _run(run)
+    code2, text2 = _run(run)
     assert code1 == code2 == 0
     assert text1 == text2
     payload = json.loads(text1)
@@ -39,7 +40,7 @@ def test_snapshot_dump_inspect_resume_flow(tmp_path):
     code, text = _run(["snapshot", "inspect", "--snapshot", snap])
     assert code == 0
     summary = json.loads(text)
-    assert summary["schema"] == "rtseed-snapshot/2"
+    assert summary["schema"] == "rtseed-snapshot/3"
     assert "backend" not in summary
     assert summary["barrier"]["events_processed"] == 300
     assert summary["engine"]["events_processed"] == 300
@@ -50,7 +51,7 @@ def test_snapshot_dump_inspect_resume_flow(tmp_path):
     assert code == 0
     resumed = json.loads(open(out_path).read())
 
-    code, full_text = _run(["snapshot", "run", *program])
+    code, full_text = _run(["run", *program, "--emit", "payload"])
     assert code == 0
     assert resumed == json.loads(full_text)
 
@@ -70,12 +71,12 @@ def test_snapshot_errors_are_exit_code_2(tmp_path):
     assert code == 2
     assert "snapshot" in text
 
-    code, text = _run(["snapshot", "run", "--program", "faults",
+    code, text = _run(["run", "--program", "faults", "--emit", "payload",
                        "--scenario", "not_a_scenario"])
     assert code == 2
     assert "unknown scenario" in text
 
-    code, text = _run(["snapshot", "run", "--program", "check"])
+    code, text = _run(["run", "--program", "check", "--emit", "payload"])
     assert code == 2
     assert "--artifact" in text
 

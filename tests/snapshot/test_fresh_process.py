@@ -5,9 +5,10 @@ The in-process round-trip (``test_roundtrip``) could in principle lean
 on leftover interpreter state; these tests dump a snapshot in one
 ``python -m repro.cli`` process and resume it in another, then require
 the resumed payload to be byte-identical (``cmp`` semantics: exact
-file equality) to an uninterrupted run — plain, and for a fault-plan
-scenario.  This is the same flow the CI ``snapshot-smoke``
-job drives.  In the ``reference`` case the uninterrupted run executes
+file equality) to an uninterrupted ``repro run --emit payload`` —
+plain, and for a fault-plan scenario.  This is the same flow the CI
+``snapshot-smoke`` job drives.  In the ``reference`` case the
+uninterrupted run executes
 on the model of the execution core (``tests/engine/reference.py``),
 so the checkpointed core must also reproduce the model's bytes.
 """
@@ -54,7 +55,7 @@ def _cli(args, cwd, engine="fast"):
 def test_fresh_process_resume_is_byte_identical(tmp_path, engine):
     base = ["snapshot"]
     program = ["--program", "trade", "--seconds", "4", "--seed", "3"]
-    run = _cli(base + ["run", *program, "--out", "full.json"],
+    run = _cli(["run", *program, "--emit", "payload=full.json"],
                cwd=str(tmp_path), engine=engine)
     assert run.returncode == 0, run.stdout + run.stderr
     dump = _cli(base + ["dump", *program, "--at-events", "300",
@@ -72,7 +73,7 @@ def test_fresh_process_resume_with_fault_plan(tmp_path):
     base = ["snapshot"]
     program = ["--program", "faults", "--scenario", "cpu_stall",
                "--seconds", "5"]
-    run = _cli(base + ["run", *program, "--out", "full.json"],
+    run = _cli(["run", *program, "--emit", "payload=full.json"],
                cwd=str(tmp_path))
     assert run.returncode == 0, run.stdout + run.stderr
     dump = _cli(base + ["dump", *program, "--at-events", "250",

@@ -5,8 +5,8 @@ exact payload (probe-stream hash, metrics, report) of the
 uninterrupted run, including under an active fault plan — the
 uninterrupted run on the execution core (``fast``) and on its model
 (``reference``, ``tests/engine/reference.py``).  Plus every refusal
-path: tampered state, wrong seed, barrier past the end of the run, a
-schema other than ``rtseed-snapshot/2``.
+path: tampered state, wrong seed, an edited program spec, barrier
+past the end of the run, a schema other than ``rtseed-snapshot/3``.
 """
 
 import contextlib
@@ -52,6 +52,16 @@ def test_trade_resume_payload_identical(engine):
     document = _snapshot_at(spec, 300)
     assert "backend" not in document
     assert resume_to_end(document) == expected
+
+
+def test_trade_with_custom_optional_deadline_resumes():
+    """``od_ms`` is part of the trade spec (only when given), so a run
+    with a custom optional deadline snapshots and resumes as itself."""
+    spec = {"kind": "trade", "seconds": 4, "seed": 3, "od_ms": 300.0}
+    expected = _uninterrupted(spec)
+    default = _uninterrupted({"kind": "trade", "seconds": 4, "seed": 3})
+    assert expected["trading"]["qos_ms"] != default["trading"]["qos_ms"]
+    assert resume_to_end(_snapshot_at(spec, 300)) == expected
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -126,6 +136,34 @@ def test_wrong_seed_refused_at_attestation():
     forged["program"]["seed"] = 4  # a different computation entirely
     with pytest.raises(SnapshotMismatchError):
         restore(forged)
+
+
+@pytest.mark.parametrize("spec, barrier, edit", [
+    ({"kind": "overheads", "np": 4, "jobs": 3, "seed": 1}, 50,
+     {"jobs": 6}),
+    ({"kind": "trade", "seconds": 4, "seed": 3}, 300, {"seconds": 8}),
+], ids=["overheads-jobs", "trade-seconds"])
+def test_edited_program_spec_refused(spec, barrier, edit):
+    """Regression: the digest covered only the state, so an edit that
+    changes the run but not the state at the barrier (more jobs, a
+    longer session) restored and resumed into a different run."""
+    document = _snapshot_at(spec, barrier)
+    assert document["state"]["program"] == document["program"]
+    forged = copy.deepcopy(document)
+    forged["program"].update(edit)
+    with pytest.raises(SnapshotMismatchError, match="attested spec"):
+        validate_snapshot(forged)
+    with pytest.raises(SnapshotMismatchError):
+        restore(forged)
+    # the envelope carries no second, unattested copy of the seed
+    assert "seed" not in document
+
+
+def test_schema_2_refused_with_take_again_hint():
+    document = _snapshot_at({"kind": "trade", "seconds": 4, "seed": 3}, 300)
+    document["schema"] = "rtseed-snapshot/2"
+    with pytest.raises(SnapshotError, match="take the snapshot again"):
+        validate_snapshot(document)
 
 
 def test_barrier_past_end_of_run_refused():

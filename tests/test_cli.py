@@ -26,10 +26,18 @@ def test_unknown_command_rejected():
         build_parser().parse_args(["frobnicate"])
 
 
+def test_seven_verbs():
+    parser = build_parser()
+    verbs = next(action for action in parser._actions
+                 if action.dest == "command").choices
+    assert list(verbs) == ["admit", "run", "faults", "check", "farm",
+                           "scale", "snapshot"]
+
+
 def test_overheads_command():
     code, output = run_cli([
-        "overheads", "--np", "8", "--jobs", "3", "--policy", "all_by_all",
-        "--load", "cpu",
+        "run", "--program", "overheads", "--np", "8", "--jobs", "3",
+        "--policy", "all_by_all", "--load", "cpu",
     ])
     assert code == 0
     for which in "mbse":
@@ -39,7 +47,8 @@ def test_overheads_command():
 
 def test_trade_command():
     code, output = run_cli([
-        "trade", "--seconds", "5", "--seed", "1", "--od-ms", "700",
+        "run", "--program", "trade", "--seconds", "5", "--seed", "1",
+        "--od-ms", "700",
     ])
     assert code == 0
     assert "trading session" in output
@@ -60,8 +69,8 @@ def test_trace_command(tmp_path):
     trace_path = tmp_path / "trace.json"
     jsonl_path = tmp_path / "trace.jsonl"
     code, output = run_cli([
-        "trace", "--np", "4", "--jobs", "2",
-        "--out", str(trace_path), "--jsonl", str(jsonl_path),
+        "run", "--program", "overheads", "--np", "4", "--jobs", "2",
+        "--emit", f"trace={trace_path}", "--emit", f"jsonl={jsonl_path}",
     ])
     assert code == 0
     assert "trace events" in output
@@ -77,26 +86,30 @@ def test_trace_command_trade_workload(tmp_path):
 
     trace_path = tmp_path / "trade.json"
     code, _output = run_cli([
-        "trace", "--workload", "trade", "--jobs", "3",
-        "--out", str(trace_path),
+        "run", "--program", "trade", "--seconds", "3",
+        "--emit", f"trace={trace_path}",
     ])
     assert code == 0
     assert validate_chrome_trace(json.loads(trace_path.read_text())) > 0
 
 
 def test_metrics_command():
-    code, output = run_cli(["metrics", "--np", "4", "--jobs", "2"])
+    code, output = run_cli(["run", "--program", "overheads", "--np", "4",
+                            "--jobs", "2", "--emit", "metrics"])
     assert code == 0
     assert "rtseed.response_time[tau1]" in output
     assert "kernel.dispatches" in output
 
 
 def test_metrics_command_json():
+    """The metrics snapshot as JSON is the run report's ``metrics``
+    section."""
     code, output = run_cli([
-        "metrics", "--np", "4", "--jobs", "2", "--json",
+        "run", "--program", "overheads", "--np", "4", "--jobs", "2",
+        "--emit", "report", "--no-wallclock",
     ])
     assert code == 0
-    snapshot = json.loads(output)
+    snapshot = json.loads(output)["metrics"]
     assert snapshot["counters"]["rtseed.jobs[tau1]"] == 2
     assert "p99" in snapshot["histograms"]["rtseed.response_time[tau1]"]
 
@@ -115,32 +128,9 @@ def test_module_entry_point():
     assert "admission decisions" in result.stdout
 
 
-def test_metrics_command_format_flag():
-    code, as_json = run_cli([
-        "metrics", "--np", "4", "--jobs", "2", "--format", "json",
-    ])
-    assert code == 0
-    snapshot = json.loads(as_json)
-    assert snapshot["counters"]["rtseed.jobs[tau1]"] == 2
-    # stable key ordering: sorted at every level
-    assert as_json == json.dumps(snapshot, indent=2,
-                                 sort_keys=True) + "\n"
-
-    code, legacy = run_cli([
-        "metrics", "--np", "4", "--jobs", "2", "--json",
-    ])
-    assert code == 0
-    assert legacy == as_json  # --json stays as the shorthand
-
-    code, table = run_cli([
-        "metrics", "--np", "4", "--jobs", "2", "--format", "table",
-    ])
-    assert code == 0
-    assert "kernel.dispatches" in table
-
-
 def test_report_command(tmp_path):
-    code, output = run_cli(["report", "--np", "4", "--jobs", "2"])
+    run = ["run", "--program", "overheads", "--np", "4", "--jobs", "2"]
+    code, output = run_cli(run + ["--emit", "report"])
     assert code == 0
     report = json.loads(output)
     assert report["schema"] == "rtseed-run-report/1"
@@ -149,10 +139,8 @@ def test_report_command(tmp_path):
     assert "report.run" in report["wallclock"]
 
     out_path = tmp_path / "report.json"
-    code, output = run_cli([
-        "report", "--np", "4", "--jobs", "2", "--no-wallclock",
-        "--out", str(out_path),
-    ])
+    code, output = run_cli(run + ["--no-wallclock",
+                                  "--emit", f"report={out_path}"])
     assert code == 0
     assert "wrote run report" in output
     written = json.loads(out_path.read_text())
@@ -161,12 +149,10 @@ def test_report_command(tmp_path):
 
 
 def test_report_command_is_deterministic_without_wallclock():
-    code_a, first = run_cli([
-        "report", "--np", "4", "--jobs", "2", "--no-wallclock",
-    ])
-    code_b, second = run_cli([
-        "report", "--np", "4", "--jobs", "2", "--no-wallclock",
-    ])
+    run = ["run", "--program", "overheads", "--np", "4", "--jobs", "2",
+           "--emit", "report", "--no-wallclock"]
+    code_a, first = run_cli(run)
+    code_b, second = run_cli(run)
     assert code_a == code_b == 0
     assert first == second
 
@@ -174,14 +160,16 @@ def test_report_command_is_deterministic_without_wallclock():
 def test_trace_command_flight_dump(tmp_path):
     dump = tmp_path / "flight.jsonl"
     code, output = run_cli([
-        "trace", "--np", "4", "--jobs", "2",
-        "--out", str(tmp_path / "trace.json"),
-        "--flight-dump", str(dump),
+        "run", "--program", "overheads", "--np", "4", "--jobs", "2",
+        "--emit", f"trace={tmp_path / 'trace.json'}",
+        "--emit", f"flight={dump}",
     ])
     assert code == 0
-    assert "wrote flight dump" in output
     lines = dump.read_text().splitlines()
     header = json.loads(lines[0])
+    # the status line's counts are the dump header's
+    assert (f"wrote flight dump ({len(lines) - 2} events, "
+            f"{header['dropped']} dropped)") in output
     assert header["schema"] == "rtseed-flightrec/1"
     assert header["reason"] == "on_demand"
     kernel = json.loads(lines[1])

@@ -8,7 +8,8 @@ for the same engine is flagged and fails the run.  Entries from before
 the two execution cores became one keep their ``reference`` / ``fast``
 tags; later entries continue the ``fast`` line.
 
-Optionally cross-checks a ``repro report`` document (``--report``):
+Optionally cross-checks a run report (``repro run --emit report``,
+``--report``):
 the run report's engine counters are summarized next to the
 trajectory, tying "what the engine did" to "how fast it went".
 
@@ -110,7 +111,8 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--bench", default="BENCH_engine.json")
     parser.add_argument("--report", default=None,
-                        help="also summarize a `repro report` JSON")
+                        help="also summarize a run report JSON "
+                             "(repro run --emit report)")
     parser.add_argument("--tolerance", type=float,
                         default=REGRESSION_TOLERANCE,
                         help="flag drops larger than this fraction "
