@@ -32,6 +32,10 @@ from repro.simkernel.errors import SimKernelError
 #: the post-run liveness oracle then reports the stuck threads.
 MAX_KERNEL_EVENTS = 2_000_000
 
+#: Probe topics a check run records: the middleware protocol and the
+#: kernel trace the oracles and the differential read.
+EVENT_TOPICS = ("rtseed.*", "kernel.*")
+
 
 class CheckReport:
     """Verdict for one scenario."""
@@ -90,8 +94,7 @@ class CheckReport:
         return f"<CheckReport {self.summary()}>"
 
 
-def build_middleware(scenario, collect_kernel_events=True,
-                     cost_model="zero", noise_seed=0):
+def build_middleware(scenario, cost_model="zero", noise_seed=0):
     """Build (don't run) the middleware stack for ``scenario``.
 
     Shared by :func:`run_middleware` (which runs it to completion) and
@@ -110,13 +113,10 @@ def build_middleware(scenario, collect_kernel_events=True,
                         seed=noise_seed)
 
     events = []
-    topics = ["rtseed.*"]
-    if collect_kernel_events:
-        topics.append("kernel.*")
     middleware.probes.subscribe(
         lambda topic, time, data: events.append((topic, time,
                                                  dict(data))),
-        topics=topics,
+        topics=EVENT_TOPICS,
     )
     # passive flight recorder: free while the bus is idle, and the
     # subscriber above activates the bus anyway — on failure its ring
@@ -139,8 +139,7 @@ def build_middleware(scenario, collect_kernel_events=True,
     return middleware, events
 
 
-def run_middleware(scenario, collect_kernel_events=True,
-                   cost_model="zero", noise_seed=0):
+def run_middleware(scenario, cost_model="zero", noise_seed=0):
     """One middleware run of ``scenario``.
 
     :param cost_model: passed to :class:`~repro.core.middleware.RTSeed`;
@@ -153,8 +152,7 @@ def run_middleware(scenario, collect_kernel_events=True,
         (``None`` on a clean run).
     """
     middleware, events = build_middleware(
-        scenario, collect_kernel_events=collect_kernel_events,
-        cost_model=cost_model, noise_seed=noise_seed,
+        scenario, cost_model=cost_model, noise_seed=noise_seed,
     )
     crash = None
     try:
@@ -197,8 +195,7 @@ def run_simulator(scenario):
     return events, result
 
 
-def judge_run(scenario, mw_events, kernel, crash,
-              collect_kernel_events=True, profile=None):
+def judge_run(scenario, mw_events, kernel, crash, profile=None):
     """Verdict over an already-executed middleware run.
 
     Shared by :func:`run_scenario` (which just ran the middleware) and
@@ -214,10 +211,9 @@ def judge_run(scenario, mw_events, kernel, crash,
     report = CheckReport(scenario)
     report.crash = crash
     with profile.section("check.oracles"):
-        if collect_kernel_events:
-            report.violations.extend(
-                check_kernel_trace(mw_events, scenario.n_cpus)
-            )
+        report.violations.extend(
+            check_kernel_trace(mw_events, scenario.n_cpus)
+        )
         report.violations.extend(check_protocol(mw_events, scenario))
         report.violations.extend(check_final_state(kernel))
 
@@ -240,7 +236,7 @@ def judge_run(scenario, mw_events, kernel, crash,
     return report
 
 
-def run_scenario(scenario, collect_kernel_events=True, profile=None):
+def run_scenario(scenario, profile=None):
     """Full verdict for one scenario: oracles always, differential when
     fault-free.
 
@@ -254,12 +250,8 @@ def run_scenario(scenario, collect_kernel_events=True, profile=None):
     if profile is None:
         profile = NullProfile()
     with profile.section("check.middleware"):
-        mw_events, kernel, crash = run_middleware(
-            scenario, collect_kernel_events=collect_kernel_events,
-        )
-    return judge_run(scenario, mw_events, kernel, crash,
-                     collect_kernel_events=collect_kernel_events,
-                     profile=profile)
+        mw_events, kernel, crash = run_middleware(scenario)
+    return judge_run(scenario, mw_events, kernel, crash, profile=profile)
 
 
 def run_fuzz_index(base_seed, index, fault_rate=0.0, shrink=True,

@@ -45,7 +45,6 @@ def artifact_check_spec(artifact):
         "scenario": dict(artifact["scenario"]),
         "cost_model": "zero",
         "noise_seed": 0,
-        "collect_kernel_events": True,
     }
 
 
@@ -64,22 +63,22 @@ def _scout_counts(spec):
     """Re-execute the spec once, recording ``events_processed`` at
     every collected probe event (aligned 1:1 with the artifact run's
     event stream — same topics, subscribed before start)."""
-    from repro.check.runner import MAX_KERNEL_EVENTS, build_middleware
+    from repro.check.runner import (
+        EVENT_TOPICS,
+        MAX_KERNEL_EVENTS,
+        build_middleware,
+    )
 
     middleware, _events = build_middleware(
         spec["scenario"],
-        collect_kernel_events=spec["collect_kernel_events"],
         cost_model=spec["cost_model"],
         noise_seed=spec["noise_seed"],
     )
     counts = []
     engine = middleware.kernel.engine
-    topics = ["rtseed.*"]
-    if spec["collect_kernel_events"]:
-        topics.append("kernel.*")
     middleware.probes.subscribe(
         lambda topic, time, data: counts.append(engine.events_processed),
-        topics=topics,
+        topics=EVENT_TOPICS,
     )
     try:
         middleware.run(max_events=MAX_KERNEL_EVENTS)
@@ -143,7 +142,5 @@ def replay_from_snapshot(document):
     payload = run.finish()
     report = judge_run(
         run.spec["scenario"], run.events, run.kernel, run.crash,
-        collect_kernel_events=run.spec.get("collect_kernel_events",
-                                           True),
     )
     return report, payload

@@ -253,8 +253,7 @@ class ScenarioRun:
         return result
 
 
-def prepare_scenario(name, n_seconds=30, seed=0, flight_dir=None,
-                     _sabotage=None):
+def prepare_scenario(name, n_seconds=30, seed=0, flight_dir=None):
     """Build one canned scenario, not yet spawned; returns a
     :class:`ScenarioRun` (see :func:`run_scenario` for parameters)."""
     if name not in SCENARIOS:
@@ -296,16 +295,13 @@ def prepare_scenario(name, n_seconds=30, seed=0, flight_dir=None,
                                      seed=seed)
     recorder.degrade = degrade
     injector.attach(kernel)
-    if _sabotage is not None:
-        _sabotage(kernel)
 
     return ScenarioRun(name, config, n_seconds, seed, plan, injector,
                        system, events, retry, watchdog, degrade,
                        recorder)
 
 
-def run_scenario(name, n_seconds=30, seed=0, flight_dir=None,
-                 _sabotage=None):
+def run_scenario(name, n_seconds=30, seed=0, flight_dir=None):
     """Run one canned scenario; returns its (JSON-ready) report dict.
 
     :param flight_dir: when set, a
@@ -313,13 +309,9 @@ def run_scenario(name, n_seconds=30, seed=0, flight_dir=None,
         passively and dumps its ring into this directory at every
         failure edge (invariant violation, degraded-mode entry,
         watchdog fire).
-    :param _sabotage: test hook — ``f(kernel)`` called after setup,
-        before the run; used to plant invariant violations for
-        flight-recorder smoke tests.
     """
     scenario = prepare_scenario(
         name, n_seconds=n_seconds, seed=seed, flight_dir=flight_dir,
-        _sabotage=_sabotage,
     )
     scenario.system.start()
     return scenario.finish()

@@ -4,8 +4,7 @@ Every instrumented layer (the DES engine, the ready queues, the
 simulated kernel, the RT-Seed middleware, the trading application)
 publishes *probe events* to one :class:`ProbeBus`.  Subscribers —
 tracers, metrics registries, trace exporters — attach to the bus, so
-any number of them coexist on one run (the single-callback
-``kernel.on_event`` hook could hold only one observer).
+any number of them coexist on one run.
 
 Design constraints, in order:
 

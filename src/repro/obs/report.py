@@ -9,8 +9,7 @@ used into one deterministic JSON document (stable key order; wall-clock
 data is opt-out via ``include_wallclock=False`` so byte-stable reports
 remain available to CI diffing).
 
-Emitted by ``repro run --emit report`` and consumed by
-``tools/bench_report.py``; see ``docs/OBSERVABILITY.md``.
+Emitted by ``repro run --emit report``; see ``docs/OBSERVABILITY.md``.
 """
 
 import json

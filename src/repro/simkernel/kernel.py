@@ -161,8 +161,6 @@ class Kernel:
         #: (tid, signum) -> post time, for signal-delivery-latency probes
         #: (maintained only while the bus has subscribers).
         self._signal_posted = {}
-        #: optional observer: callable(event_name, thread, time) for traces.
-        self.on_event = None
         #: optional fault-injection hooks (duck-typed — see
         #: :class:`repro.faults.injectors.FaultInjector`).  ``None`` (the
         #: default) keeps every hook site to a single attribute test, the
@@ -374,11 +372,9 @@ class Kernel:
             raise SchedulingError(f"CPU {cpu} out of range")
 
     def _emit(self, name, thread, **extra):
-        """Publish a thread-lifecycle event to the legacy ``on_event``
-        hook and (as ``kernel.<name>`` with a uniform thread/tid/cpu/prio
-        payload plus ``extra``) to the probe bus."""
-        if self.on_event is not None:
-            self.on_event(name, thread, self.engine.now)
+        """Publish a thread-lifecycle event to the probe bus as
+        ``kernel.<name>``, with a uniform thread/tid/cpu/prio payload
+        plus ``extra``."""
         probes = self.probes
         if probes.active:
             probes.publish("kernel." + name, thread=thread.name,
@@ -698,12 +694,6 @@ class Kernel:
         return (thread.state is _RUNNING
                 and self.current[thread.cpu] is thread)
 
-    def _still_running(self, thread):
-        return (
-            thread.state is _RUNNING
-            and self.current[thread.cpu] is thread
-        )
-
     # ------------------------------------------------------------------
     # syscall processing
     # ------------------------------------------------------------------
@@ -711,12 +701,11 @@ class Kernel:
     def _handle_syscall(self, thread, request):
         """Apply ``request``.  Returns True iff the resume loop continues.
 
-        Dispatch is a ``type(request)`` dict lookup (the syscall types
-        are leaf classes in practice); unknown exact types — e.g. a test
-        subclassing a syscall — fall back to the isinstance chain in
-        :meth:`_handle_syscall_generic`.  Both paths price the request
-        through ``cost_model.syscall`` at the same point, so the noise
-        stream is consumed in the same order whichever path runs.
+        Dispatch is a ``type(request)`` dict lookup over the syscall
+        classes of :mod:`repro.simkernel.syscalls`: ``Compute`` inline,
+        every other one through :data:`_SYSCALL_HANDLERS`, priced by
+        ``cost_model.syscall`` before its handler runs.  Any other type
+        (a subclass included) raises :class:`SyscallError`.
         """
         rtype = type(request)
         if rtype is Compute:
@@ -736,7 +725,9 @@ class Kernel:
                 thread, request,
                 self.cost_model.syscall(request, thread, self),
             )
-        return self._handle_syscall_generic(thread, request)
+        raise SyscallError(
+            f"{thread.name!r} yielded unsupported request {request!r}"
+        )
 
     def _sys_get_time(self, thread, request, cost):
         return self._charge_syscall_cost(thread, cost, self.engine.now)
@@ -763,74 +754,6 @@ class Kernel:
     def _sys_exit(self, thread, request, cost):
         self._exit_thread(thread)
         return False
-
-    def _handle_syscall_generic(self, thread, request):
-        """isinstance-chain fallback for syscall subclasses."""
-        if isinstance(request, Compute):
-            thread.work_remaining += request.work
-            thread.resume_value = None
-            if thread.work_remaining > 0 or thread.latency_remaining > 0:
-                self._start_compute(thread)
-                return False
-            return (thread.state is _RUNNING
-                    and self.current[thread.cpu] is thread)
-
-        base_cost = self.cost_model.syscall(request, thread, self)
-
-        if isinstance(request, GetTime):
-            return self._charge_syscall_cost(thread, base_cost, self.engine.now)
-
-        if isinstance(request, GetCpu):
-            return self._charge_syscall_cost(thread, base_cost, thread.cpu)
-
-        if isinstance(request, ClockNanosleep):
-            return self._sys_clock_nanosleep(thread, request, base_cost)
-
-        if isinstance(request, CondWait):
-            return self._sys_cond_wait(thread, request)
-
-        if isinstance(request, CondSignal):
-            return self._sys_cond_signal(thread, request, base_cost)
-
-        if isinstance(request, CondBroadcast):
-            return self._sys_cond_broadcast(thread, request, base_cost)
-
-        if isinstance(request, MutexLock):
-            return self._sys_mutex_lock(thread, request, base_cost)
-
-        if isinstance(request, MutexUnlock):
-            return self._sys_mutex_unlock(thread, request, base_cost)
-
-        if isinstance(request, TimerSettime):
-            return self._sys_timer_settime(thread, request, base_cost)
-
-        if isinstance(request, Sigaction):
-            thread.signal_handlers[request.signum] = request.disposition
-            return self._charge_syscall_cost(thread, base_cost)
-
-        if isinstance(request, SetSignalMask):
-            return self._sys_set_signal_mask(thread, request, base_cost)
-
-        if isinstance(request, SchedSetScheduler):
-            return self._sys_setscheduler(thread, request, base_cost)
-
-        if isinstance(request, SchedSetAffinity):
-            return self._sys_setaffinity(thread, request, base_cost)
-
-        if isinstance(request, SchedYield):
-            return self._sys_sched_yield(thread, base_cost)
-
-        if isinstance(request, Spawn):
-            self.spawn(request.thread)
-            return self._charge_syscall_cost(thread, base_cost, request.thread)
-
-        if isinstance(request, Exit):
-            self._exit_thread(thread)
-            return False
-
-        raise SyscallError(
-            f"{thread.name!r} yielded unsupported request {request!r}"
-        )
 
     def _sys_clock_nanosleep(self, thread, request, cost):
         if request.until <= self.engine.now:

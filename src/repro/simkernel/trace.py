@@ -5,9 +5,7 @@ probe bus to collect a timeline of scheduling events (spawn, ready,
 dispatch, preempt, block, timer expiry, signal delivery, exit), query
 it, and render an ASCII Gantt chart — invaluable when debugging
 middleware protocols.  Because it rides the fan-out bus, a tracer
-coexists with metrics collectors and trace exporters on the same run
-(assigning to the single-callback ``kernel.on_event`` hook still works
-but holds exactly one observer).
+coexists with metrics collectors and trace exporters on the same run.
 
 Usage::
 
@@ -100,10 +98,6 @@ class Tracer:
                  if key not in _STANDARD_FIELDS} or None
         self._record(time, topic[7:], data["thread"], data["tid"],
                      data["cpu"], extra)
-
-    def __call__(self, event, thread, time):
-        """Legacy ``kernel.on_event`` observer signature."""
-        self._record(time, event, thread.name, thread.tid, thread.cpu)
 
     def __len__(self):
         return len(self.records)

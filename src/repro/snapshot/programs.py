@@ -316,8 +316,6 @@ class CheckProgram(ProgramRun):
         spec = self.spec
         self.middleware, self.events = build_middleware(
             spec["scenario"],
-            collect_kernel_events=spec.get("collect_kernel_events",
-                                           True),
             cost_model=spec.get("cost_model", "zero"),
             noise_seed=spec.get("noise_seed", 0),
         )

@@ -122,10 +122,11 @@ def _run_middleware(seed):
                         background_weight=0.0)
     middleware = RTSeed(topology=topology, seed=seed)
     trace = []
-    middleware.kernel.on_event = (
-        lambda name, thread, time: trace.append(
-            f"{time!r} {name} {thread.name}"
-        )
+    middleware.probes.subscribe(
+        lambda topic, time, data: trace.append(
+            f"{time!r} {topic} {data['thread']}"
+        ),
+        topics=("kernel.*",),
     )
     # two same-period tasks: their releases and OD timers always fire in
     # pairs at the same instant -> simultaneous-event FIFO order matters

@@ -162,14 +162,26 @@ def test_overrun_topics_fire():
         assert expected in topics, f"{expected} never published"
 
 
-def test_idle_bus_builds_no_payloads():
+def test_idle_bus_builds_no_payloads(monkeypatch):
     """With no subscribers, a middleware run publishes nothing at all
-    (the probe sites guard on ``active`` before building payloads)."""
+    (the probe sites guard on ``active`` before building payloads).
+    ``publish`` counts only events it fans out, so the calls are
+    counted here, where the payload has already been built."""
+    calls = []
+    publish = ProbeBus.publish
+
+    def counting_publish(bus, topic, **data):
+        calls.append(topic)
+        publish(bus, topic, **data)
+
+    monkeypatch.setattr(ProbeBus, "publish", counting_publish)
     middleware = RTSeed(cost_model="zero")
     task = WorkloadTask("tau1", 20 * MSEC, 40 * MSEC, 10 * MSEC,
                         200 * MSEC, n_parallel=2)
     middleware.add_task(task, n_jobs=1, optional_deadline=150 * MSEC)
     middleware.run()
+    assert middleware.kernel.engine.events_processed > 0
+    assert calls == []
     assert middleware.probes.published == 0
 
 

@@ -4,7 +4,10 @@ import json
 
 import pytest
 
+from repro.bench.overheads import OPTIONAL_DEADLINE, make_eval_task
 from repro.core.middleware import RTSeed
+from repro.faults.campaign import prepare_scenario
+from repro.faults.invariants import check_kernel_invariants
 from repro.obs.bus import PROBE_SITES, ProbeBus
 from repro.obs.flightrec import (
     AUTO_DUMP_TOPICS,
@@ -13,6 +16,9 @@ from repro.obs.flightrec import (
     FlightRecorder,
     kernel_state_summary,
 )
+from repro.simkernel.errors import InvariantViolationError
+from repro.simkernel.thread import SchedPolicy
+from repro.simkernel.time_units import MSEC, SEC
 
 pytestmark = pytest.mark.tier1
 
@@ -203,8 +209,6 @@ def test_attach_wires_kernel_and_detach_unwires():
 
 
 def test_kernel_state_summary_on_live_run():
-    from repro.bench.overheads import OPTIONAL_DEADLINE, make_eval_task
-
     middleware = RTSeed(seed=0)
     middleware.add_task(
         make_eval_task(2),
@@ -237,8 +241,6 @@ def test_kernel_state_summary_on_live_run():
 
 
 def test_seeded_runs_snapshot_identically():
-    from repro.bench.overheads import OPTIONAL_DEADLINE, make_eval_task
-
     def one_run():
         middleware = RTSeed(seed=0)
         middleware.add_task(
@@ -254,3 +256,103 @@ def test_seeded_runs_snapshot_identically():
         return recorder.snapshot("end_of_run")
 
     assert one_run() == one_run()
+
+
+def test_passive_recorder_alone_leaves_a_whole_run_unobserved():
+    """The always-on recorder costs nothing: with nothing else
+    subscribed, no probe site builds a payload during a full run."""
+    middleware = RTSeed(seed=0)
+    recorder = FlightRecorder.attach(middleware.kernel, seed=0)
+    middleware.add_task(
+        make_eval_task(8),
+        n_jobs=2,
+        cpu=0,
+        policy="one_by_one",
+        optional_deadline=OPTIONAL_DEADLINE,
+    )
+    middleware.run()
+    assert middleware.kernel.engine.events_processed > 0
+    assert not middleware.probes.active
+    assert middleware.probes.published == 0
+    assert recorder.recorded == 0
+
+
+def plant_violation(kernel):
+    """Half a second in, put the first running thread back into its
+    ready queue and check the invariants: they fail with RUNNING yet
+    still in a ready queue."""
+
+    def corrupt():
+        for cpu, thread in enumerate(kernel.current):
+            if thread is None:
+                continue
+            if thread.policy is SchedPolicy.FIFO:
+                kernel.runqueues[cpu].enqueue(thread, thread.priority)
+            else:
+                kernel.other_queues[cpu].append(thread)
+            check_kernel_invariants(kernel)
+            return
+        # every CPU idle at this instant: retry deterministically
+        kernel.engine.schedule_after(1 * MSEC, corrupt)
+
+    kernel.engine.schedule_after(0.5 * SEC, corrupt)
+
+
+def planted_run(flight_dir):
+    """A 2 s ``baseline`` campaign scenario with the violation planted
+    between build and spawn; returns the raised error."""
+    scenario = prepare_scenario("baseline", n_seconds=2, seed=0,
+                                flight_dir=str(flight_dir))
+    plant_violation(scenario.kernel)
+    scenario.system.start()
+    with pytest.raises(InvariantViolationError) as excinfo:
+        scenario.finish()
+    return excinfo.value
+
+
+def test_planted_violation_raises_with_flight_and_dumps(tmp_path):
+    error = planted_run(tmp_path)
+    assert error.flight is not None
+    assert error.flight["header"]["reason"] == "invariant_violation"
+    assert error.flight["events"], "the ring lost the run's last events"
+    names = sorted(path.name for path in tmp_path.iterdir())
+    assert names == ["flightrec-invariant_violation-seed0.jsonl"]
+    lines = (tmp_path / names[0]).read_text().splitlines()
+    assert json.loads(lines[0]) == json.loads(
+        json.dumps(error.flight["header"]))
+    assert [json.loads(line) for line in lines[2:]] == \
+        json.loads(json.dumps(error.flight["events"]))
+
+
+def test_planted_violation_dumps_are_byte_identical(tmp_path):
+    first, second = tmp_path / "first", tmp_path / "second"
+    planted_run(first)
+    planted_run(second)
+    names = sorted(path.name for path in first.iterdir())
+    assert names
+    assert names == sorted(path.name for path in second.iterdir())
+    for name in names:
+        assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+def test_ring_tail_equals_the_probe_stream_tail():
+    middleware = RTSeed(seed=0)
+    middleware.add_task(
+        make_eval_task(57),
+        n_jobs=6,
+        cpu=0,
+        policy="one_by_one",
+        optional_deadline=OPTIONAL_DEADLINE,
+    )
+    stream = []
+    middleware.probes.subscribe(
+        lambda topic, time, data: stream.append(
+            (topic, time, tuple(sorted(data.items())))
+        ),
+    )
+    recorder = FlightRecorder.attach(middleware.kernel, seed=0)
+    middleware.run()
+    tail = recorder.tail()
+    assert len(tail) == recorder.capacity
+    assert recorder.dropped > 0  # the ring wrapped: this is a true tail
+    assert tail == stream[-len(tail):]

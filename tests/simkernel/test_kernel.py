@@ -487,6 +487,25 @@ def test_cond_wait_requires_mutex_held():
         kernel.run_to_completion()
 
 
+class _SubclassedGetTime(GetTime):
+    pass
+
+
+@pytest.mark.parametrize("request_", ["bogus", _SubclassedGetTime()],
+                         ids=["not_a_syscall", "syscall_subclass"])
+def test_unsupported_request_rejected(request_):
+    """Dispatch is by exact syscall type: anything else is refused."""
+    kernel = make_kernel()
+
+    def body(thread):
+        yield request_
+
+    kernel.create_thread("t", body, cpu=0, priority=50)
+    with pytest.raises(SyscallError,
+                       match="'t' yielded unsupported request"):
+        kernel.run_to_completion()
+
+
 def test_cond_signal_wakes_one_waiter_fifo():
     kernel = make_kernel(3, 1)
     mutex, cond = Mutex(), CondVar()
@@ -850,7 +869,10 @@ def test_timer_handler_cost_delays_termination_observation():
 def test_on_event_trace_hook():
     kernel = make_kernel()
     events = []
-    kernel.on_event = lambda name, thread, time: events.append(name)
+    kernel.probes.subscribe(
+        lambda topic, time, data: events.append(topic[len("kernel."):]),
+        topics=("kernel.*",),
+    )
 
     def body(thread):
         yield Compute(1 * MSEC)

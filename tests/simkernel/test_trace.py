@@ -104,8 +104,7 @@ def test_gantt_invalid_range():
 
 def test_max_records_drops_oldest():
     kernel = Kernel(Topology(1, 1, share_fn=uniform_share))
-    tracer = Tracer(max_records=5)
-    kernel.on_event = tracer
+    tracer = Tracer.attach(kernel, max_records=5)
 
     def body(thread):
         for step in range(4):
@@ -138,11 +137,9 @@ def test_unbounded_tracer_never_drops():
 
 
 def test_attach_uses_bus_not_on_event():
-    """attach() subscribes to the probe bus, leaving ``on_event`` free —
-    the clobbering bug the fan-out bus exists to fix."""
+    """attach() activates the probe bus and detach() leaves it idle."""
     kernel = Kernel(Topology(1, 1, share_fn=uniform_share))
     tracer = Tracer.attach(kernel)
-    assert kernel.on_event is None
     assert kernel.probes.active
 
     def body(thread):
