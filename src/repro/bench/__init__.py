@@ -7,7 +7,7 @@
   paper's presentation.
 * :mod:`repro.bench.sweeps` — the Figures 10-13 grid (three loads x
   three policies x np in {4..228}) and the three ablations as farmable
-  point lists for ``repro scale --what sweep``.
+  point lists for ``repro scale``.
 * :mod:`repro.bench.claims` — the paper's shapes as checked claims on
   the merged sweep document (imported by the merge, not here).
 """

@@ -5,7 +5,7 @@ The Figures 10-13 configurations (policy x load x np) and the three
 ablation studies (schedulability, QoS-vs-policy,
 global-vs-partitioned) are all grids of independent measurements; this
 module flattens them into JSON item dicts so the scale layer
-(:func:`repro.scale.farm_scale_sweep`, ``repro scale --what sweep``)
+(:func:`repro.scale.farm_scale_sweep`, ``repro scale``)
 can shard them across farm workers, and :mod:`repro.bench.claims`
 checks the paper's shapes on the merged points.  Every payload is a
 pure function of its item — simulated outcomes only, no wall-clock —

@@ -3,8 +3,10 @@ aggregate verdicts.
 
 :func:`run_scenario` is the single entry point the CLI, the shrinker
 and the tests share: middleware run (with the kernel-trace, protocol
-and final-state oracles) plus — for fault-free scenarios — the theory
-simulator and the lockstep differential.
+and final-state oracles) plus — for fault-free scenarios whose
+optional CPUs are task-owned
+(:attr:`~repro.check.scenario.Scenario.task_owned_optional_cpus`) —
+the theory simulator and the lockstep differential.
 """
 
 from repro.check.differential import (
@@ -201,8 +203,10 @@ def judge_run(scenario, mw_events, kernel, crash, profile=None):
     Shared by :func:`run_scenario` (which just ran the middleware) and
     the snapshot time-travel replay (which restored a barrier snapshot
     and finished the run) — both judge the *full* recorded event
-    stream with the same oracles and, for fault-free scenarios, the
-    theory differential.
+    stream with the same oracles and, for fault-free scenarios that
+    meet its precondition
+    (:attr:`~repro.check.scenario.Scenario.task_owned_optional_cpus`),
+    the theory differential.
     """
     if isinstance(scenario, dict):
         scenario = Scenario.from_dict(scenario)
@@ -217,7 +221,8 @@ def judge_run(scenario, mw_events, kernel, crash, profile=None):
         report.violations.extend(check_protocol(mw_events, scenario))
         report.violations.extend(check_final_state(kernel))
 
-    if not scenario.has_faults and crash is None:
+    if (not scenario.has_faults and crash is None
+            and scenario.task_owned_optional_cpus):
         with profile.section("check.simulator"):
             sim_events, _result = run_simulator(scenario)
         with profile.section("check.compare"):
@@ -238,7 +243,7 @@ def judge_run(scenario, mw_events, kernel, crash, profile=None):
 
 def run_scenario(scenario, profile=None):
     """Full verdict for one scenario: oracles always, differential when
-    fault-free.
+    fault-free on task-owned optional CPUs.
 
     :param profile: optional
         :class:`~repro.obs.profile.WallClockProfile` — phases are timed
@@ -255,21 +260,34 @@ def run_scenario(scenario, profile=None):
 
 
 def run_fuzz_index(base_seed, index, fault_rate=0.0, shrink=True,
-                   profile=None):
+                   profile=None, tasks_per_core=None):
     """Run ``index`` of a check batch (:func:`repro.farm.farm_check`)
     and return its JSON-ready payload (what the farm ships home).
 
     The scenario seed comes from
     :func:`~repro.check.scenario.derive_run_seed`, so the payload is a
-    pure function of ``(base_seed, index, fault_rate, shrink)`` — any
-    partition of a batch's indices across workers reproduces the same
-    results exactly.
+    pure function of ``(base_seed, index, fault_rate, shrink,
+    tasks_per_core)`` — any partition of a batch's indices across
+    workers reproduces the same results exactly.
+
+    :param tasks_per_core: ``None`` draws a generated scenario
+        (:func:`~repro.check.scenario.generate_scenario`); an integer
+        draws one Xeon Phi core holding that many tasks
+        (:func:`~repro.check.scenario.generate_core_scenario`, no
+        fault plan).
     """
-    from repro.check.scenario import derive_run_seed, generate_scenario
+    from repro.check.scenario import (
+        derive_run_seed,
+        generate_core_scenario,
+        generate_scenario,
+    )
     from repro.check.shrink import make_artifact, shrink_report
 
     seed = derive_run_seed(base_seed, index)
-    scenario = generate_scenario(seed, fault_rate=fault_rate)
+    if tasks_per_core is None:
+        scenario = generate_scenario(seed, fault_rate=fault_rate)
+    else:
+        scenario = generate_core_scenario(seed, n_tasks=tasks_per_core)
     try:
         report = run_scenario(scenario, profile=profile)
     except Exception as error:  # checker bug — report, don't hide

@@ -51,6 +51,7 @@ import numpy as np
 
 from repro.core.task import Task
 from repro.faults.plan import FaultPlan, FaultSpec
+from repro.hardware.xeonphi import XEON_PHI_3120A
 from repro.model.generator import TaskSetGenerator
 from repro.model.optional_deadline import optional_deadlines_rmwp
 from repro.model.task_model import ParallelExtendedImpreciseTask
@@ -162,7 +163,8 @@ class Scenario:
     :param fault_plan: optional fault-plan dict
         (:meth:`repro.faults.plan.FaultPlan.to_dict` shape).  Faulted
         scenarios run oracle checks only — injected timing faults make
-        the theory simulator an invalid reference.
+        the theory simulator an invalid reference — and so do scenarios
+        without :attr:`task_owned_optional_cpus`.
     """
 
     __slots__ = ("seed", "n_cpus", "start_time", "tasks", "fault_plan")
@@ -187,6 +189,20 @@ class Scenario:
     @property
     def has_faults(self):
         return bool(self.fault_plan and self.fault_plan.get("specs"))
+
+    @property
+    def task_owned_optional_cpus(self):
+        """The theory differential's precondition (module docstring):
+        every optional CPU hosts parts of one task only and no task's
+        RT-band work."""
+        rt_cpus = {task.cpu for task in self.tasks}
+        owners = {}
+        for task in self.tasks:
+            for cpu in task.optional_cpus:
+                if (cpu in rt_cpus
+                        or owners.setdefault(cpu, task.name) != task.name):
+                    return False
+        return True
 
     def build_fault_plan(self):
         """The live :class:`~repro.faults.plan.FaultPlan` (or ``None``)."""
@@ -404,28 +420,28 @@ def _try_generate(rng, seed, fault_rate, fault_sites=FAULT_SITE_MENU):
     )
 
 
-def generate_core_scenario(seed, threads_per_core=4, n_tasks=8,
-                           utilization=0.5, horizon_periods=2):
-    """One *core* of a topology-scaled campaign (deterministic).
+def generate_core_scenario(seed,
+                           threads_per_core=XEON_PHI_3120A.threads_per_core,
+                           n_tasks=8, utilization=0.5, horizon_periods=2):
+    """One *core* of the paper's platform (deterministic).
 
-    Full-topology campaigns (:mod:`repro.scale`) exploit what
-    partitioned RMWP guarantees by construction: cores are independent
-    once the per-core partitions are schedulable, so a 57-core machine
-    is 57 of these scenarios with independent seeds.  The layout maps
-    one core's hardware threads the way the paper pins the middleware:
-    CPU 0 is the RT hardware thread (every mandatory/wind-up part),
-    CPUs ``1..threads_per_core-1`` are the NRT band where the optional
-    parts run (with ``threads_per_core == 1`` the optional parts share
-    CPU 0 — legal, the NRT band just sits under the RT priorities).
+    Core-shaped check batches (``repro check --tasks-per-core K``)
+    exploit what partitioned RMWP guarantees by construction: cores
+    are independent once the per-core partitions are schedulable, so
+    a 57-core machine is 57 of these scenarios with independent seeds.
+    The layout maps one core's hardware threads the way the paper pins
+    the middleware: CPU 0 is the RT hardware thread (every
+    mandatory/wind-up part), CPUs ``1..threads_per_core-1`` are the
+    NRT band where the optional parts run (with ``threads_per_core ==
+    1`` the optional parts share CPU 0 — legal, the NRT band just sits
+    under the RT priorities).
 
     Unlike :func:`generate_scenario` the optional CPUs are *shared
-    across tasks* (thousands of tasks cannot each own a hardware
-    thread), so these scenarios are **oracle-only**: the theory
-    differential's task-owned-CPU precondition does not hold, but the
-    kernel-trace/protocol/final-state oracles remain exact.  Optional
-    lengths are clamped to always overrun, which keeps per-job work —
-    and therefore campaign throughput numbers — independent of NRT
-    contention.
+    across tasks* once a core holds more tasks than NRT threads, and
+    then the scenario lacks :attr:`Scenario.task_owned_optional_cpus`
+    and runs oracle-only; the kernel-trace/protocol/final-state
+    oracles remain exact.  Optional lengths are clamped to always
+    overrun, which keeps per-job work independent of NRT contention.
 
     The draw is retried until the core's task group passes
     :meth:`RMWP.is_schedulable`; callers may assert admissibility but

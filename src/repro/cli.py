@@ -24,6 +24,9 @@ Commands
     theory simulator and the middleware simkernel, compared in
     lockstep and checked against trace oracles; failures are shrunk to
     replayable JSON repro artifacts (see docs/CHECKING.md).
+    ``--tasks-per-core K`` makes each run one core of the paper's
+    57-core x 4-HT Xeon Phi holding K tasks, so ``--runs 57`` is the
+    full platform.
 
 ``check``, ``faults`` and ``scale`` run their batches through the
 parallel scenario farm (docs/FARM.md): ``--workers`` (default 1,
@@ -39,13 +42,10 @@ refuse, including a program spec that cannot be built.
     Inspect farm checkpoints on disk without running anything.
 
 ``scale``
-    Full-topology scale campaigns (docs/FARM.md "Full-topology
-    sweeps"): fill a 57-core x 4-HT Xeon Phi (or any subset) with
-    thousands of RMWP-schedulable tasks, one farm shard per core, with
-    a jobs/minute throughput line.  ``--what sweep`` farms the Figures
-    10-13 grid and the three ablations and checks the paper's claims
-    on the merged points (EXPERIMENTS.md); it exits 1 when any claim
-    fails.
+    The checked sweep (docs/FARM.md "Full-topology sweeps"): farm the
+    Figures 10-13 grid and the three ablations and check the paper's
+    claims on the merged points (EXPERIMENTS.md); it exits 1 when any
+    claim fails.
 
 ``snapshot``
     Deterministic checkpoint/restore: dump an ``rtseed-snapshot/3`` of
@@ -57,6 +57,20 @@ refuse, including a program spec that cannot be built.
 
 import argparse
 import sys
+
+
+def _non_negative(value):
+    number = int(value)
+    if number < 0:
+        raise argparse.ArgumentTypeError(f"{number} is negative")
+    return number
+
+
+def _positive(value):
+    number = int(value)
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"{number} is below 1")
+    return number
 
 
 def _add_admit_parser(subparsers):
@@ -163,8 +177,8 @@ def _add_check_parser(subparsers):
     parser = subparsers.add_parser(
         "check", help="differential conformance fuzzing"
     )
-    parser.add_argument("--runs", type=int, default=100,
-                        help="number of generated scenarios")
+    parser.add_argument("--runs", type=_positive, default=100,
+                        help="number of scenarios (>= 1)")
     parser.add_argument("--seed", type=int, default=0,
                         help="batch seed; run k's scenario seed is "
                              "derived independently as "
@@ -173,10 +187,15 @@ def _add_check_parser(subparsers):
                         help="fraction of scenarios carrying a fault "
                              "plan (default 0; oracle checks only, no "
                              "differential)")
+    parser.add_argument("--tasks-per-core", type=_positive, default=None,
+                        metavar="K",
+                        help="run k is one core of the 57-core x 4-HT "
+                             "Xeon Phi holding K tasks (no fault plan); "
+                             "default: generated scenarios")
     parser.add_argument("--shrink", action=argparse.BooleanOptionalAction,
                         default=True,
                         help="delta-debug failing scenarios (default on)")
-    parser.add_argument("--max-failures", type=int, default=5,
+    parser.add_argument("--max-failures", type=_non_negative, default=5,
                         help="keep this many failing scenarios in the "
                              "report; every run still executes and "
                              "the failure list is truncated afterwards")
@@ -221,36 +240,14 @@ def _add_farm_parser(subparsers):
 def _add_scale_parser(subparsers):
     parser = subparsers.add_parser(
         "scale",
-        help="full-topology scale campaigns on the scenario farm",
+        help="the Figures 10-13 + ablation sweep, with the paper's "
+             "claims checked",
     )
-    parser.add_argument("--what", default="campaign",
-                        choices=["campaign", "sweep"],
-                        help="campaign: fill the topology with "
-                             "RMWP-schedulable tasks (one shard per "
-                             "core); sweep: farm the Figures 10-13 grid "
-                             "and the three ablations and check the "
-                             "paper's claims")
-    parser.add_argument("--cores", type=int, default=57,
-                        help="cores of the (subset) Xeon Phi topology")
-    parser.add_argument("--threads-per-core", type=int, default=4,
-                        help="hardware threads per core (1..4)")
-    parser.add_argument("--tasks", type=int, default=2000,
-                        help="total tasks across the topology "
-                             "(campaign)")
-    parser.add_argument("--utilization", type=float, default=0.5,
-                        help="per-core task-set utilization (campaign)")
-    parser.add_argument("--horizon-periods", type=int, default=2,
-                        help="horizon as a multiple of each core's "
-                             "longest period (campaign)")
     parser.add_argument("--seed", type=int, default=0,
-                        help="campaign seed; core k's scenario seed is "
-                             "derive_run_seed(seed, k)")
+                        help="sweep seed")
     parser.add_argument("--workers", type=int, default=1,
                         help="farm worker processes; the merged report "
                              "is byte-identical at any count")
-    parser.add_argument("--heartbeat", type=float, default=None,
-                        help="seconds of worker silence before the "
-                             "parent declares a hang")
     parser.add_argument("--flight-dir", default=None, metavar="DIR",
                         help="dump the farm flight ring here on "
                              "quarantine")
@@ -258,17 +255,10 @@ def _add_scale_parser(subparsers):
                         help="write the merged JSON report here "
                              "instead of stdout")
     parser.add_argument("--checkpoint", default=None, metavar="FILE",
-                        help="checkpoint completed shards here and "
+                        help="checkpoint completed points here and "
                              "resume from it on the next run; also "
                              "enables graceful SIGTERM/SIGINT drain "
                              "(exit code 3)")
-
-
-def _non_negative(value):
-    number = int(value)
-    if number < 0:
-        raise argparse.ArgumentTypeError(f"{number} is negative")
-    return number
 
 
 def _add_snapshot_parser(subparsers):
@@ -653,10 +643,15 @@ def cmd_check(args, out):
             return 1
         return 0
 
+    if args.tasks_per_core is not None and args.fault_rate > 0:
+        print("check: --fault-rate needs generated scenarios; core "
+              "scenarios (--tasks-per-core) draw no fault plan", file=out)
+        return 2
     document, farm_result = farm_check(
         args.runs,
         seed=args.seed,
         fault_rate=args.fault_rate,
+        tasks_per_core=args.tasks_per_core,
         shrink=args.shrink,
         max_failures=args.max_failures,
         workers=args.workers,
@@ -746,49 +741,22 @@ def cmd_farm(args, out):
 
 
 def cmd_scale(args, out):
-    from repro.farm import DEFAULT_HEARTBEAT
-    from repro.hardware.xeonphi import XEON_PHI_3120A
-    from repro.scale import farm_scale, farm_scale_sweep, \
-        render_scale_report
+    from repro.scale import farm_scale_sweep, render_scale_report
 
-    try:
-        spec = XEON_PHI_3120A.subset(args.cores, args.threads_per_core)
-    except ValueError as error:
-        print(f"scale: {error}", file=out)
-        return 2
-    batch = {
-        "workers": args.workers,
-        "heartbeat": (DEFAULT_HEARTBEAT if args.heartbeat is None
-                      else args.heartbeat),
-        "flight_dir": args.flight_dir,
-        "on_event": _FarmProgress(out) if args.out else None,
-        "checkpoint_path": args.checkpoint,
-        "handle_signals": bool(args.checkpoint),
-    }
-    if args.what == "sweep":
-        document, farm_result = farm_scale_sweep(seed=args.seed, **batch)
-        failed_claims = [claim for claim in document["claims"]
-                         if not claim["holds"]]
-        failed = bool(document["errors"] or failed_claims)
-    else:
-        document, farm_result = farm_scale(
-            n_cores=spec.n_cores,
-            threads_per_core=spec.threads_per_core,
-            n_tasks=args.tasks,
-            seed=args.seed,
-            utilization=args.utilization,
-            horizon_periods=args.horizon_periods,
-            **batch,
-        )
-        failed = bool(document["totals"]["violations"]
-                      or document["total_crashes"]
-                      or document["errors"])
+    document, farm_result = farm_scale_sweep(
+        seed=args.seed,
+        workers=args.workers,
+        flight_dir=args.flight_dir,
+        on_event=_FarmProgress(out) if args.out else None,
+        checkpoint_path=args.checkpoint,
+        handle_signals=bool(args.checkpoint),
+    )
+    claims = document["claims"]
+    failed_claims = [claim for claim in claims if not claim["holds"]]
     _write_report(args, out, render_scale_report(document),
                   "merged report")
     if args.out:
         _farm_status(farm_result, out)
-    if args.out and args.what == "sweep":
-        claims = document["claims"]
         print(f"scale: {len(claims) - len(failed_claims)}/{len(claims)} "
               f"claim(s) hold", file=out)
         for claim in failed_claims:
@@ -800,20 +768,9 @@ def cmd_scale(args, out):
                     detail += f", margin {claim['margin']}"
             print(f"scale: claim {claim['id']} FAILED ({detail})",
                   file=out)
-    if args.out and args.what == "campaign":
-        totals = document["totals"]
-        wall = farm_result.stats.get("wall_seconds") or 0
-        throughput = (f"{totals['jobs_done'] / wall * 60.0:,.0f} "
-                      f"jobs/minute" if wall else "n/a")
-        print(
-            f"scale: {spec.n_cores}c x {spec.threads_per_core}t, "
-            f"{totals['tasks']} task(s), {totals['jobs_done']} job(s) "
-            f"in {totals['events']} kernel events — {throughput}",
-            file=out,
-        )
     if farm_result.quarantined:
         return 2
-    return 1 if failed else 0
+    return 1 if document["errors"] or failed_claims else 0
 
 
 def cmd_snapshot(args, out):

@@ -1,5 +1,5 @@
 """Parallel scenario farm: seed-sharded multiprocessing for check
-batches, fault campaigns and scale campaigns.
+batches, fault campaigns and the checked sweep.
 
 The farm's contract is **worker-count invariance**: the same batch
 produces byte-identical merged reports at ``--workers 1``, ``2``, or

@@ -2,8 +2,8 @@
 
 Two workloads ride the farm (:func:`~repro.farm.core.farm_map`):
 
-* **check batches** — differential conformance runs
-  (:func:`farm_check`);
+* **check batches** — differential conformance runs over generated
+  scenarios or over Xeon Phi cores (:func:`farm_check`);
 * **fault campaigns** — the canned resilience scenario matrix
   (:func:`farm_campaign`).
 
@@ -38,7 +38,8 @@ def _check_item(item):
 
     return run_fuzz_index(item["base_seed"], item["index"],
                           fault_rate=item["fault_rate"],
-                          shrink=item["shrink"])
+                          shrink=item["shrink"],
+                          tasks_per_core=item.get("tasks_per_core"))
 
 
 def _campaign_item(name, n_seconds, seed, flight_dir):
@@ -116,7 +117,7 @@ def farm_check(n_runs, seed=0, fault_rate=0.0, shrink=True,
                max_failures=5, workers=1, heartbeat=DEFAULT_HEARTBEAT,
                max_retries=DEFAULT_RETRIES, flight_dir=None,
                on_event=None, context=None, checkpoint_path=None,
-               handle_signals=False):
+               handle_signals=False, tasks_per_core=None):
     """Run a check batch across ``workers`` processes.
 
     Returns ``(document, farm_result)`` — the deterministic report dict
@@ -130,15 +131,28 @@ def farm_check(n_runs, seed=0, fault_rate=0.0, shrink=True,
 
     ``checkpoint_path`` enables crash/interrupt resume: completed runs
     are appended to the file and skipped on the next invocation with
-    the same batch fingerprint (seed/runs/fault_rate/shrink).
+    the same batch fingerprint (seed/runs/fault_rate/shrink, and
+    tasks_per_core when set).
+
+    ``tasks_per_core`` makes run ``k`` one Xeon Phi core holding that
+    many tasks (:func:`~repro.check.scenario.generate_core_scenario`)
+    instead of a generated scenario; core scenarios draw no fault
+    plan, so it refuses a positive ``fault_rate``.  The items, the
+    checkpoint fingerprint and the document carry ``tasks_per_core``
+    only when it is set, so a generated batch keeps its bytes.
     """
+    if tasks_per_core is not None and fault_rate > 0:
+        raise ValueError("core scenarios draw no fault plan; "
+                         f"fault_rate must be 0, got {fault_rate}")
+    shape = {} if tasks_per_core is None else {
+        "tasks_per_core": tasks_per_core}
     items = [
         {"base_seed": seed, "index": index, "fault_rate": fault_rate,
-         "shrink": shrink}
+         "shrink": shrink, **shape}
         for index in range(n_runs)
     ]
     checkpoint_meta = {"what": "check", "base_seed": seed, "runs": n_runs,
-                       "fault_rate": fault_rate, "shrink": shrink}
+                       "fault_rate": fault_rate, "shrink": shrink, **shape}
     farm_result = farm_map(
         _check_item, items, n_workers=workers, heartbeat=heartbeat,
         max_retries=max_retries, context=context, flight_dir=flight_dir,
@@ -150,6 +164,7 @@ def farm_check(n_runs, seed=0, fault_rate=0.0, shrink=True,
     document = merge_check_results(
         farm_result, seed, n_runs, fault_rate, shrink, max_failures,
     )
+    document.update(shape)
     return document, farm_result
 
 

@@ -19,42 +19,6 @@ class MachineSpec:
     def n_cpus(self):
         return self.n_cores * self.threads_per_core
 
-    def subset(self, n_cores=None, threads_per_core=None):
-        """A reduced-topology view of this machine (same silicon).
-
-        Scale campaigns (:mod:`repro.scale`) size their workloads by
-        topology: a smoke run uses ``XEON_PHI_3120A.subset(2, 2)``, the
-        full campaign the spec itself.  Clock, cache and memory are
-        inherited — a subset is *fewer* cores/threads of the same part,
-        so asking for more than the machine has is an error, as is a
-        zero or negative width.
-        """
-        n_cores = self.n_cores if n_cores is None else int(n_cores)
-        threads_per_core = (self.threads_per_core
-                            if threads_per_core is None
-                            else int(threads_per_core))
-        if not 1 <= n_cores <= self.n_cores:
-            raise ValueError(
-                f"{self.name}: subset n_cores {n_cores} outside "
-                f"1..{self.n_cores}"
-            )
-        if not 1 <= threads_per_core <= self.threads_per_core:
-            raise ValueError(
-                f"{self.name}: subset threads_per_core "
-                f"{threads_per_core} outside 1..{self.threads_per_core}"
-            )
-        if (n_cores == self.n_cores
-                and threads_per_core == self.threads_per_core):
-            return self
-        return MachineSpec(
-            name=f"{self.name} [{n_cores}c x {threads_per_core}t]",
-            n_cores=n_cores,
-            threads_per_core=threads_per_core,
-            clock_ghz=self.clock_ghz,
-            l2_cache_bytes=self.l2_cache_bytes,
-            memory=self.memory,
-        )
-
     def __repr__(self):
         return (
             f"<MachineSpec {self.name}: {self.n_cores}c/"

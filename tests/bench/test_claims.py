@@ -276,8 +276,7 @@ def _run_sweep_cli(monkeypatch, tmp_path, planting):
     )
     path = tmp_path / "sweep.json"
     out = io.StringIO()
-    code = main(["scale", "--what", "sweep", "--workers", "1",
-                 "--out", str(path)], out=out)
+    code = main(["scale", "--workers", "1", "--out", str(path)], out=out)
     return code, out.getvalue(), json.loads(path.read_text())
 
 

@@ -1,0 +1,77 @@
+"""Core-shaped check runs: one Xeon Phi core per run.
+
+A core scenario (``generate_core_scenario``) shares its three NRT
+threads among all of its tasks once it holds more than three, so the
+theory differential's precondition
+(``Scenario.task_owned_optional_cpus``) fails and the run is judged by
+the oracles alone; with one to three tasks every task owns its NRT
+thread and the differential runs.  A failing core gets what any check
+failure gets: the shrinker, the artifact, ``--replay`` and
+``--from-snapshot``.
+"""
+
+import io
+import json
+
+import pytest
+
+from repro.check import replay_artifact, run_scenario
+from repro.check.scenario import generate_core_scenario
+from repro.check.timetravel import divergence_snapshot, replay_from_snapshot
+from repro.cli import main
+from repro.engine.classes import Fifo99Class
+from repro.farm import farm_check
+from repro.snapshot import write_snapshot
+
+pytestmark = pytest.mark.tier1
+
+
+@pytest.mark.parametrize("n_tasks", [4, 8, 36])
+def test_shared_cpu_core_runs_oracle_only(n_tasks):
+    scenario = generate_core_scenario(1, n_tasks=n_tasks)
+    assert not scenario.task_owned_optional_cpus
+    report = run_scenario(scenario)
+    assert report.ok, report.summary()
+    assert not report.differential_ran
+
+
+@pytest.mark.parametrize("n_tasks", [1, 2, 3])
+def test_core_with_a_thread_per_task_passes_the_differential(n_tasks):
+    for seed in range(3):
+        scenario = generate_core_scenario(seed, n_tasks=n_tasks)
+        assert scenario.n_cpus == 4
+        assert scenario.task_owned_optional_cpus
+        report = run_scenario(scenario)
+        assert report.differential_ran
+        assert report.ok, report.summary()
+
+
+def test_planted_bug_in_a_core_batch_shrinks_and_replays(monkeypatch,
+                                                         tmp_path):
+    # a higher-priority arrival never preempts the running thread
+    monkeypatch.setattr(Fifo99Class, "check_preempt",
+                        lambda self, runqueue, current: False)
+    document, result = farm_check(4, seed=0, tasks_per_core=8,
+                                  max_failures=1, workers=1)
+    assert result.ok
+    assert document["total_failures"] >= 1
+    artifact = document["failures"][0]
+    assert "priority_conformance" in artifact["failure_kinds"]
+    assert len(artifact["scenario"]["tasks"]) <= 3
+
+    kinds = set(artifact["failure_kinds"])
+    assert set(replay_artifact(artifact).failure_kinds()) & kinds
+    snapshot, _info = divergence_snapshot(artifact)
+    report, _payload = replay_from_snapshot(snapshot)
+    assert set(report.failure_kinds()) & kinds
+
+    path = tmp_path / "repro.json"
+    path.write_text(json.dumps(artifact))
+    snapshot_path = tmp_path / "repro-snapshot.json"
+    write_snapshot(str(snapshot_path), snapshot)
+    for argv in (["check", "--replay", str(path)],
+                 ["check", "--replay", str(path),
+                  "--from-snapshot", str(snapshot_path)]):
+        out = io.StringIO()
+        assert main(argv, out=out) == 0, out.getvalue()
+        assert "DID NOT REPRODUCE" not in out.getvalue()

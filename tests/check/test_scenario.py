@@ -124,3 +124,44 @@ class TestRoundTrip:
             _spec(optional_cpus=[1, 2], optionals=[5e6])
         with pytest.raises(ValueError, match="job"):
             _spec(n_jobs=0)
+
+
+def _owns_optional_cpus(scenario):
+    """The ownership rule of ``test_structure_invariants``, inline."""
+    rt_cpus = {task.cpu for task in scenario.tasks}
+    owners = {}
+    for task in scenario.tasks:
+        for cpu in task.optional_cpus:
+            if cpu in rt_cpus:
+                return False
+            if owners.setdefault(cpu, task.name) != task.name:
+                return False
+    return True
+
+
+class TestDifferentialPrecondition:
+    def test_agrees_with_the_inline_rule_on_generated_scenarios(self):
+        faulted = 0
+        for seed in range(60):
+            scenario = generate_scenario(seed, fault_rate=0.5)
+            faulted += scenario.has_faults
+            assert (scenario.task_owned_optional_cpus
+                    == _owns_optional_cpus(scenario))
+            assert scenario.task_owned_optional_cpus
+        assert faulted > 0
+
+    def test_hand_written_violations(self):
+        shared = Scenario(n_cpus=3, start_time=50e6, tasks=[
+            _spec("a", optional_cpus=[1]), _spec("b", optional_cpus=[1]),
+        ])
+        on_rt_band = Scenario(n_cpus=3, start_time=50e6, tasks=[
+            _spec("a", cpu=0, optional_cpus=[1]),
+            _spec("b", cpu=1, optional_cpus=[2]),
+        ])
+        siblings = Scenario(n_cpus=3, start_time=50e6, tasks=[
+            _spec("a", optional_cpus=[1, 1]), _spec("b", optional_cpus=[2]),
+        ])
+        for scenario, owned in ((shared, False), (on_rt_band, False),
+                                (siblings, True)):
+            assert scenario.task_owned_optional_cpus is owned
+            assert _owns_optional_cpus(scenario) is owned

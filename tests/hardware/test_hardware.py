@@ -31,40 +31,6 @@ def test_machine_spec_matches_paper():
     assert XEON_PHI_3120A.l2_cache_bytes == 512 * 1024
 
 
-def test_machine_spec_subset_single_core():
-    spec = XEON_PHI_3120A.subset(n_cores=1, threads_per_core=1)
-    assert spec.n_cores == 1
-    assert spec.threads_per_core == 1
-    assert spec.n_cpus == 1
-    # derived name marks the reduction; physical parameters carry over
-    assert spec.name.startswith(XEON_PHI_3120A.name)
-    assert spec.clock_ghz == XEON_PHI_3120A.clock_ghz
-    assert spec.l2_cache_bytes == XEON_PHI_3120A.l2_cache_bytes
-
-
-def test_machine_spec_subset_57x1_disables_smt():
-    spec = XEON_PHI_3120A.subset(threads_per_core=1)
-    assert spec.n_cores == 57
-    assert spec.threads_per_core == 1
-    assert spec.n_cpus == 57
-
-
-def test_machine_spec_subset_full_topology_is_identity():
-    assert XEON_PHI_3120A.subset(57, 4) is XEON_PHI_3120A
-    assert XEON_PHI_3120A.subset() is XEON_PHI_3120A
-
-
-def test_machine_spec_subset_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        XEON_PHI_3120A.subset(n_cores=0)
-    with pytest.raises(ValueError):
-        XEON_PHI_3120A.subset(n_cores=58)
-    with pytest.raises(ValueError):
-        XEON_PHI_3120A.subset(threads_per_core=0)
-    with pytest.raises(ValueError):
-        XEON_PHI_3120A.subset(threads_per_core=5)
-
-
 def test_isolcpus_range():
     """Boot parameter isolcpus=1-227."""
     isolated = isolcpus_range()

@@ -1,147 +1,108 @@
-"""Scale-campaign layer: sharding, merge determinism, checkpoints.
+"""Core-shaped check batches: the paper's platform as a check batch.
 
-Campaigns must honour the farm's worker-count-invariance contract at
-the document level: the rendered report is a pure function of
-``(topology, base_seed, n_tasks, ...)`` regardless of worker count or
-checkpoint/resume history.  Topologies here are tiny (a few cores) so
-the tier-1 suite stays fast; the full 57x4 envelope lives in the
-``slow``-tier stress test.
+``farm_check(n, tasks_per_core=K)`` makes run ``k`` one core of the
+57-core x 4-HT Xeon Phi holding ``K`` tasks, drawn by
+``generate_core_scenario(derive_run_seed(seed, k), n_tasks=K)``.  The
+rendered document must honour the farm's contract like any check
+batch: a pure function of ``(seed, runs, tasks_per_core, ...)``
+regardless of worker count or checkpoint/resume history.  Batches here
+are a few small cores so the tier-1 suite stays fast; the full 57-core
+batch lives in the ``slow``-tier stress test.
 """
 
 import pytest
 
-from repro.farm import CheckpointMismatchError
-from repro.scale import (
-    SCALE_SCHEMA,
-    campaign_items,
-    farm_scale,
-    merge_scale_results,
-    render_scale_report,
-    shard_task_counts,
+from repro.check.scenario import derive_run_seed
+from repro.farm import (
+    CheckpointMismatchError,
+    farm_check,
+    merge_check_results,
+    render_check_report,
 )
 from tests.engine.reference import model_core
 
 pytestmark = pytest.mark.tier1
 
-
-# ---------------------------------------------------------------------------
-# sharding
-# ---------------------------------------------------------------------------
-
-
-def test_shard_task_counts_even_split():
-    assert shard_task_counts(12, 4) == [3, 3, 3, 3]
-
-
-def test_shard_task_counts_front_loads_remainder():
-    assert shard_task_counts(10, 4) == [3, 3, 2, 2]
-    assert shard_task_counts(2000, 57)[:5] == [36, 36, 36, 36, 36]
-    assert sum(shard_task_counts(2000, 57)) == 2000
-
-
-def test_shard_task_counts_fewer_tasks_than_cores():
-    counts = shard_task_counts(3, 57)
-    assert counts[:3] == [1, 1, 1]
-    assert sum(counts) == 3
-    assert all(count == 0 for count in counts[3:])
-
-
-def test_shard_task_counts_rejects_invalid():
-    with pytest.raises(ValueError):
-        shard_task_counts(0, 4)
-    with pytest.raises(ValueError):
-        shard_task_counts(10, 0)
-
-
-def test_campaign_items_skip_empty_cores():
-    items = campaign_items(57, 4, 3, base_seed=5)
-    assert len(items) == 3
-    assert [item["index"] for item in items] == [0, 1, 2]
-    assert all(item["base_seed"] == 5 for item in items)
-    assert all(item["n_tasks"] == 1 for item in items)
-
-
-# ---------------------------------------------------------------------------
-# campaign runs (tiny topology)
-# ---------------------------------------------------------------------------
-
-SMALL = dict(n_cores=2, threads_per_core=2, n_tasks=8, seed=3)
+SMALL = dict(n_runs=2, tasks_per_core=4, seed=3)
 
 
 def test_campaign_document_shape_and_totals():
-    document, result = farm_scale(workers=1, **SMALL)
+    document, result = farm_check(workers=1, **SMALL)
     assert result.ok
-    assert document["schema"] == SCALE_SCHEMA
-    assert document["completed_shards"] == 2
-    assert document["totals"]["tasks"] == 8
-    assert document["totals"]["violations"] == 0
-    assert document["total_crashes"] == 0
+    assert document["schema"] == "rtseed-farm-check/1"
+    assert document["tasks_per_core"] == 4
+    assert document["completed_runs"] == 2
+    # four tasks on three NRT threads share an optional CPU, so the
+    # differential's precondition fails and every run is oracle-only
+    assert document["differential_runs"] == 0
+    assert document["total_failures"] == 0
     assert document["errors"] == []
     assert document["quarantined"] == []
-    # totals are exactly the sum of the per-shard summaries
-    for key in ("jobs", "jobs_done", "events"):
-        assert document["totals"][key] == sum(
-            shard[key] for shard in document["shards"])
-    assert document["totals"]["jobs_done"] > 0
-    # merged telemetry is present and self-consistent
-    report = document["run_report"]
-    assert report["shards"] == 2
-    assert report["engine"]["counters"]["events_processed"] == \
-        document["totals"]["events"]
+    generated, _ = farm_check(2, seed=3, workers=1)
+    assert "tasks_per_core" not in generated
 
 
 def test_campaign_worker_count_invariant():
-    serial, _ = farm_scale(workers=1, **SMALL)
-    parallel, _ = farm_scale(workers=2, **SMALL)
-    assert render_scale_report(serial) == render_scale_report(parallel)
+    serial, _ = farm_check(workers=1, **SMALL)
+    parallel, _ = farm_check(workers=2, **SMALL)
+    assert render_check_report(serial) == render_check_report(parallel)
 
 
 def test_campaign_engine_backends_agree_on_simulation():
     # one worker runs in-process, so the model core is what simulates
     with model_core():
-        model, model_result = farm_scale(workers=1, **SMALL)
-    core, _ = farm_scale(workers=1, **SMALL)
+        model, model_result = farm_check(workers=1, **SMALL)
+    core, _ = farm_check(workers=1, **SMALL)
     assert model_result.ok
-    assert "engine" not in core
-    assert render_scale_report(model) == render_scale_report(core)
+    assert model["completed_runs"] == 2
+    assert render_check_report(model) == render_check_report(core)
 
 
 def test_campaign_checkpoint_resume_byte_identical(tmp_path):
-    checkpoint = tmp_path / "scale.jsonl"
-    fresh, _ = farm_scale(workers=1, **SMALL)
-    first, _ = farm_scale(workers=1, checkpoint_path=str(checkpoint),
+    checkpoint = tmp_path / "cores.jsonl"
+    fresh, _ = farm_check(workers=1, **SMALL)
+    first, _ = farm_check(workers=1, checkpoint_path=str(checkpoint),
                           **SMALL)
     assert checkpoint.exists()
-    # resume with every shard already completed: no work re-runs, the
+    # resume with every run already completed: no work re-runs, the
     # document is still byte-identical
-    resumed, result = farm_scale(workers=1,
+    resumed, result = farm_check(workers=1,
                                  checkpoint_path=str(checkpoint),
                                  **SMALL)
     assert result.ok
-    assert render_scale_report(resumed) == render_scale_report(first) \
-        == render_scale_report(fresh)
+    assert render_check_report(resumed) == render_check_report(first) \
+        == render_check_report(fresh)
 
 
 def test_campaign_checkpoint_fingerprint_mismatch(tmp_path):
-    checkpoint = tmp_path / "scale.jsonl"
-    farm_scale(workers=1, checkpoint_path=str(checkpoint), **SMALL)
-    other = dict(SMALL, seed=SMALL["seed"] + 1)
+    checkpoint = tmp_path / "cores.jsonl"
+    farm_check(workers=1, checkpoint_path=str(checkpoint), **SMALL)
+    for other in (dict(SMALL, seed=SMALL["seed"] + 1),
+                  dict(SMALL, tasks_per_core=5),
+                  dict(n_runs=2, seed=SMALL["seed"])):
+        with pytest.raises(CheckpointMismatchError):
+            farm_check(workers=1, checkpoint_path=str(checkpoint),
+                       **other)
+    # and a generated batch's checkpoint is refused to a core batch
+    generated = tmp_path / "generated.jsonl"
+    farm_check(2, seed=3, workers=1, checkpoint_path=str(generated))
     with pytest.raises(CheckpointMismatchError):
-        farm_scale(workers=1, checkpoint_path=str(checkpoint), **other)
+        farm_check(workers=1, checkpoint_path=str(generated), **SMALL)
 
 
 def test_merge_reports_farm_errors_with_seeds():
-    document, result = farm_scale(workers=1, **SMALL)
+    _document, result = farm_check(workers=1, **SMALL)
     # forge a farm_error payload for core 1 and re-merge
-    index = document["shards"][1]["index"]
-    result.results[index] = {"farm_error": "worker exploded"}
-    params = {key: document[key] for key in (
-        "base_seed", "n_cores", "threads_per_core", "n_cpus",
-        "requested_tasks", "utilization", "horizon_periods")}
-    merged = merge_scale_results(result, params)
-    assert merged["completed_shards"] == 1
-    assert len(merged["errors"]) == 1
-    error = merged["errors"][0]
-    assert error["index"] == index
-    assert error["error"] == "worker exploded"
-    assert error["seed"] == document["shards"][1]["seed"]
+    result.results[1] = {"farm_error": "worker exploded"}
+    merged = merge_check_results(result, SMALL["seed"], 2, 0.0, True, 5)
+    assert merged["completed_runs"] == 1
+    assert merged["errors"] == [{
+        "index": 1,
+        "seed": derive_run_seed(SMALL["seed"], 1),
+        "error": "worker exploded",
+    }]
+
+
+def test_core_batch_refuses_a_fault_rate():
+    with pytest.raises(ValueError, match="no fault plan"):
+        farm_check(workers=1, fault_rate=0.5, **SMALL)

@@ -1,11 +1,12 @@
 """Topology-scaled scenario generation (`generate_core_scenario`).
 
-The scale campaign's correctness rests on the generator's promise:
-every per-core task group it returns is RMWP-admissible on the
-requested topology, with the paper's CPU layout (RT parts on hardware
-thread 0, optional parts on the NRT band) and always-overrun optional
-lengths.  These tests pin that promise across topologies so the
-campaign layer never has to re-check it.
+Core-shaped check batches (``repro check --tasks-per-core K``) rest on
+the generator's promise: every per-core task group it returns is
+RMWP-admissible on the requested topology, with the paper's CPU layout
+(RT parts on hardware thread 0, optional parts on the NRT band) and
+always-overrun optional lengths.  These tests pin that promise across
+topologies, the 1- and 2-thread ones included, so the check runner
+never has to re-check it.
 """
 
 import pytest

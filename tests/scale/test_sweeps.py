@@ -3,7 +3,7 @@
 The sweep grid must stay a flat list of self-describing item dicts
 (pure JSON, picklable across farm workers) whose payloads are pure
 functions of their items — that, plus the index-ordered merge, is what
-makes ``repro scale --what sweep`` worker-count-invariant.
+makes ``repro scale`` worker-count-invariant.
 """
 
 import json

@@ -16,6 +16,18 @@ def run_cli(argv):
     return code, out.getvalue()
 
 
+@pytest.fixture
+def fast_sweep(monkeypatch):
+    """``repro scale``'s points answered instantly by the synthetic
+    payloads of tests/bench/test_claims.py, on which every claim
+    holds (forked farm workers inherit the patch)."""
+    import repro.bench.sweeps
+    from tests.bench.test_claims import synthetic_result
+
+    monkeypatch.setattr(repro.bench.sweeps, "run_sweep_item",
+                        synthetic_result)
+
+
 def test_parser_requires_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
@@ -217,9 +229,9 @@ def test_faults_flight_dir_same_at_any_worker_count(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("argv", [
     ["faults", "--scenario", "baseline,cpu_stall", "--seconds", "2"],
-    ["scale", "--cores", "2", "--threads-per-core", "2", "--tasks", "8"],
+    ["scale"],
 ], ids=["faults", "scale"])
-def test_batch_stdout_is_the_json_document(argv):
+def test_batch_stdout_is_the_json_document(argv, fast_sweep):
     """Regression: without ``--out``, farm progress and status lines
     were printed into the same stream as the document."""
     code, output = run_cli(argv + ["--workers", "2"])
@@ -230,9 +242,9 @@ def test_batch_stdout_is_the_json_document(argv):
 @pytest.mark.parametrize("argv", [
     ["check", "--runs", "2"],
     ["faults", "--scenario", "baseline", "--seconds", "2"],
-    ["scale", "--cores", "2", "--threads-per-core", "2", "--tasks", "8"],
+    ["scale"],
 ], ids=["check", "faults", "scale"])
-def test_refused_checkpoint_exits_2(tmp_path, argv):
+def test_refused_checkpoint_exits_2(tmp_path, argv, fast_sweep):
     """Regression: resuming another batch's checkpoint (here seed 0's,
     as seed 1) raised a traceback — exit 1, the "scenarios failed"
     code — instead of printing a one-line refusal."""
@@ -322,10 +334,9 @@ def test_farm_status_empty_dir(tmp_path):
 
 
 def test_farm_status_lists_checkpoints(tmp_path):
-    checkpoint = tmp_path / "scale.jsonl"
+    checkpoint = tmp_path / "cores.jsonl"
     code, _ = run_cli([
-        "scale", "--cores", "2", "--threads-per-core", "2",
-        "--tasks", "8", "--workers", "1",
+        "check", "--runs", "2", "--tasks-per-core", "4", "--workers", "1",
         "--checkpoint", str(checkpoint),
         "--out", str(tmp_path / "report.json"),
     ])
@@ -335,7 +346,8 @@ def test_farm_status_lists_checkpoints(tmp_path):
         "farm", "status", "--checkpoint-dir", str(tmp_path),
     ])
     assert code == 0
-    assert "scale" in output
+    assert "check" in output
+    assert "tasks_per_core=4" in output
     assert "2 item(s) completed" in output
 
     # pointing at the file directly works too
@@ -345,24 +357,49 @@ def test_farm_status_lists_checkpoints(tmp_path):
     assert "2 item(s) completed" in output
 
 
-def test_scale_command_workers_invariant(tmp_path):
+def test_scale_command_workers_invariant(tmp_path, fast_sweep):
     serial = tmp_path / "serial.json"
     parallel = tmp_path / "parallel.json"
-    code, output = run_cli([
-        "scale", "--cores", "2", "--threads-per-core", "2",
-        "--tasks", "8", "--workers", "1", "--out", str(serial),
-    ])
+    code, output = run_cli(["scale", "--workers", "1", "--out", str(serial)])
     assert code == 0
-    assert "jobs/minute" in output
-    code, _ = run_cli([
-        "scale", "--cores", "2", "--threads-per-core", "2",
-        "--tasks", "8", "--workers", "2", "--out", str(parallel),
-    ])
+    assert "claim(s) hold" in output
+    code, _ = run_cli(["scale", "--workers", "2", "--out", str(parallel)])
     assert code == 0
     assert serial.read_bytes() == parallel.read_bytes()
 
 
-def test_scale_command_rejects_oversized_topology():
-    code, output = run_cli(["scale", "--cores", "99"])
+def test_core_batch_is_a_check_batch(tmp_path):
+    report = tmp_path / "cores.json"
+    code, output = run_cli(["check", "--runs", "2", "--tasks-per-core",
+                            "4", "--out", str(report)])
+    assert code == 0
+    assert output.endswith("2 runs from seed 0: 0 differential, "
+                           "0 failure(s)\n")
+    document = json.loads(report.read_text())
+    assert document["tasks_per_core"] == 4
+    assert document["completed_runs"] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["--runs", "-4"],
+    ["--runs", "0"],
+    ["--max-failures", "-1"],
+    ["--tasks-per-core", "0"],
+], ids=["negative_runs", "zero_runs", "negative_max_failures",
+        "zero_tasks_per_core"])
+def test_check_refuses_out_of_range_counts(argv, capsys):
+    """Regression: ``--runs -4`` ran nothing and exited 0, and
+    ``--max-failures -1`` kept ``failures[:-1]``, so a batch with one
+    failing run printed no FAIL line and wrote no artifact."""
+    with pytest.raises(SystemExit) as exit_info:
+        build_parser().parse_args(["check", *argv])
+    assert exit_info.value.code == 2
+    assert f"argument {argv[0]}" in capsys.readouterr().err
+
+
+def test_core_batch_refuses_a_fault_rate():
+    code, output = run_cli(["check", "--runs", "2", "--tasks-per-core",
+                            "4", "--fault-rate", "0.5"])
     assert code == 2
-    assert "subset" in output
+    assert output.count("\n") == 1
+    assert "draw no fault plan" in output
