@@ -305,6 +305,8 @@ def run_fuzz_index(base_seed, index, fault_rate=0.0, shrink=True,
         if shrink:
             with (profile or NullProfile()).section("check.shrink"):
                 scenario, shrink_runs = shrink_report(report)
-        payload["artifact"] = make_artifact(scenario, report,
+                if scenario is not report.scenario:
+                    report = run_scenario(scenario)
+        payload["artifact"] = make_artifact(report,
                                             shrink_runs=shrink_runs)
     return payload

@@ -155,8 +155,11 @@ def shrink_report(report, max_runs=400):
 # ---------------------------------------------------------------------
 
 
-def make_artifact(scenario, report, shrink_runs=0):
-    """Self-contained JSON-able repro of one failure."""
+def make_artifact(report, shrink_runs=0):
+    """Self-contained JSON-able repro of one failure: ``report``'s own
+    scenario with that run's verdict, so the artifact replays to the
+    summary it carries."""
+    scenario = report.scenario
     return {
         "schema": ARTIFACT_SCHEMA,
         "scenario_schema": SCHEMA,

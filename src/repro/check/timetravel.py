@@ -3,7 +3,7 @@
 A failing check artifact (``repro-check-repro/1``) replays from t=0;
 for long scenarios the interesting part is the tail.  This module maps
 the artifact's failure back onto an **engine event barrier** just
-before the divergence and captures an ``rtseed-snapshot/3`` there, so
+before the divergence and captures an ``rtseed-snapshot/4`` there, so
 ``repro check --replay ART --from-snapshot SNAP`` restores the run at
 the barrier (attested, see :mod:`repro.snapshot`), re-executes only
 the remainder, and re-judges the failure.
@@ -95,7 +95,7 @@ def divergence_snapshot(artifact):
     to the barrier and captured (see module docstring for the barrier
     rules).
 
-    :returns: ``(document, info)`` — the ``rtseed-snapshot/3`` and a
+    :returns: ``(document, info)`` — the ``rtseed-snapshot/4`` and a
         summary dict (``barrier``, ``barrier_source``, ``probe_index``,
         ``total_events``).
     """

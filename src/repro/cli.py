@@ -48,7 +48,7 @@ refuse, including a program spec that cannot be built.
     claim fails.
 
 ``snapshot``
-    Deterministic checkpoint/restore: dump an ``rtseed-snapshot/3`` of
+    Deterministic checkpoint/restore: dump an ``rtseed-snapshot/4`` of
     a program at an event barrier, inspect a snapshot, or resume one to
     the end — the resumed payload is byte-identical to ``repro run
     --emit payload`` with the same program arguments (see
@@ -161,7 +161,7 @@ def _add_faults_parser(subparsers):
                              "(invariant violation, degraded-mode "
                              "entry, watchdog fire), and the farm's "
                              "ring into DIR on quarantine")
-    parser.add_argument("--workers", type=int, default=1,
+    parser.add_argument("--workers", type=_positive, default=1,
                         help="farm worker processes (1 runs "
                              "in-process); the report bytes are "
                              "identical at any worker count "
@@ -214,7 +214,7 @@ def _add_check_parser(subparsers):
                         help="checkpoint completed runs here and "
                              "resume from it on the next run; also "
                              "enables graceful SIGTERM/SIGINT drain")
-    parser.add_argument("--workers", type=int, default=1,
+    parser.add_argument("--workers", type=_positive, default=1,
                         help="farm worker processes (1 runs "
                              "in-process); the merged report is "
                              "byte-identical at any worker count "
@@ -245,7 +245,7 @@ def _add_scale_parser(subparsers):
     )
     parser.add_argument("--seed", type=int, default=0,
                         help="sweep seed")
-    parser.add_argument("--workers", type=int, default=1,
+    parser.add_argument("--workers", type=_positive, default=1,
                         help="farm worker processes; the merged report "
                              "is byte-identical at any count")
     parser.add_argument("--flight-dir", default=None, metavar="DIR",

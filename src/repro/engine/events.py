@@ -34,10 +34,10 @@ cheap at scale:
   change) cannot leak heap memory.
 
 :meth:`Engine.run` is a single inlined loop — one heap-top inspection
-per event, locals bound outside the loop — and the probe emit decision
-is hoisted out of the loop into a pre-bound stub sampled once at entry
-(subscribe to the bus *before* running; the kernel's own ``kernel.*``
-sites are unaffected, they guard per call).
+per event, locals bound outside the loop.  Executing an event
+publishes nothing: the probe bus sees the engine only at heap
+compaction (``engine.compact``), and an event's effects are observed
+through the probes its callback fires.
 
 The engine's executable model — one ``Event`` object per schedule, a
 defensive clock check on ``step`` — is ``ReferenceEngine`` in
@@ -87,8 +87,7 @@ class Engine:
         self._compactions = 0
         self._swept_total = 0
         #: optional :class:`repro.obs.bus.ProbeBus` (duck-typed — the
-        #: engine stays import-free).  :meth:`run` samples
-        #: ``probes.active`` once at entry; :meth:`step` per event.
+        #: engine stays import-free); only :meth:`_compact` publishes.
         self.probes = None
 
     @property
@@ -261,10 +260,6 @@ class Engine:
             self._pending -= 1
             self.now = record[0]
             self._events_processed += 1
-            probes = self.probes
-            if probes is not None and probes.active:
-                probes.publish("engine.event_pop", priority=record[1],
-                               seq=record[2])
             record[3]()
             return True
         return False
@@ -276,18 +271,12 @@ class Engine:
             is advanced to ``until`` if the queue outlives it).
         :param max_events: safety valve against runaway simulations.
         :returns: number of events executed by this call.
-
-        ``probes.active`` is sampled once at entry: subscribe to the bus
-        before running (the documented bus contract).
         """
         executed = 0
         heap = self._heap
         heappop = _heappop
-        probes = self.probes
-        emit = probes.publish \
-            if probes is not None and probes.active else None
-        if until is None and max_events is None and emit is None:
-            # run-to-completion with an idle bus: the tightest loop
+        if until is None and max_events is None:
+            # run to completion: the tightest loop
             while heap:
                 record = heap[0]
                 if record[4] == _CANCELLED:
@@ -320,9 +309,6 @@ class Engine:
             self.now = time
             self._events_processed += 1
             executed += 1
-            if emit is not None:
-                emit("engine.event_pop", priority=record[1],
-                     seq=record[2])
             record[3]()
         if until is not None and until > self.now:
             self.now = float(until)

@@ -185,10 +185,10 @@ def farm_map(task, items, n_workers=1, heartbeat=DEFAULT_HEARTBEAT,
         ``{"farm_error": ...}`` payloads.
     :param items: finite iterable of picklable work items; item index
         in this sequence is the determinism key.
-    :param n_workers: worker processes.  ``1`` executes in-process
-        (identical merge path, no multiprocessing machinery) — the
-        reference the invariance tests compare multi-worker runs
-        against.
+    :param n_workers: worker processes, at least 1 (``ValueError``
+        below).  ``1`` executes in-process (identical merge path, no
+        multiprocessing machinery) — the reference the invariance
+        tests compare multi-worker runs against.
     :param heartbeat: seconds of per-worker silence before the parent
         terminates it as hung.
     :param max_retries: fresh-process re-executions of a failed shard's
@@ -215,6 +215,8 @@ def farm_map(task, items, n_workers=1, heartbeat=DEFAULT_HEARTBEAT,
         and raises :class:`FarmInterrupted` with the partial result.
     :returns: :class:`FarmResult`.
     """
+    if n_workers < 1:
+        raise ValueError(f"n_workers must be >= 1, got {n_workers}")
     items = list(items)
     result = FarmResult(len(items))
     clock = _SeqClock()
@@ -266,7 +268,6 @@ def farm_map(task, items, n_workers=1, heartbeat=DEFAULT_HEARTBEAT,
         raise FarmInterrupted(stop["signum"], result,
                               checkpoint_path=checkpoint_path)
 
-    n_workers = max(1, n_workers)
     shards = partition_shards(len(items), n_workers)
     pending_shards = [
         [index for index in shard if index not in result.results]

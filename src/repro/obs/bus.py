@@ -33,8 +33,6 @@ topic published by the instrumented tree.
 #: code without failing.
 PROBE_SITES = {
     # -- repro.engine.events -------------------------------------------
-    "engine.event_pop": (
-        "engine/events.py", "one DES event executed; fields: priority, seq"),
     "engine.compact": (
         "engine/events.py",
         "lazy-cancel heap compaction; fields: swept, survivors"),

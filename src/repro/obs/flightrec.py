@@ -13,9 +13,8 @@ The recorder is *always-on by design*: it subscribes to the
 it never flips ``bus.active`` — probe sites keep skipping payload
 construction entirely until a real observer (tracer, metrics, campaign
 counter, check runner) activates the bus, at which point the recorder
-rides along on the events those observers cause to be published.  This
-is the same hoisting discipline ``Engine.run`` applies: an idle bus
-costs nothing.
+rides along on the events those observers cause to be published: an
+idle bus costs nothing.
 
 Failure edges that dump automatically:
 

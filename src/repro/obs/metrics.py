@@ -233,24 +233,21 @@ class SchedulerMetrics:
         snap["histograms"]["rtseed.response_time[tau1]"]["p99"]
 
     :param registry: a :class:`MetricsRegistry`; created if omitted.
-    :param include_engine: also count raw DES event pops and heap
-        compactions (noisy; off by default).
     """
 
     #: Topics this subscriber consumes.
     TOPICS = ("kernel.*", "rtseed.*", "termination.*", "trading.*",
               "engine.*")
 
-    def __init__(self, registry=None, include_engine=False):
+    def __init__(self, registry=None):
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.include_engine = include_engine
         self._ready_since = {}
         self._bus = None
 
     @classmethod
-    def attach(cls, kernel, registry=None, include_engine=False):
+    def attach(cls, kernel, registry=None):
         """Create a collector and subscribe it to ``kernel.probes``."""
-        metrics = cls(registry=registry, include_engine=include_engine)
+        metrics = cls(registry=registry)
         if metrics.registry.clock is None:
             metrics.registry.clock = kernel.engine
         metrics._bus = kernel.probes
@@ -342,10 +339,6 @@ class SchedulerMetrics:
             time - data["release"]
         )
 
-    def _on_engine_pop(self, _time, _data):
-        if self.include_engine:
-            self.registry.counter("engine.events").inc()
-
     def _on_engine_compact(self, _time, data):
         registry = self.registry
         registry.counter("engine.compactions").inc()
@@ -363,7 +356,6 @@ class SchedulerMetrics:
         "rtseed.discard": _on_discard,
         "termination.terminated": _on_terminated,
         "trading.order": _on_trading_order,
-        "engine.event_pop": _on_engine_pop,
         "engine.compact": _on_engine_compact,
     }
 

@@ -1,4 +1,4 @@
-"""The ``rtseed-snapshot/3`` document: build, write, load, verify.
+"""The ``rtseed-snapshot/4`` document: build, write, load, verify.
 
 A snapshot is one JSON document with five parts:
 
@@ -34,13 +34,15 @@ import os
 from repro.snapshot.state import capture_state, state_digest
 
 #: Snapshot document schema tag.
-SNAPSHOT_SCHEMA = "rtseed-snapshot/3"
+SNAPSHOT_SCHEMA = "rtseed-snapshot/4"
 
 #: Older schemas, refused with a take-it-again hint (docs/SNAPSHOTS.md,
-#: "Schema 2" and "Schema 3").
+#: "Schema 2" to "Schema 4").
 _OLD_SCHEMAS = {
     "rtseed-snapshot/1": "this document came from the two-engine build",
     "rtseed-snapshot/2": "this document's program spec is not attested",
+    "rtseed-snapshot/3": "this document's flight ring holds the retired "
+                         "per-event engine probe",
 }
 
 

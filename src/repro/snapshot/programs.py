@@ -49,9 +49,13 @@ from repro.snapshot.state import (
 )
 
 
+#: Events per hashed batch of :class:`_StreamHash`.  Part of the digest's
+#: definition, so a constant and not an option.
+STREAM_HASH_BATCH = 1024
+
 #: ``json.dumps(obj, sort_keys=True, default=str)`` without building a
-#: new encoder per call: the same bytes, once per probe event.
-_encode_event = json.JSONEncoder(sort_keys=True, default=str).encode
+#: new encoder per call: the same bytes, once per batch.
+_encode_rows = json.JSONEncoder(sort_keys=True, default=str).encode
 
 
 class _StreamHash:
@@ -61,20 +65,39 @@ class _StreamHash:
     a *checkable* payload property: the uninterrupted run and the
     resumed run both carry the hash of every ``(topic, time, payload)``
     triple they published.
+
+    An event's canonical row is ``[topic, time, data]``.  Rows are
+    buffered and JSON-encoded (sorted keys, ``default=str``) one batch
+    of :data:`STREAM_HASH_BATCH` at a time, and each batch's bytes
+    extend the hash.  :meth:`hexdigest` folds the partial batch into a
+    copy, so the digest depends on the event sequence alone, not on
+    when it is read.  Buffered payloads are held by reference: a
+    publisher must not mutate a payload after publishing it.
     """
 
     def __init__(self):
         self._hash = hashlib.sha256()
-        self.events = 0
+        self._rows = []
+        self._batches = 0
 
     def __call__(self, topic, time, data):
-        self.events += 1
-        self._hash.update(
-            _encode_event([topic, time, sorted(data.items())]).encode()
-        )
+        rows = self._rows
+        rows.append((topic, time, data))
+        if len(rows) == STREAM_HASH_BATCH:
+            self._hash.update(_encode_rows(rows).encode())
+            rows.clear()
+            self._batches += 1
+
+    @property
+    def events(self):
+        """Events hashed so far."""
+        return self._batches * STREAM_HASH_BATCH + len(self._rows)
 
     def hexdigest(self):
-        return self._hash.hexdigest()
+        digest = self._hash.copy()
+        if self._rows:
+            digest.update(_encode_rows(self._rows).encode())
+        return digest.hexdigest()
 
 
 class ProgramRun:
@@ -108,13 +131,16 @@ class ProgramRun:
 
     def attach_attested(self):
         """The identical observer set on every execution of this
-        program — uninterrupted, checkpointed, or resumed."""
+        program — uninterrupted, checkpointed, or resumed.  A program
+        whose build already wired a flight recorder keeps that ring."""
         from repro.obs import FlightRecorder, SchedulerMetrics
 
         self.stream = _StreamHash()
         self.kernel.probes.subscribe(self.stream)
         self.metrics = SchedulerMetrics.attach(self.kernel)
-        self.recorder = FlightRecorder.attach(self.kernel, seed=self.seed)
+        if self.recorder is None:
+            self.recorder = FlightRecorder.attach(self.kernel,
+                                                  seed=self.seed)
 
     def run_to_events(self, barrier):
         """Drive the engine to exactly ``barrier`` processed events."""
@@ -320,6 +346,8 @@ class CheckProgram(ProgramRun):
             noise_seed=spec.get("noise_seed", 0),
         )
         self.kernel = self.middleware.kernel
+        # ride the ring the check stack wires, as the faults program does
+        self.recorder = self.kernel.probes.flight
         return self
 
     def spawn(self):

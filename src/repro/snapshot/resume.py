@@ -27,7 +27,7 @@ def snapshot(run, at_events=None):
     :param at_events: optional barrier — the engine is driven to
         exactly this many processed events first (error if the run
         drains earlier); ``None`` captures wherever the run is now.
-    :returns: the ``rtseed-snapshot/3`` document.
+    :returns: the ``rtseed-snapshot/4`` document.
     """
     if run.stream is None:
         raise SnapshotError("program not started: call run.start()")

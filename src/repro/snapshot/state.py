@@ -1,4 +1,4 @@
-"""Complete simulation-state capture for ``rtseed-snapshot/3``.
+"""Complete simulation-state capture for ``rtseed-snapshot/4``.
 
 :func:`capture_state` walks a live :class:`~repro.simkernel.kernel.
 Kernel` and produces one JSON-ready dict covering every piece of state

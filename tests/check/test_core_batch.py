@@ -75,3 +75,22 @@ def test_planted_bug_in_a_core_batch_shrinks_and_replays(monkeypatch,
         out = io.StringIO()
         assert main(argv, out=out) == 0, out.getvalue()
         assert "DID NOT REPRODUCE" not in out.getvalue()
+
+
+def test_artifact_describes_its_shrunk_scenario(monkeypatch):
+    """Regression: the artifact paired the shrunk scenario with the
+    unshrunk run's report, so ``repro check`` printed a FAIL line (16
+    violations on cpu0) that ``--replay`` did not give (1 violation on
+    cpu2)."""
+    monkeypatch.setattr(Fifo99Class, "check_preempt",
+                        lambda self, runqueue, current: False)
+    document, result = farm_check(4, seed=0, tasks_per_core=8,
+                                  max_failures=1, workers=1)
+    assert result.ok
+    artifact = document["failures"][0]
+    assert artifact["shrink_runs"] > 0
+    replayed = replay_artifact(artifact)
+    assert replayed.summary() == artifact["summary"]
+    assert replayed.failure_kinds() == artifact["failure_kinds"]
+    assert replayed.to_dict() == artifact["report"]
+    assert artifact["report"]["flight"]["events"]

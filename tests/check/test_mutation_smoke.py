@@ -147,10 +147,11 @@ def test_planted_bug_is_caught_and_shrunk(name, monkeypatch):
     assert sum(task.n_jobs for task in small.tasks) <= 16
 
     # the artifact replays deterministically while the bug is planted
-    artifact = make_artifact(small, report, shrink_runs=runs)
+    artifact = make_artifact(run_scenario(small), shrink_runs=runs)
     first = replay_artifact(artifact)
     second = replay_artifact(artifact)
     assert set(first.failure_kinds()) & set(artifact["failure_kinds"])
+    assert first.summary() == artifact["summary"]
     assert first.to_dict() == second.to_dict()
 
 

@@ -102,7 +102,7 @@ class TestArtifacts:
         scenario = generate_scenario(2)
         report = CheckReport(scenario)
         report.crash = "synthetic"
-        artifact = make_artifact(scenario, report, shrink_runs=7)
+        artifact = make_artifact(report, shrink_runs=7)
         path = tmp_path / "repro.json"
         save_artifact(path, artifact)
         loaded = load_artifact(path)
@@ -116,7 +116,7 @@ class TestArtifacts:
 
     def test_unknown_artifact_schema_rejected(self, tmp_path):
         scenario = generate_scenario(2)
-        artifact = make_artifact(scenario, CheckReport(scenario))
+        artifact = make_artifact(CheckReport(scenario))
         artifact["schema"] = "bogus/9"
         path = tmp_path / "repro.json"
         save_artifact(path, artifact)

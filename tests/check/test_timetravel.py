@@ -33,7 +33,7 @@ def _artifact(seed=2, divergences=None):
     report = CheckReport(scenario)
     if divergences:
         report.divergences.extend(divergences)
-    return make_artifact(scenario, report)
+    return make_artifact(report)
 
 
 class TestSpecMapping:

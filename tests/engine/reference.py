@@ -93,8 +93,7 @@ class ReferenceEngine:
         self._compactions = 0
         self._swept_total = 0
         #: optional :class:`repro.obs.bus.ProbeBus` (duck-typed — the
-        #: engine stays import-free).  Sites guard on ``probes.active``
-        #: so an unobserved engine pays one attribute test per event.
+        #: engine stays import-free); only compaction publishes.
         self.probes = None
 
     @property
@@ -259,10 +258,6 @@ class ReferenceEngine:
             self._pending -= 1
             self.now = event.time
             self._events_processed += 1
-            probes = self.probes
-            if probes is not None and probes.active:
-                probes.publish("engine.event_pop", priority=event.priority,
-                               seq=event.seq)
             event.callback()
             return True
         return False

@@ -1,21 +1,46 @@
-"""The engine publishes the same engine.* probe stream as its model.
+"""The engine executes the same events as its model, and publishes the
+same engine.* probe stream.
 
-The engine's drain path hoists the ``probes.active`` test out of the
-loop; these tests pin that when a bus IS active, the hoisted path
-still emits ``engine.event_pop`` and ``engine.compact`` exactly like
-the model engine (``tests/engine/reference.py``) — topic for topic,
-payload for payload, also with the whole middleware on top.  The
-lockstep comparison of the ``rtseed.*``/``kernel.*`` streams is
+Executing an event publishes nothing (the bus sees the engine only at
+heap compaction, ``engine.compact``), so the per-event order is
+recorded on the test side: :func:`recording` makes every scheduled
+callback first log ``(now, priority, seq)``.  The engine and the model
+engine (``tests/engine/reference.py``) must execute the same sequence
+and publish the same ``engine.*`` probes — on the run, step and
+compaction drives, and with the whole middleware on top.  The lockstep
+comparison of the ``rtseed.*``/``kernel.*`` streams is
 ``tests/check/test_engine_diff.py``.
 """
 
 import pytest
 
+import repro.simkernel.kernel as kernel_module
 from repro.engine.events import Engine
 from repro.obs.bus import ProbeBus
 from tests.engine.reference import ReferenceEngine, model_core
 
 pytestmark = pytest.mark.tier1
+
+
+def recording(engine_cls):
+    """``engine_cls`` logging every executed event as ``(now, priority,
+    seq)`` into the instance's ``executed`` list."""
+
+    class Recording(engine_cls):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.executed = []
+
+        def schedule_at(self, time, callback, priority=0):
+            def logged():
+                self.executed.append((self.now, priority, seq))
+                callback()
+
+            handle = super().schedule_at(time, logged, priority=priority)
+            seq = self._seq
+            return handle
+
+    return Recording
 
 
 class EngineClock:
@@ -31,8 +56,8 @@ class EngineClock:
 
 def observed(engine_cls, drive):
     """Run ``drive(engine)`` with a subscriber attached; return the
-    canonical probe stream."""
-    engine = engine_cls()
+    executed events and the canonical ``engine.*`` probe stream."""
+    engine = recording(engine_cls)()
     bus = ProbeBus(clock=EngineClock(engine))
     engine.probes = bus
     stream = []
@@ -43,26 +68,29 @@ def observed(engine_cls, drive):
         topics=["engine.*"],
     )
     drive(engine)
-    return stream
+    return engine.executed, stream
 
 
-def drive_pops(engine):
-    """Interleaved schedules and cancels, drained with run()."""
+def schedule_and_cancel(engine):
+    """Interleaved schedules and cancels, ties at each instant."""
     events = []
     for index in range(50):
         events.append(engine.schedule_at(
-            float(index), lambda: None, priority=index % 3,
+            float(index // 4), lambda: None, priority=index % 3,
         ))
-    for event in events[::2]:
+    for event in events[::3]:
         engine.cancel(event)
+
+
+def drive_pops(engine):
+    """The workload drained with run()."""
+    schedule_and_cancel(engine)
     engine.run()
 
 
 def drive_step_pops(engine):
-    """Same workload drained with step() (the unhoisted path)."""
-    for index in range(20):
-        engine.schedule_at(float(index), lambda: None,
-                           priority=index % 2)
+    """The same workload drained with step()."""
+    schedule_and_cancel(engine)
     while engine.step():
         pass
 
@@ -82,16 +110,23 @@ def drive_compaction(engine):
 )
 def test_probe_streams_byte_identical(drive):
     model = observed(ReferenceEngine, drive)
-    assert model, "expected a non-empty probe stream"
+    executed, _stream = model
+    assert executed, "expected executed events"
     assert observed(Engine, drive) == model
 
 
 def test_compaction_publishes_on_both_backends():
     model = observed(ReferenceEngine, drive_compaction)
-    compacts = [entry for entry in model
-                if entry[0] == "engine.compact"]
-    assert compacts, "workload must trip the compactor"
+    executed, stream = model
+    assert len(executed) == 50
+    assert [topic for topic, _time, _data in stream] == ["engine.compact"]
     assert observed(Engine, drive_compaction) == model
+
+
+def test_events_carry_no_probe():
+    """Executing events publishes nothing; only compaction does."""
+    _executed, stream = observed(Engine, drive_pops)
+    assert stream == []
 
 
 def test_full_middleware_engine_stream_matches():
@@ -99,7 +134,10 @@ def test_full_middleware_engine_stream_matches():
     from repro.core.middleware import RTSeed
 
     def run():
-        middleware = RTSeed(seed=0)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernel_module, "Engine",
+                          recording(kernel_module.Engine))
+            middleware = RTSeed(seed=0)
         middleware.add_task(
             make_eval_task(4),
             n_jobs=2,
@@ -115,13 +153,13 @@ def test_full_middleware_engine_stream_matches():
             topics=["engine.*"],
         )
         middleware.run()
-        return middleware, stream
+        return middleware, middleware.kernel.engine.executed, stream
 
     with model_core():
-        model, model_stream = run()
-    assert type(model.kernel.engine) is ReferenceEngine
-    assert any(topic == "engine.event_pop"
-               for topic, _time, _data in model_stream)
-    middleware, stream = run()
-    assert type(middleware.kernel.engine) is Engine
+        model, model_executed, model_stream = run()
+    assert isinstance(model.kernel.engine, ReferenceEngine)
+    assert len(model_executed) == model.kernel.engine.events_processed
+    middleware, executed, stream = run()
+    assert isinstance(middleware.kernel.engine, Engine)
+    assert executed == model_executed
     assert stream == model_stream

@@ -24,7 +24,12 @@ from repro.faults.campaign import (
     render_report,
     run_scenario,
 )
-from repro.farm import farm_campaign, farm_check, render_check_report
+from repro.farm import (
+    farm_campaign,
+    farm_check,
+    farm_map,
+    render_check_report,
+)
 
 pytestmark = pytest.mark.tier1
 
@@ -103,3 +108,12 @@ def test_campaign_merged_run_report_sums_shards():
     )
     assert "wallclock" not in merged
     assert "metrics" not in merged
+
+
+@pytest.mark.parametrize("n_workers", [0, -3])
+def test_farm_map_refuses_fewer_than_one_worker(n_workers):
+    """Regression: ``max(1, n_workers)`` ran such a batch in-process."""
+    ran = []
+    with pytest.raises(ValueError, match="n_workers must be >= 1"):
+        farm_map(ran.append, [1, 2], n_workers=n_workers)
+    assert ran == []

@@ -40,7 +40,7 @@ def test_snapshot_dump_inspect_resume_flow(tmp_path):
     code, text = _run(["snapshot", "inspect", "--snapshot", snap])
     assert code == 0
     summary = json.loads(text)
-    assert summary["schema"] == "rtseed-snapshot/3"
+    assert summary["schema"] == "rtseed-snapshot/4"
     assert "backend" not in summary
     assert summary["barrier"]["events_processed"] == 300
     assert summary["engine"]["events_processed"] == 300
@@ -98,6 +98,25 @@ def test_two_engine_snapshot_resume_exits_2(tmp_path):
     code, text = _run(["snapshot", "resume", "--snapshot", str(snap)])
     assert code == 2
     assert "two-engine build" in text
+    assert "take the snapshot again" in text
+
+
+def test_schema_3_snapshot_resume_exits_2(tmp_path):
+    """A ``rtseed-snapshot/3`` document is refused with a take-it-again
+    message: its attested flight ring holds the retired per-event
+    engine probe."""
+    snap = tmp_path / "snap.json"
+    code, _text = _run(["snapshot", "dump", "--program", "overheads",
+                        "--jobs", "2", "--at-events", "200",
+                        "--snapshot", str(snap)])
+    assert code == 0
+    document = json.loads(snap.read_text())
+    document["schema"] = "rtseed-snapshot/3"
+    snap.write_text(json.dumps(document))
+
+    code, text = _run(["snapshot", "resume", "--snapshot", str(snap)])
+    assert code == 2
+    assert "'rtseed-snapshot/3'" in text
     assert "take the snapshot again" in text
 
 

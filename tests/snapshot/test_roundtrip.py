@@ -6,7 +6,7 @@ uninterrupted run, including under an active fault plan — the
 uninterrupted run on the execution core (``fast``) and on its model
 (``reference``, ``tests/engine/reference.py``).  Plus every refusal
 path: tampered state, wrong seed, an edited program spec, barrier
-past the end of the run, a schema other than ``rtseed-snapshot/3``.
+past the end of the run, a schema other than ``rtseed-snapshot/4``.
 """
 
 import contextlib
@@ -164,6 +164,18 @@ def test_schema_2_refused_with_take_again_hint():
     document["schema"] = "rtseed-snapshot/2"
     with pytest.raises(SnapshotError, match="take the snapshot again"):
         validate_snapshot(document)
+
+
+def test_schema_3_refused_with_take_again_hint():
+    """A ``/3`` document's attested flight ring holds the per-event
+    engine probe, which no program publishes any more."""
+    document = _snapshot_at({"kind": "trade", "seconds": 4, "seed": 3}, 300)
+    document["schema"] = "rtseed-snapshot/3"
+    for refuse in (validate_snapshot, restore):
+        with pytest.raises(SnapshotError,
+                           match="per-event engine probe, take the "
+                                 "snapshot again"):
+            refuse(copy.deepcopy(document))
 
 
 def test_barrier_past_end_of_run_refused():

@@ -397,6 +397,18 @@ def test_check_refuses_out_of_range_counts(argv, capsys):
     assert f"argument {argv[0]}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb", ["faults", "check", "scale"])
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_farm_verbs_refuse_fewer_than_one_worker(verb, workers, capsys):
+    """Regression: the farm clamped ``--workers 0`` and ``-3`` to one
+    in-process worker, so ``repro check --runs 2 --workers 0`` and
+    ``repro faults --workers 0`` ran and exited 0."""
+    with pytest.raises(SystemExit) as exit_info:
+        build_parser().parse_args([verb, "--workers", workers])
+    assert exit_info.value.code == 2
+    assert "argument --workers" in capsys.readouterr().err
+
+
 def test_core_batch_refuses_a_fault_rate():
     code, output = run_cli(["check", "--runs", "2", "--tasks-per-core",
                             "4", "--fault-rate", "0.5"])
