@@ -258,10 +258,11 @@ def normalize_simulator(events, scenario):
     return _canonical_events(jobs, scenario)
 
 
-def _divergence(kind, detail, sim=None, mw=None):
+def _divergence(kind, detail, time, sim=None, mw=None):
     return {
         "kind": kind,
         "detail": detail,
+        "time": time,
         "sim": None if sim is None else repr(sim),
         "mw": None if mw is None else repr(mw),
     }
@@ -275,7 +276,13 @@ def compare_traces(sim_trace, mw_trace, scenario, max_divergences=16):
     wind-ups the middleware's *actual* start must lie between the last
     optional completion and the OD — checked via the ``actual`` field
     against the canonical (OD-ordered) time.
+
+    Each divergence's ``time`` is the middleware kernel time of its
+    first differing event: the earlier canonical time of the pair
+    (of the first unmatched event for ``length_mismatch``) plus
+    ``scenario.start_time``.
     """
+    start = scenario.start_time
     divergences = []
     for index, (sim, mw) in enumerate(zip(sim_trace, mw_trace)):
         if len(divergences) >= max_divergences:
@@ -284,7 +291,7 @@ def compare_traces(sim_trace, mw_trace, scenario, max_divergences=16):
             divergences.append(_divergence(
                 "event_mismatch",
                 f"trace position {index}: events differ",
-                sim=sim, mw=mw,
+                start + min(sim.time, mw.time), sim=sim, mw=mw,
             ))
             # identity mismatch desynchronizes the zip; stop here
             break
@@ -295,7 +302,7 @@ def compare_traces(sim_trace, mw_trace, scenario, max_divergences=16):
                 "windup_late",
                 f"{mw.kind} {mw.task}#{mw.job}: actual "
                 f"{mw.actual:.1f} past OD-ordered {mw.time:.1f}",
-                sim=sim, mw=mw,
+                start + min(sim.time, mw.time), sim=sim, mw=mw,
             ))
             continue
         if abs(sim.time - mw.time) > TOLERANCE:
@@ -303,7 +310,7 @@ def compare_traces(sim_trace, mw_trace, scenario, max_divergences=16):
                 "time_skew",
                 f"{sim.kind} {sim.task}#{sim.job}: sim {sim.time:.3f} "
                 f"vs middleware {mw.time:.3f}",
-                sim=sim, mw=mw,
+                start + min(sim.time, mw.time), sim=sim, mw=mw,
             ))
     if len(sim_trace) != len(mw_trace) and \
             len(divergences) < max_divergences:
@@ -314,6 +321,7 @@ def compare_traces(sim_trace, mw_trace, scenario, max_divergences=16):
             "length_mismatch",
             f"sim has {len(sim_trace)} events, middleware "
             f"{len(mw_trace)}; first unmatched on {side}: {extra!r}",
+            start + extra.time,
         ))
     return divergences
 

@@ -1,24 +1,26 @@
-"""Check-artifact time-travel: snapshot just before the divergence.
+"""Check-artifact time-travel: snapshot just before the first failure.
 
 A failing check artifact (``repro-check-repro/1``) replays from t=0;
 for long scenarios the interesting part is the tail.  This module maps
 the artifact's failure back onto an **engine event barrier** just
-before the divergence and captures an ``rtseed-snapshot/4`` there, so
+before it and captures an ``rtseed-snapshot/4`` there, so
 ``repro check --replay ART --from-snapshot SNAP`` restores the run at
 the barrier (attested, see :mod:`repro.snapshot`), re-executes only
 the remainder, and re-judges the failure.
 
 Barrier mapping (:func:`divergence_snapshot`):
 
-* a detail naming a probe-stream position (``"... at event N"``) —
-  a *scout* re-execution records
-  ``engine.events_processed`` at every collected probe event, and the
-  barrier is ``counts[N] - 1`` (the engine count increments *before*
-  the event's callback runs, so that barrier positions the engine
-  immediately before the event that published the divergent probe);
-* any other failure (conformance divergences and oracle violations
-  are in canonical-trace coordinates with no stream position) — the
-  barrier falls back to the run's midpoint, honestly labeled
+* a failure with a simulated time — every trace-oracle violation
+  carries its kernel time, and every divergence of the theory
+  differential the kernel time of its first differing event — maps
+  through a *scout* re-execution that records ``(time,
+  events_processed)`` at every collected probe event.  The barrier is
+  the event count just before the first probe at or after the
+  earliest failure time (the engine count increments *before* the
+  event's callback runs, so ``events_processed - 1`` positions the
+  engine immediately before the event that published the probe);
+* a failure with no time (a crash, or a job that never completed) —
+  the barrier falls back to the run's midpoint, honestly labeled
   ``"midpoint"`` in the info dict.
 
 Because the restore is the same deterministic computation from t=0,
@@ -26,15 +28,14 @@ the re-judged report's failure kinds match the artifact's on a
 faithful replay — that's what ``repro check --replay`` asserts.
 """
 
-import re
+from bisect import bisect_left
 
+from repro.check.differential import TOLERANCE
 from repro.simkernel.errors import SimKernelError
 from repro.snapshot.core import SnapshotError
 from repro.snapshot.programs import build_program
 from repro.snapshot.resume import restore
 from repro.snapshot.resume import snapshot as take_snapshot
-
-_EVENT_INDEX_RE = re.compile(r"at event (\d+)")
 
 
 def artifact_check_spec(artifact):
@@ -48,21 +49,24 @@ def artifact_check_spec(artifact):
     }
 
 
-def divergence_probe_index(artifact):
-    """Probe-stream index of the first recorded divergence, or ``None``
-    when the failure names no stream position."""
+def failure_time(artifact):
+    """Kernel time of the artifact's first failure: the earliest
+    ``time`` among its divergences and oracle violations, or ``None``
+    when no failure carries one."""
     report = artifact.get("report") or {}
-    for divergence in report.get("divergences", []):
-        match = _EVENT_INDEX_RE.search(divergence.get("detail") or "")
-        if match:
-            return int(match.group(1))
-    return None
+    times = [
+        failure["time"]
+        for failure in (report.get("divergences", [])
+                        + report.get("violations", []))
+        if failure.get("time") is not None
+    ]
+    return min(times, default=None)
 
 
-def _scout_counts(spec):
-    """Re-execute the spec once, recording ``events_processed`` at
-    every collected probe event (aligned 1:1 with the artifact run's
-    event stream — same topics, subscribed before start)."""
+def _scout_probes(spec):
+    """Re-execute the spec once, recording ``(time, events_processed)``
+    at every collected probe event (aligned 1:1 with the artifact
+    run's event stream — same topics, subscribed before start)."""
     from repro.check.runner import (
         EVENT_TOPICS,
         MAX_KERNEL_EVENTS,
@@ -74,40 +78,52 @@ def _scout_counts(spec):
         cost_model=spec["cost_model"],
         noise_seed=spec["noise_seed"],
     )
-    counts = []
+    probes = []
     engine = middleware.kernel.engine
     middleware.probes.subscribe(
-        lambda topic, time, data: counts.append(engine.events_processed),
+        lambda topic, time, data: probes.append(
+            (time, engine.events_processed)),
         topics=EVENT_TOPICS,
     )
     try:
         middleware.run(max_events=MAX_KERNEL_EVENTS)
     except SimKernelError:
         pass  # the crash is part of the run; the prefix still maps
-    return counts, engine.events_processed
+    return probes, engine.events_processed
+
+
+def _barrier_before(probes, time):
+    """Event count just before the first probe at or after ``time``
+    (less the differential's :data:`TOLERANCE`, which covers the
+    rounding of a divergence's shift back to kernel time); after the
+    last probe's event when the failure comes later than every
+    probe."""
+    index = bisect_left(probes, time - TOLERANCE, key=lambda p: p[0])
+    if index == len(probes):
+        return probes[-1][1]
+    return max(probes[index][1] - 1, 0)
 
 
 def divergence_snapshot(artifact):
-    """Snapshot the artifact's scenario just before its divergence.
+    """Snapshot the artifact's scenario just before its first failure.
 
     Two deterministic re-executions: a scout run to completion mapping
-    the probe stream onto engine event counts, then a fresh run driven
-    to the barrier and captured (see module docstring for the barrier
-    rules).
+    the probe stream's times onto engine event counts, then a fresh
+    run driven to the barrier and captured (see module docstring for
+    the barrier rules).
 
     :returns: ``(document, info)`` — the ``rtseed-snapshot/4`` and a
-        summary dict (``barrier``, ``barrier_source``, ``probe_index``,
-        ``total_events``).
+        summary dict (``barrier``, ``barrier_source``,
+        ``failure_time``, ``total_events``).
     """
     spec = artifact_check_spec(artifact)
-    counts, total = _scout_counts(spec)
+    probes, total = _scout_probes(spec)
 
-    index = divergence_probe_index(artifact)
-    if index is not None and index < len(counts):
-        barrier = max(counts[index] - 1, 0)
-        source = "divergence_probe_index"
+    time = failure_time(artifact)
+    if time is not None:
+        barrier = _barrier_before(probes, time)
+        source = "failure_time"
     else:
-        index = None
         barrier = total // 2
         source = "midpoint"
 
@@ -117,7 +133,7 @@ def divergence_snapshot(artifact):
     info = {
         "barrier": barrier,
         "barrier_source": source,
-        "probe_index": index,
+        "failure_time": time,
         "total_events": total,
     }
     return document, info

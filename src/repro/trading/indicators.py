@@ -2,6 +2,12 @@
 
 The pure functions (:func:`sma`, :func:`ema`, :func:`bollinger_bands`,
 :func:`rsi`, :func:`macd`) follow the textbook definitions.  The
+exponential ones run their recursion over Python floats, and
+:func:`macd` computes its whole series in one pass: the running fast
+and slow EMAs go through, prefix by prefix, the same
+``alpha * price + (1.0 - alpha) * value`` steps as an :func:`ema` call
+on each prefix, so every value equals the textbook form's bit for bit
+while an analyzer's host cost stays linear in its window.  The
 ``Anytime*`` classes wrap them in the *anytime* contract the
 parallel-extended imprecise computation model needs: an analyzer refines
 its estimate over progressively longer history windows; terminating it
@@ -37,10 +43,11 @@ def ema(prices, window):
     if len(prices) == 0:
         raise ValueError("need at least one price")
     alpha = 2.0 / (window + 1.0)
-    value = prices[0]
-    for price in prices[1:]:
+    values = prices.tolist()
+    value = values[0]
+    for price in values[1:]:
         value = alpha * price + (1.0 - alpha) * value
-    return float(value)
+    return value
 
 
 def bollinger_bands(prices, window=20, k=2.0):
@@ -92,17 +99,33 @@ def average_true_range(prices, window=14):
 
 
 def macd(prices, fast=12, slow=26, signal=9):
-    """MACD: (macd_line, signal_line, histogram)."""
+    """MACD: (macd_line, signal_line, histogram).
+
+    The MACD series holds ``ema(prices[:end], fast) -
+    ema(prices[:end], slow)`` for every ``end`` from ``slow`` on.  It
+    is computed in one pass: both EMA recursions run together over the
+    prices, and after ``end`` prices each running value is the one
+    :func:`ema` returns for that prefix, bit for bit, because it is
+    the same sequence of floating-point steps.
+    """
     prices = np.asarray(prices, dtype=float)
+    if min(fast, slow, signal) < 1:
+        raise ValueError("window must be >= 1")
     if len(prices) < slow + signal:
         raise ValueError(
             f"need {slow + signal} prices, got {len(prices)}"
         )
+    fast_alpha = 2.0 / (fast + 1.0)
+    slow_alpha = 2.0 / (slow + 1.0)
+    values = prices.tolist()
+    fast_value = slow_value = values[0]
     macd_series = []
-    for end in range(slow, len(prices) + 1):
-        macd_series.append(
-            ema(prices[:end], fast) - ema(prices[:end], slow)
-        )
+    for end, price in enumerate(values, 1):
+        if end > 1:
+            fast_value = fast_alpha * price + (1.0 - fast_alpha) * fast_value
+            slow_value = slow_alpha * price + (1.0 - slow_alpha) * slow_value
+        if end >= slow:
+            macd_series.append(fast_value - slow_value)
     macd_line = macd_series[-1]
     signal_line = ema(macd_series, signal)
     return macd_line, signal_line, macd_line - signal_line
@@ -152,8 +175,10 @@ class Estimate:
 
     def __init__(self, analyzer, signal, confidence, detail=None):
         self.analyzer = analyzer
-        self.signal = float(np.clip(signal, -1.0, 1.0))
-        self.confidence = float(np.clip(confidence, 0.0, 1.0))
+        # min/max keep NaN and -0.0 as np.clip does: the argument goes
+        # first, and a comparison with NaN is false
+        self.signal = min(max(float(signal), -1.0), 1.0)
+        self.confidence = min(max(float(confidence), 0.0), 1.0)
         self.detail = detail
 
     def __repr__(self):

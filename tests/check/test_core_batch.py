@@ -12,16 +12,21 @@ failure gets: the shrinker, the artifact, ``--replay`` and
 
 import io
 import json
+import re
 
 import pytest
 
-from repro.check import replay_artifact, run_scenario
+from repro.check import load_artifact, replay_artifact, run_scenario
 from repro.check.scenario import generate_core_scenario
-from repro.check.timetravel import divergence_snapshot, replay_from_snapshot
+from repro.check.timetravel import (
+    divergence_snapshot,
+    failure_time,
+    replay_from_snapshot,
+)
 from repro.cli import main
 from repro.engine.classes import Fifo99Class
 from repro.farm import farm_check
-from repro.snapshot import write_snapshot
+from repro.snapshot import load_snapshot, restore, write_snapshot
 
 pytestmark = pytest.mark.tier1
 
@@ -75,6 +80,40 @@ def test_planted_bug_in_a_core_batch_shrinks_and_replays(monkeypatch,
         out = io.StringIO()
         assert main(argv, out=out) == 0, out.getvalue()
         assert "DID NOT REPRODUCE" not in out.getvalue()
+
+
+def test_planted_batch_snapshots_sit_before_each_first_failure(
+        monkeypatch, tmp_path):
+    """Every artifact ``repro check --artifacts`` writes for the planted
+    batch names its first failure's time, so its snapshot lands just
+    before that failure instead of at the run's midpoint, and still
+    replays with the artifact's kinds."""
+    monkeypatch.setattr(Fifo99Class, "check_preempt",
+                        lambda self, runqueue, current: False)
+    out = io.StringIO()
+    argv = ["check", "--runs", "4", "--seed", "0", "--tasks-per-core",
+            "8", "--artifacts", str(tmp_path)]
+    assert main(argv, out=out) == 1
+    written = re.findall(
+        r"wrote (\S+)-snapshot\.json \(barrier \d+/\d+ events, (\w+)\)",
+        out.getvalue(),
+    )
+    assert [source for _stem, source in written] == ["failure_time"] * 4
+    for stem, _source in written:
+        artifact = load_artifact(f"{stem}.json")
+        snapshot = load_snapshot(f"{stem}-snapshot.json")
+        when = failure_time(artifact)
+        run = restore(snapshot)
+        assert run.events
+        assert all(time < when for _topic, time, _data in run.events)
+        report, _payload = replay_from_snapshot(snapshot)
+        assert report.failure_kinds() == artifact["failure_kinds"]
+
+        replay = io.StringIO()
+        assert main(["check", "--replay", f"{stem}.json",
+                     "--from-snapshot", f"{stem}-snapshot.json"],
+                    out=replay) == 0, replay.getvalue()
+        assert "DID NOT REPRODUCE" not in replay.getvalue()
 
 
 def test_artifact_describes_its_shrunk_scenario(monkeypatch):

@@ -92,7 +92,9 @@ class TestCompare:
         skewed = self._trace(scenario)
         skewed[3].time += 10 * TOLERANCE
         divergences = compare_traces(reference, skewed, scenario)
-        assert any(d["kind"] == "time_skew" for d in divergences)
+        assert [(d["kind"], d["time"]) for d in divergences] == [
+            ("time_skew", scenario.start_time + reference[3].time),
+        ]
 
     def test_sub_tolerance_skew_ignored(self):
         scenario = _single_task_scenario()
@@ -110,13 +112,18 @@ class TestCompare:
         divergences = compare_traces(reference, mangled, scenario)
         assert divergences[0]["kind"] == "event_mismatch"
         assert len(divergences) == 1  # desynchronized: stop, don't spam
+        # the kernel time of the earlier of the two differing events
+        assert divergences[0]["time"] \
+            == scenario.start_time + reference[2].time
 
     def test_length_mismatch_detected(self):
         scenario = _single_task_scenario()
         reference = self._trace(scenario)
         truncated = self._trace(scenario)[:-1]
         divergences = compare_traces(reference, truncated, scenario)
-        assert any(d["kind"] == "length_mismatch" for d in divergences)
+        assert [(d["kind"], d["time"]) for d in divergences] == [
+            ("length_mismatch", scenario.start_time + reference[-1].time),
+        ]
 
     def test_divergences_are_json_serializable(self):
         import json

@@ -19,6 +19,7 @@ from repro.check import (
     run_scenario,
     shrink_report,
 )
+from repro.check.timetravel import divergence_snapshot, replay_from_snapshot
 from repro.engine.classes import Fifo99Class
 from repro.simkernel.signals import SIGALRM, UnwindDisposition
 from repro.simkernel.syscalls import Sigaction
@@ -153,6 +154,13 @@ def test_planted_bug_is_caught_and_shrunk(name, monkeypatch):
     assert set(first.failure_kinds()) & set(artifact["failure_kinds"])
     assert first.summary() == artifact["summary"]
     assert first.to_dict() == second.to_dict()
+
+    # every planted bug fails at a known time, so the artifact's
+    # snapshot sits before it, and replays it from there
+    snapshot, info = divergence_snapshot(artifact)
+    assert info["barrier_source"] == "failure_time"
+    replayed, _payload = replay_from_snapshot(snapshot)
+    assert replayed.failure_kinds() == artifact["failure_kinds"]
 
 
 def test_unmutated_baseline_is_clean():

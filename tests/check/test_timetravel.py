@@ -4,13 +4,13 @@ import contextlib
 
 import pytest
 
-from repro.check.runner import CheckReport, run_scenario
+from repro.check.runner import CheckReport, run_middleware, run_scenario
 from repro.check.scenario import generate_scenario
 from repro.check.shrink import make_artifact
 from repro.check.timetravel import (
     artifact_check_spec,
-    divergence_probe_index,
     divergence_snapshot,
+    failure_time,
     replay_from_snapshot,
 )
 from repro.snapshot import (
@@ -28,12 +28,30 @@ pytestmark = pytest.mark.tier1
 FULL_RUN_CORES = {"fast": contextlib.nullcontext, "reference": model_core}
 
 
-def _artifact(seed=2, divergences=None):
+def _artifact(seed=2, divergences=None, violations=None, crash=None):
     scenario = generate_scenario(seed)
     report = CheckReport(scenario)
     if divergences:
         report.divergences.extend(divergences)
+    if violations:
+        report.violations.extend(violations)
+    report.crash = crash
     return make_artifact(report)
+
+
+def _probe_times(seed=2):
+    """Probe times of the scenario's check run, in stream order."""
+    return [time for _topic, time, _data
+            in run_middleware(generate_scenario(seed))[0]]
+
+
+def _restored_split(document):
+    """The restored run's check events at the barrier, then the rest
+    once the run is finished."""
+    run = restore(document)
+    at_barrier = list(run.events)
+    run.finish()
+    return at_barrier, run.events[len(at_barrier):]
 
 
 class TestSpecMapping:
@@ -46,49 +64,68 @@ class TestSpecMapping:
         assert spec["noise_seed"] == 0
         assert spec["kind"] == "check"
 
-    def test_probe_index_extraction(self):
-        artifact = _artifact(divergences=[
-            {"kind": "event_mismatch",
-             "detail": "first stream divergence at event 40"},
-        ])
-        assert divergence_probe_index(artifact) == 40
-        assert divergence_probe_index(_artifact()) is None
-        assert divergence_probe_index(_artifact(divergences=[
-            {"kind": "event_mismatch", "detail": "trace position 7"},
+    def test_failure_time_is_the_first_timed_failure(self):
+        artifact = _artifact(
+            divergences=[
+                {"kind": "time_skew", "detail": "d", "time": 5e8},
+                {"kind": "event_mismatch", "detail": "trace position 7"},
+            ],
+            violations=[
+                {"oracle": "fifo_order", "time": 3e8, "detail": "v"},
+                {"oracle": "protocol_completeness", "time": None,
+                 "detail": "never reached job_done"},
+            ],
+        )
+        assert failure_time(artifact) == 3e8
+        assert failure_time(_artifact()) is None
+        assert failure_time(_artifact(crash="SimKernelError: boom")) \
+            is None
+        assert failure_time(_artifact(violations=[
+            {"oracle": "protocol_completeness", "time": None,
+             "detail": "never reached job_done"},
         ])) is None
 
 
 class TestBarrierMapping:
-    def test_probe_index_maps_to_pre_divergence_barrier(self):
+    def test_failure_time_maps_to_a_pre_failure_barrier(self):
+        times = _probe_times()
+        when = times[len(times) // 2]
         artifact = _artifact(divergences=[
-            {"kind": "event_mismatch",
-             "detail": "first stream divergence at event 40"},
+            {"kind": "time_skew", "detail": "d", "time": when},
         ])
         document, info = divergence_snapshot(artifact)
-        assert info["barrier_source"] == "divergence_probe_index"
-        assert info["probe_index"] == 40
+        assert info["barrier_source"] == "failure_time"
+        assert info["failure_time"] == when
         assert 0 < info["barrier"] < info["total_events"]
-        # the snapshot really sits at the computed barrier
-        run = restore(document)
-        assert run.kernel.engine.events_processed == info["barrier"]
+        # the snapshot sits at the barrier: every probe before it is
+        # earlier than the failure, and the next one is at the failure
+        assert restore(document).kernel.engine.events_processed \
+            == info["barrier"]
+        before, after = _restored_split(document)
+        assert before and all(time < when for _t, time, _d in before)
+        assert after[0][1] == when
 
     def test_positionless_failure_falls_back_to_midpoint(self):
-        artifact = _artifact(divergences=[
-            {"kind": "event_mismatch", "detail": "trace position 7"},
+        for artifact in (
+            _artifact(divergences=[
+                {"kind": "event_mismatch", "detail": "trace position 7"},
+            ]),
+            _artifact(crash="SimKernelError: boom"),
+        ):
+            document, info = divergence_snapshot(artifact)
+            assert info["barrier_source"] == "midpoint"
+            assert info["failure_time"] is None
+            assert info["barrier"] == info["total_events"] // 2
+
+    def test_failure_past_the_last_probe_maps_to_the_last_probe(self):
+        artifact = _artifact(violations=[
+            {"oracle": "liveness", "time": 1e18, "detail": "stuck"},
         ])
         document, info = divergence_snapshot(artifact)
-        assert info["barrier_source"] == "midpoint"
-        assert info["probe_index"] is None
-        assert info["barrier"] == info["total_events"] // 2
-
-    def test_out_of_range_probe_index_falls_back(self):
-        artifact = _artifact(divergences=[
-            {"kind": "event_mismatch",
-             "detail": "first stream divergence at event 10000000"},
-        ])
-        _document, info = divergence_snapshot(artifact)
-        assert info["barrier_source"] == "midpoint"
-        assert info["probe_index"] is None
+        assert info["barrier_source"] == "failure_time"
+        assert info["barrier"] <= info["total_events"]
+        before, after = _restored_split(document)
+        assert len(before) == len(_probe_times()) and after == []
 
 
 class TestReplay:

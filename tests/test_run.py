@@ -81,6 +81,21 @@ def test_report_metrics_section_is_the_metrics_json():
         == "d215ef10fb159be1"
 
 
+def test_trade_payload_keeps_its_bytes(tmp_path):
+    """The payload's ``trading`` summary and the ``trading.decision``
+    events in its stream hash carry each decision's confidence at full
+    precision, where the table rounds to two decimals.  Indicator
+    signals reach the payload only through the decision kinds, so
+    their bits are pinned by the exact-model tests of
+    ``tests/trading/test_indicators.py``."""
+    path = tmp_path / "payload.json"
+    code, _output = run_cli(["run", "--program", "trade", "--seconds",
+                             "30", "--emit", f"payload={path}"])
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] \
+        == "ec254e5682832035"
+
+
 @pytest.mark.parametrize("program, cls", [
     ("overheads", OverheadsProgram),
     ("trade", TradeProgram),

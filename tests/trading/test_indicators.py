@@ -2,19 +2,28 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.trading import indicators
 from repro.trading.indicators import (
     AnytimeBollinger,
     AnytimeMACD,
     AnytimeMomentum,
     AnytimeRSI,
+    Estimate,
     bollinger_bands,
     ema,
     macd,
     rsi,
     sma,
+)
+from repro.trading.system import default_analyzers
+from tests.trading.reference import (
+    model_indicators,
+    reference_clamp,
+    reference_ema,
+    reference_macd,
 )
 
 pytestmark = pytest.mark.tier1
@@ -120,6 +129,148 @@ def test_bollinger_band_ordering(prices):
 def test_rsi_bounded(prices):
     value = rsi(prices, window=14)
     assert 0.0 <= value <= 100.0
+
+
+# ---------------------------------------------------------------------------
+# exact model (tests/trading/reference.py): same values, same types
+# ---------------------------------------------------------------------------
+
+
+def _exact(value):
+    """A value with its type and every bit: ``float.hex`` tells -0.0
+    from 0.0 and gives NaN a spelling that compares equal."""
+    if isinstance(value, tuple):
+        return tuple(_exact(item) for item in value)
+    if isinstance(value, dict):
+        return {key: _exact(item) for key, item in value.items()}
+    if isinstance(value, float):
+        return type(value), value.hex()
+    return type(value), value
+
+
+PRICE = st.floats(min_value=-1e6, max_value=1e6)
+
+
+@st.composite
+def macd_cases(draw):
+    fast = draw(st.integers(1, 30))
+    slow = draw(st.sampled_from([fast, 1]) | st.integers(1, 30))
+    signal = draw(st.integers(1, 12))
+    extra = draw(st.integers(0, 40))
+    prices = draw(st.lists(PRICE, min_size=slow + signal + extra,
+                           max_size=slow + signal + extra))
+    return prices, fast, slow, signal
+
+
+def _ticks(n, seed=0):
+    rng = np.random.default_rng(seed)
+    return 1.1 + 0.01 * rng.standard_normal(n).cumsum()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(PRICE, min_size=1, max_size=200), st.integers(1, 40))
+def test_ema_matches_the_model(prices, window):
+    assert _exact(ema(prices, window)) \
+        == _exact(reference_ema(prices, window))
+    assert _exact(ema(np.asarray(prices), window)) \
+        == _exact(reference_ema(np.asarray(prices), window))
+
+
+@settings(max_examples=80, deadline=None)
+@given(macd_cases())
+@example((_ticks(37).tolist(), 12, 12, 9))      # fast == slow
+@example((_ticks(40).tolist(), 5, 1, 4))        # slow == 1
+@example((_ticks(30).tolist(), 12, 26, 1))      # signal == 1
+@example((_ticks(35).tolist(), 12, 26, 9))      # exactly slow + signal
+@example(([1.5] * 2, 1, 1, 1))                  # the shortest series
+def test_macd_matches_the_model(case):
+    prices, fast, slow, signal = case
+    assert _exact(macd(prices, fast, slow, signal)) \
+        == _exact(reference_macd(prices, fast, slow, signal))
+
+
+def _refine_all(analyzer, prices):
+    state = analyzer.start(prices)
+    estimates = []
+    while not state.done:
+        estimate = analyzer.refine(state)
+        estimates.append(_exact((estimate.analyzer, estimate.signal,
+                                 estimate.confidence, estimate.detail)))
+    return estimates
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.floats(min_value=0.5, max_value=2.0), min_size=35,
+                max_size=200),
+       st.sampled_from([(12, 26, 9), (5, 5, 3), (3, 1, 1), (8, 17, 1)]))
+def test_macd_refines_match_the_model(prices, windows):
+    analyzer = AnytimeMACD(*windows)
+    got = _refine_all(analyzer, prices)
+    with model_indicators():
+        want = _refine_all(analyzer, prices)
+    assert got == want
+    assert len(got) == len(analyzer.start(prices).windows)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_panel_estimates_match_the_model(seed):
+    """Every analyzer of the trading panel, refined to completion on a
+    120-tick history (the panel's own), stores the model's values."""
+    prices = _ticks(120, seed)
+    for analyzer in default_analyzers(seed):
+        got = _refine_all(analyzer, prices)
+        with model_indicators():
+            want = _refine_all(analyzer, prices)
+        assert got and got == want, analyzer.name
+
+
+@pytest.mark.parametrize("value", [
+    float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 0.5, -0.5,
+    1.0, -1.0, 1.5, -1.5, 5e-324, -1e308, 2, -3, 0,
+    np.float64("nan"), np.float64(-0.0), np.float64(0.25),
+    np.float64(7.0), np.int64(-2),
+], ids=repr)
+def test_estimate_clamps_like_np_clip(value):
+    estimate = Estimate("probe", value, value)
+    assert _exact(estimate.signal) \
+        == _exact(reference_clamp(value, -1.0, 1.0))
+    assert _exact(estimate.confidence) \
+        == _exact(reference_clamp(value, 0.0, 1.0))
+
+
+@pytest.mark.parametrize("windows", [
+    (0, 26, 9), (12, 0, 9), (12, 26, 0), (-1, 26, 9), (12, -1, 9),
+    (12, 26, -1),
+])
+def test_macd_refuses_a_window_below_one(windows):
+    prices = _ticks(60)
+    for function in (macd, reference_macd):
+        with pytest.raises(ValueError):
+            function(prices, *windows)
+
+
+@pytest.mark.parametrize("windows", [(12, 26, 9), (5, 5, 3), (3, 1, 1)])
+def test_macd_refuses_a_series_shorter_than_slow_plus_signal(windows):
+    _fast, slow, signal = windows
+    prices = _ticks(slow + signal - 1)
+    for function in (macd, reference_macd):
+        with pytest.raises(ValueError, match="need"):
+            function(prices, *windows)
+
+
+def test_macd_computes_its_series_in_one_pass(monkeypatch):
+    """The series costs no ``ema`` call per prefix: over 120 ticks the
+    textbook form calls it 2 * (120 - 26 + 1) + 1 = 191 times, the
+    one-pass form once, for the signal line."""
+    calls = []
+
+    def counting_ema(prices, window):
+        calls.append(window)
+        return ema(prices, window)
+
+    monkeypatch.setattr(indicators, "ema", counting_ema)
+    indicators.macd(_ticks(120))
+    assert calls == [9]
 
 
 # ---------------------------------------------------------------------------
