@@ -20,39 +20,39 @@ Run:  python examples/practical_model.py
 """
 
 from repro.bench.reporting import format_table
-from repro.core.practical import (
-    PracticalRealTimeProcess,
-    PracticalWorkloadTask,
-)
+from repro.core import PracticalWorkloadTask, RTSeed
 from repro.model.practical import practical_optional_deadlines
-from repro.simkernel import Kernel, Topology
+from repro.simkernel import Topology
 from repro.simkernel.cpu import uniform_share
 from repro.simkernel.time_units import MSEC, SEC
 
 
-def run_chain(ods, label):
-    kernel = Kernel(
-        Topology(4, 2, share_fn=uniform_share, background_weight=0.0)
-    )
-    task = PracticalWorkloadTask(
+def pipeline_task():
+    return PracticalWorkloadTask(
         "pipeline",
         mandatory_parts=[80 * MSEC, 60 * MSEC, 60 * MSEC],
         optional_length=2 * SEC,       # both stages always overrun
         period=1 * SEC,
-        parts_per_stage=2,
+        n_parallel=2,
         chunk=25 * MSEC,
     )
-    process = PracticalRealTimeProcess(
-        kernel, task, priority=90, cpu=0, optional_cpus=[0, 2],
-        stage_optional_deadlines=ods, n_jobs=3,
-    ).spawn()
-    kernel.run_to_completion()
+
+
+def run_chain(ods, label):
+    middleware = RTSeed(
+        topology=Topology(4, 2, share_fn=uniform_share,
+                          background_weight=0.0),
+        cost_model="zero",
+    )
+    middleware.add_task(pipeline_task(), n_jobs=3, cpu=0,
+                        optional_cpus=[0, 2], optional_deadline=ods)
+    result = middleware.run()
 
     rows = []
-    for probe in process.probes:
+    for probe in result.tasks["pipeline"].probes:
         windows = []
         for stage, od_abs in enumerate(probe.stage_ods):
-            start = probe.mandatory_end[stage]
+            start = probe.phase_end[stage]
             windows.append(max(0.0, od_abs - start) / MSEC)
         rows.append([
             probe.job_index,
@@ -68,10 +68,7 @@ def run_chain(ods, label):
 
 
 def main():
-    task_model = PracticalWorkloadTask(
-        "pipeline", [80 * MSEC, 60 * MSEC, 60 * MSEC], 2 * SEC, 1 * SEC,
-        parts_per_stage=2,
-    ).to_model()
+    task_model = pipeline_task().to_model()
     print("Practical imprecise computation model: "
           "m1 -> o1 -> m2 -> o2 -> m3, T = 1 s")
     print(f"mandatory parts: {[m / MSEC for m in task_model.mandatory_parts]}"

@@ -73,6 +73,13 @@ def _positive(value):
     return number
 
 
+def _fraction(value):
+    number = float(value)
+    if not 0.0 <= number <= 1.0:  # also refuses NaN
+        raise argparse.ArgumentTypeError(f"{number} is outside [0, 1]")
+    return number
+
+
 def _add_admit_parser(subparsers):
     parser = subparsers.add_parser(
         "admit", help="admission-control demonstration"
@@ -147,8 +154,8 @@ def _add_faults_parser(subparsers):
     parser.add_argument("--scenario", default="all",
                         help="scenario name, comma-separated names, or "
                              "'all' (see --list)")
-    parser.add_argument("--seconds", type=int, default=30,
-                        help="trading duration per scenario")
+    parser.add_argument("--seconds", type=_positive, default=30,
+                        help="trading duration per scenario (>= 1)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default=None,
                         help="write the JSON report here instead of "
@@ -183,10 +190,10 @@ def _add_check_parser(subparsers):
                         help="batch seed; run k's scenario seed is "
                              "derived independently as "
                              "derive_run_seed(seed, k)")
-    parser.add_argument("--fault-rate", type=float, default=0.0,
+    parser.add_argument("--fault-rate", type=_fraction, default=0.0,
                         help="fraction of scenarios carrying a fault "
-                             "plan (default 0; oracle checks only, no "
-                             "differential)")
+                             "plan, in [0, 1] (default 0; oracle checks "
+                             "only, no differential)")
     parser.add_argument("--tasks-per-core", type=_positive, default=None,
                         metavar="K",
                         help="run k is one core of the 57-core x 4-HT "

@@ -5,6 +5,13 @@ Public API:
 * :class:`~repro.core.task.Task` / :class:`~repro.core.task.WorkloadTask`
   — the parallel-extended imprecise task with ``exec_mandatory`` /
   ``exec_optional`` / ``exec_windup`` (Section IV-C).
+* :class:`~repro.core.practical.PracticalTask` /
+  :class:`~repro.core.practical.PracticalWorkloadTask` — the practical
+  model's chain of ``K`` mandatory parts (Section VII's future work).
+* :class:`~repro.core.process.RealTimeProcess` — the Figure 6 protocol,
+  the one runner of both task kinds (the paper's task is the chain
+  with ``K = 2``), with its per-job
+  :class:`~repro.core.process.JobProbe`.
 * :class:`~repro.core.middleware.RTSeed` — the middleware runner.
 * :mod:`repro.core.policies` — one-by-one / two-by-two / all-by-all
   optional-part placement (Figure 8).
@@ -26,12 +33,7 @@ from repro.core.policies import (
     TwoByTwo,
     get_policy,
 )
-from repro.core.practical import (
-    PhaseProbe,
-    PracticalRealTimeProcess,
-    PracticalTask,
-    PracticalWorkloadTask,
-)
+from repro.core.practical import PracticalTask, PracticalWorkloadTask
 from repro.core.process import JobProbe, RealTimeProcess
 from repro.core.resilience import (
     DegradedModeController,
@@ -75,8 +77,6 @@ __all__ = [
     "DegradedModeController",
     "OverrunWatchdog",
     "RetryPolicy",
-    "PhaseProbe",
-    "PracticalRealTimeProcess",
     "PracticalTask",
     "PracticalWorkloadTask",
     "HPQ_PRIORITY",

@@ -16,10 +16,11 @@
 
 It owns the offline work the paper assigns to the middleware: computing
 RM priorities inside the RTQ band (plus the HPQ for RM-US-heavy tasks),
-per-partition optional deadlines via the P-RMWP plan, and parallel
-optional part placement via the Figure 8 assignment policies.  At run
-time it merely sets POSIX scheduling attributes and lets the (simulated)
-kernel schedule — exactly the "no kernel modifications" claim.
+per-partition optional deadlines via the P-RMWP plan (per-stage ones
+for the practical model's longer chains), and parallel optional part
+placement via the Figure 8 assignment policies.  At run time it merely
+sets POSIX scheduling attributes and lets the (simulated) kernel
+schedule — exactly the "no kernel modifications" claim.
 """
 
 from repro.core.policies import AssignmentPolicy, get_policy
@@ -29,7 +30,11 @@ from repro.engine.classes import get_sched_class
 from repro.hardware.loads import BackgroundLoad, apply_load
 from repro.hardware.overheads import XeonPhiCostModel
 from repro.hardware.xeonphi import xeon_phi_topology
-from repro.model.optional_deadline import optional_deadlines_rmwp
+from repro.model.optional_deadline import windup_optional_deadline
+from repro.model.practical import (
+    PracticalImpreciseTask,
+    practical_optional_deadlines,
+)
 from repro.sched.rmus import rm_us_threshold
 from repro.simkernel.costmodel import ZeroCostModel
 from repro.simkernel.kernel import Kernel
@@ -71,8 +76,9 @@ class TaskResult:
         """Count of completed / terminated / discarded optional parts."""
         counts = {"completed": 0, "terminated": 0, "discarded": 0}
         for probe in self.probes:
-            for fate in probe.optional_fate:
-                counts[fate] += 1
+            for fates in probe.stage_fates:
+                for fate in fates:
+                    counts[fate] += 1
         return counts
 
     def job_results(self):
@@ -156,8 +162,11 @@ class RTSeed:
             parallel optional parts (ignored when ``optional_cpus``
             given).
         :param optional_cpus: explicit per-part CPU list.
-        :param optional_deadline: relative OD; computed from the task
-            model (RMWP Theorem 2 per partition) when omitted.
+        :param optional_deadline: relative OD, or the ``K - 1`` stage
+            ODs of a task with ``n_phases = K``; computed from the task
+            model when omitted (RMWP Theorem 2 per partition, and
+            :func:`~repro.model.practical.practical_optional_deadlines`
+            for a practical model).
         :param model: analytic task model; taken from ``task.to_model()``
             when available.
         :param strategy: termination strategy (default sigsetjmp).
@@ -202,7 +211,9 @@ class RTSeed:
         class's (:class:`repro.engine.classes.RMWPBandClass`) — the same
         object the theory simulator dispatches through — so "shortest
         period first, name breaks ties" and the Figure 5 rank-to-level
-        mapping exist exactly once.
+        mapping exist exactly once.  Each task's optional deadlines
+        follow from its model and the models above it in that order;
+        every model is checked, also when its deadlines are given.
         """
         sched_class = get_sched_class("rmwp")
         by_cpu = {}
@@ -213,12 +224,11 @@ class RTSeed:
             if self.use_hpq else None
 
         for entries in by_cpu.values():
-            models = [e["model"] for e in entries if e["model"] is not None]
-            deadlines = optional_deadlines_rmwp(models) if models else {}
             ordered = sorted(
                 entries,
                 key=lambda e: sched_class.task_sort_key(e["task"]),
             )
+            higher = []
             rank = 0
             for entry in ordered:
                 model = entry["model"]
@@ -228,10 +238,15 @@ class RTSeed:
                 else:
                     entry["priority"] = sched_class.mandatory_priority(rank)
                     rank += 1
+                if model is None:
+                    continue
+                if isinstance(model, PracticalImpreciseTask):
+                    planned = practical_optional_deadlines(model, higher)
+                else:
+                    planned = windup_optional_deadline(model, higher)
+                higher.append(model)
                 if entry["optional_deadline"] is None:
-                    entry["optional_deadline"] = deadlines[
-                        entry["task"].name
-                    ]
+                    entry["optional_deadline"] = planned
 
     def start(self):
         """Plan and spawn every process without running the kernel.

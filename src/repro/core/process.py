@@ -21,20 +21,28 @@ If the mandatory part finishes at or after the optional deadline, the
 optional parts are *discarded* — they never receive the wake-up signal
 (Section IV-C) — and the wind-up part runs immediately.
 
+The same protocol runs the practical model's longer chains (Section
+VII, :mod:`repro.core.practical`): a job of a task with ``n_phases = K``
+is ``K`` mandatory parts, and between parts ``j`` and ``j + 1`` the
+mandatory thread runs optional stage ``j`` exactly as above, against
+the stage's own optional deadline, with the final part in the wind-up
+part's place.  The paper's task is the chain with ``K = 2``.
+
 The per-job :class:`JobProbe` records every timestamp the paper's
 Figure 9 probes measure: Δm, Δb, Δs, Δe fall out as properties.
 
 The same measurement points double as live probe sites: when the
 kernel's :class:`~repro.obs.bus.ProbeBus` has subscribers, the protocol
 publishes ``rtseed.*`` events (release, mandatory begin/end, signalling
-done, optional begin/end, discard, wind-up begin/end, job done) so
-metrics collectors and trace exporters see the middleware protocol
+done, optional begin/end, discard, wind-up begin/end, job done; the
+mandatory and stage events once per part and stage of a longer chain)
+so metrics collectors and trace exporters see the middleware protocol
 without touching its timing — every timestamp published is one the
 protocol already paid a ``GetTime`` for.
 """
 
 from repro.core.queues import nrtq_priority
-from repro.core.task import TaskContext
+from repro.core.task import Task, TaskContext
 from repro.core.termination import OptionalOutcome, SigjmpTermination
 from repro.simkernel.errors import JobAbortError, SignalUnwind
 from repro.simkernel.sync import CondVar, Mutex
@@ -57,29 +65,73 @@ from repro.simkernel.timers import KTimer
 class JobProbe:
     """Timestamps of one job, placed exactly where Figure 9 measures.
 
+    A job runs ``len(stage_ods) + 1`` mandatory parts (phases), and
+    optional stage ``j`` runs between phases ``j`` and ``j + 1`` until
+    its optional deadline ``stage_ods[j]``.  ``phase_start`` and
+    ``phase_end`` hold each phase's bounds; ``stage_start``,
+    ``stage_end`` and ``stage_fates`` hold each stage's parts.  The
+    extended model (one stage) reads the same records under the
+    paper's names: ``mandatory_*`` is phase 0, ``windup_*`` the final
+    phase and ``od_abs`` the final stage's deadline, while
+    ``optional_*``, ``signal_end`` and ``mandatory_blocked`` belong to
+    :attr:`stage`, the stage signalled last.
+
     All times are absolute simulated nanoseconds.
     """
 
-    def __init__(self, job_index, release, od_abs, deadline_abs,
+    def __init__(self, job_index, release, stage_ods, deadline_abs,
                  n_parallel):
         self.job_index = job_index
         self.release = release
-        self.od_abs = od_abs
+        self.stage_ods = stage_ods
         self.deadline_abs = deadline_abs
-        self.mandatory_start = None
-        self.mandatory_end = None
+        self.phase_start = [None] * (len(stage_ods) + 1)
+        self.phase_end = [None] * (len(stage_ods) + 1)
+        self.stage_start = [[None] * n_parallel for _ in stage_ods]
+        self.stage_end = [[None] * n_parallel for _ in stage_ods]
+        self.stage_fates = [["discarded"] * n_parallel for _ in stage_ods]
+        self.stage = 0
         self.signal_end = None
         self.mandatory_blocked = None
-        self.optional_start = [None] * n_parallel
-        self.optional_end = [None] * n_parallel
-        self.optional_fate = ["discarded"] * n_parallel
-        self.windup_start = None
-        self.windup_end = None
         self.results = {}
-        #: True when the job was aborted in a controlled way (the
+        #: True when the job was aborted in a controlled way (a
         #: mandatory part raised :class:`JobAbortError`); it counts as a
-        #: deadline miss but never ran its optional or wind-up parts.
+        #: deadline miss and runs no further part.
         self.aborted = False
+
+    # -- the extended model's names -----------------------------------------
+
+    @property
+    def mandatory_start(self):
+        return self.phase_start[0]
+
+    @property
+    def mandatory_end(self):
+        return self.phase_end[0]
+
+    @property
+    def windup_start(self):
+        return self.phase_start[-1]
+
+    @property
+    def windup_end(self):
+        return self.phase_end[-1]
+
+    @property
+    def od_abs(self):
+        return self.stage_ods[-1]
+
+    @property
+    def optional_start(self):
+        return self.stage_start[self.stage]
+
+    @property
+    def optional_end(self):
+        return self.stage_end[self.stage]
+
+    @property
+    def optional_fate(self):
+        return self.stage_fates[self.stage]
 
     # -- the four overheads (Section V-B), in nanoseconds -------------------
 
@@ -93,9 +145,10 @@ class JobProbe:
     @property
     def delta_b(self):
         """Δb: cost of signalling all parallel optional threads."""
-        if self.signal_end is None or self.mandatory_end is None:
+        mandatory_end = self.phase_end[self.stage]
+        if self.signal_end is None or mandatory_end is None:
             return None
-        return self.signal_end - self.mandatory_end
+        return self.signal_end - mandatory_end
 
     @property
     def delta_s(self):
@@ -108,7 +161,7 @@ class JobProbe:
     @property
     def delta_e(self):
         """Δe: optional deadline -> beginning of the wind-up part."""
-        if self.windup_start is None or self.od_abs is None:
+        if self.windup_start is None:
             return None
         return self.windup_start - self.od_abs
 
@@ -126,9 +179,10 @@ class JobProbe:
     def optional_time_executed(self):
         """Total optional execution time across parts (QoS)."""
         total = 0.0
-        for start, end in zip(self.optional_start, self.optional_end):
-            if start is not None and end is not None:
-                total += end - start
+        for starts, ends in zip(self.stage_start, self.stage_end):
+            for start, end in zip(starts, ends):
+                if start is not None and end is not None:
+                    total += end - start
         return total
 
     def __repr__(self):
@@ -136,6 +190,34 @@ class JobProbe:
             f"<JobProbe #{self.job_index} rel={self.release:.0f} "
             f"met={self.deadline_met}>"
         )
+
+
+def _stage_deadlines(task, optional_deadline):
+    """The relative optional deadline of each of ``task``'s stages.
+
+    ``optional_deadline`` is one OD or a sequence of ``n_phases - 1``;
+    each lies in ``(0, D]`` and each stage's follows the previous one.
+    """
+    if isinstance(optional_deadline, (list, tuple)):
+        stage_ods = [float(od) for od in optional_deadline]
+    else:
+        stage_ods = [float(optional_deadline)]
+    if len(stage_ods) != task.n_phases - 1:
+        raise ValueError(
+            f"{task.name}: {task.n_phases} mandatory parts need "
+            f"{task.n_phases - 1} optional deadlines, got {len(stage_ods)}"
+        )
+    for od in stage_ods:
+        if not 0 < od <= task.deadline:
+            raise ValueError(
+                f"{task.name}: optional deadline {od} outside (0, D]"
+            )
+    if any(later <= earlier
+           for earlier, later in zip(stage_ods, stage_ods[1:])):
+        raise ValueError(
+            f"{task.name}: optional deadlines must increase: {stage_ods}"
+        )
+    return stage_ods
 
 
 class RealTimeProcess:
@@ -150,7 +232,10 @@ class RealTimeProcess:
     :param optional_cpus: CPU per parallel optional part (from an
         assignment policy).  ``optional_cpus[0]`` should be ``cpu`` —
         the first optional part runs on the mandatory thread's CPU.
-    :param optional_deadline: *relative* optional deadline OD.
+        Every optional stage uses the same threads.
+    :param optional_deadline: *relative* optional deadline OD, or, for
+        a task of ``n_phases = K``, the ``K - 1`` strictly increasing
+        stage deadlines ``OD^1 .. OD^{K-1}``.
     :param n_jobs: number of jobs to execute.
     :param strategy: a termination strategy (default Figure 7's
         sigsetjmp/siglongjmp).
@@ -163,22 +248,21 @@ class RealTimeProcess:
     :param degrade: optional
         :class:`~repro.core.resilience.DegradedModeController`; while it
         reports degraded mode, this process sheds its optional parts
-        (jobs run mandatory + wind-up only) and feeds its miss counters.
+        (jobs run their mandatory parts only) and feeds its miss
+        counters.
     """
 
     def __init__(self, kernel, task, priority, cpu, optional_cpus,
                  optional_deadline, n_jobs, strategy=None, start_time=None,
                  watchdog=None, degrade=None):
+        if not isinstance(task, Task):
+            raise TypeError(f"expected a core.Task, got {type(task).__name__}")
         if len(optional_cpus) != task.n_parallel:
             raise ValueError(
                 f"{task.name}: {len(optional_cpus)} optional CPUs for "
                 f"np={task.n_parallel}"
             )
-        if not 0 < optional_deadline <= task.deadline:
-            raise ValueError(
-                f"{task.name}: optional deadline {optional_deadline} "
-                f"outside (0, D]"
-            )
+        stage_ods = _stage_deadlines(task, optional_deadline)
         if n_jobs < 1:
             raise ValueError("need at least one job")
         self.kernel = kernel
@@ -186,7 +270,7 @@ class RealTimeProcess:
         self.priority = priority
         self.cpu = cpu
         self.optional_cpus = list(optional_cpus)
-        self.optional_deadline = float(optional_deadline)
+        self.stage_ods = stage_ods
         self.n_jobs = n_jobs
         self.strategy = strategy or SigjmpTermination()
         self.start_time = (
@@ -241,9 +325,11 @@ class RealTimeProcess:
     def _mandatory_body(self, thread):
         task = self.task
         bus = self.kernel.probes
+        n_parallel = task.n_parallel
+        last_phase = len(self.stage_ods)
         yield SchedSetScheduler(SchedPolicy.FIFO, self.priority)
         yield SchedSetAffinity(self.cpu)
-        for part_index in range(task.n_parallel):
+        for part_index in range(n_parallel):
             optional_thread = KernelThread(
                 f"{task.name}-optional-{part_index}",
                 self._make_optional_body(part_index),
@@ -260,93 +346,59 @@ class RealTimeProcess:
             probe = JobProbe(
                 job_index,
                 release,
-                release + self.optional_deadline,
+                [release + od for od in self.stage_ods],
                 release + task.deadline,
-                task.n_parallel,
+                n_parallel,
             )
             self.probes.append(probe)
-            probe.mandatory_start = yield GetTime()
-            if bus.active:
-                bus.publish("rtseed.release", task=task.name,
-                            job=job_index, tid=thread.tid,
-                            release=release)
-                bus.publish("rtseed.mandatory_begin", task=task.name,
-                            job=job_index, tid=thread.tid,
-                            delta_m=probe.delta_m)
-
             ctx = TaskContext(task, job_index, release,
-                              probe.od_abs, probe.deadline_abs,
+                              probe.stage_ods[0], probe.deadline_abs,
                               self.strategy.any_time_termination)
-            try:
-                yield from task.exec_mandatory(ctx)
-            except JobAbortError as error:
-                # controlled per-job failure (e.g. the retry-with-budget
-                # fetch ran out of slack): discard the job, keep the
-                # process alive for the next release.
-                probe.aborted = True
-                now = yield GetTime()
-                if bus.active:
-                    bus.publish("rtseed.job_abort", task=task.name,
-                                job=job_index, tid=thread.tid,
-                                reason=error.reason)
-                if self.degrade is not None:
-                    self.degrade.record_job(task.name, False, now)
-                continue
-            probe.mandatory_end = yield GetTime()
-            if bus.active:
-                bus.publish(
-                    "rtseed.mandatory_end", task=task.name,
-                    job=job_index, tid=thread.tid,
-                    duration=probe.mandatory_end - probe.mandatory_start,
-                )
 
-            shed = self.degrade is not None and self.degrade.should_shed()
-            if probe.mandatory_end < probe.od_abs and shed:
-                # degraded mode: time remained, but system-wide pressure
-                # sheds the optional parts — mandatory + wind-up only.
-                self.degrade.note_shed()
+            for phase in range(last_phase + 1):
+                probe.phase_start[phase] = yield GetTime()
                 if bus.active:
-                    bus.publish("degrade.shed", task=task.name,
-                                job=job_index, tid=thread.tid,
-                                n_parts=task.n_parallel)
-            if probe.mandatory_end < probe.od_abs and not shed:
-                # wake each optional part individually (never broadcast)
-                token = (job_index, ctx, probe.od_abs)
-                for part_index in range(task.n_parallel):
-                    yield MutexLock(self._opt_mutex[part_index])
-                    self._opt_pending[part_index] = token
-                    yield CondSignal(self._opt_cond[part_index])
-                    yield MutexUnlock(self._opt_mutex[part_index])
-                    if self.watchdog is not None:
-                        self.watchdog.arm(self.kernel, self, job_index,
-                                          part_index, probe.od_abs)
-                probe.signal_end = yield GetTime()
-                if bus.active:
-                    bus.publish("rtseed.signals_done", task=task.name,
-                                job=job_index, tid=thread.tid,
-                                delta_b=probe.delta_b)
-
-                probe.mandatory_blocked = yield GetTime()
-                yield MutexLock(self._done_mutex)
-                while self._done_count < task.n_parallel:
-                    yield CondWait(self._mand_cond, self._done_mutex)
-                self._done_count = 0
-                yield MutexUnlock(self._done_mutex)
-            elif not shed:
-                # no time for optional parts — they are discarded (the
-                # wake-up signal is never sent) and the wind-up runs now.
-                if bus.active:
-                    bus.publish("rtseed.discard", task=task.name,
-                                job=job_index, tid=thread.tid,
-                                n_parts=task.n_parallel)
-
-            probe.windup_start = yield GetTime()
-            if bus.active:
-                bus.publish("rtseed.windup_begin", task=task.name,
+                    if phase == 0:
+                        bus.publish("rtseed.release", task=task.name,
+                                    job=job_index, tid=thread.tid,
+                                    release=release)
+                    if phase < last_phase:
+                        bus.publish("rtseed.mandatory_begin",
+                                    task=task.name, job=job_index,
+                                    tid=thread.tid, delta_m=probe.delta_m)
+                    else:
+                        bus.publish("rtseed.windup_begin", task=task.name,
+                                    job=job_index, tid=thread.tid,
+                                    delta_e=probe.delta_e)
+                try:
+                    yield from task.exec_mandatory_part(ctx, phase)
+                except JobAbortError as error:
+                    # controlled per-job failure (e.g. the retry-with-
+                    # budget fetch ran out of slack): discard the job,
+                    # keep the process alive for the next release.
+                    probe.aborted = True
+                    now = yield GetTime()
+                    if bus.active:
+                        bus.publish("rtseed.job_abort", task=task.name,
+                                    job=job_index, tid=thread.tid,
+                                    reason=error.reason)
+                    if self.degrade is not None:
+                        self.degrade.record_job(task.name, False, now)
+                    break
+                end = yield GetTime()
+                probe.phase_end[phase] = end
+                if phase < last_phase:
+                    if bus.active:
+                        bus.publish(
+                            "rtseed.mandatory_end", task=task.name,
                             job=job_index, tid=thread.tid,
-                            delta_e=probe.delta_e)
-            yield from task.exec_windup(ctx)
-            probe.windup_end = yield GetTime()
+                            duration=end - probe.phase_start[phase],
+                        )
+                    yield from self._optional_stage(thread, probe, ctx,
+                                                    phase)
+            if probe.aborted:
+                continue
+
             probe.results = ctx.collect()
             if bus.active:
                 bus.publish(
@@ -371,10 +423,61 @@ class RealTimeProcess:
 
         # shutdown: release the optional threads from their wait loops
         self._active = False
-        for part_index in range(task.n_parallel):
+        for part_index in range(n_parallel):
             yield MutexLock(self._opt_mutex[part_index])
             yield CondSignal(self._opt_cond[part_index])
             yield MutexUnlock(self._opt_mutex[part_index])
+
+    def _optional_stage(self, thread, probe, ctx, stage):
+        """Optional stage ``stage`` of one job, on the mandatory thread:
+        wake each part, then block until the last one ends.  Parts are
+        discarded when the mandatory part ended at or after the stage's
+        optional deadline, and shed in degraded mode."""
+        task = self.task
+        bus = self.kernel.probes
+        job_index = probe.job_index
+        od_abs = probe.stage_ods[stage]
+        in_time = probe.phase_end[stage] < od_abs
+        shed = self.degrade is not None and self.degrade.should_shed()
+        if in_time and shed:
+            # degraded mode: time remained, but system-wide pressure
+            # sheds the optional parts — the mandatory chain runs alone.
+            self.degrade.note_shed()
+            if bus.active:
+                bus.publish("degrade.shed", task=task.name,
+                            job=job_index, tid=thread.tid,
+                            n_parts=task.n_parallel)
+        if in_time and not shed:
+            # wake each optional part individually (never broadcast)
+            probe.stage = stage
+            token = (job_index, stage, ctx, od_abs)
+            for part_index in range(task.n_parallel):
+                yield MutexLock(self._opt_mutex[part_index])
+                self._opt_pending[part_index] = token
+                yield CondSignal(self._opt_cond[part_index])
+                yield MutexUnlock(self._opt_mutex[part_index])
+                if self.watchdog is not None:
+                    self.watchdog.arm(self.kernel, self, job_index,
+                                      part_index, od_abs)
+            probe.signal_end = yield GetTime()
+            if bus.active:
+                bus.publish("rtseed.signals_done", task=task.name,
+                            job=job_index, tid=thread.tid,
+                            delta_b=probe.delta_b)
+
+            probe.mandatory_blocked = yield GetTime()
+            yield MutexLock(self._done_mutex)
+            while self._done_count < task.n_parallel:
+                yield CondWait(self._mand_cond, self._done_mutex)
+            self._done_count = 0
+            yield MutexUnlock(self._done_mutex)
+        elif not shed:
+            # no time for optional parts — they are discarded (the
+            # wake-up signal is never sent) and the next part runs now.
+            if bus.active:
+                bus.publish("rtseed.discard", task=task.name,
+                            job=job_index, tid=thread.tid,
+                            n_parts=task.n_parallel)
 
     def _make_optional_body(self, part_index):
         def body(thread):
@@ -395,15 +498,16 @@ class RealTimeProcess:
                 yield MutexUnlock(self._opt_mutex[part_index])
                 if token is None:
                     break  # shutdown
-                job_index, ctx, od_abs = token
+                job_index, stage, ctx, od_abs = token
 
                 probe = self.probes[job_index]
-                probe.optional_start[part_index] = yield GetTime()
+                started = yield GetTime()
+                probe.stage_start[stage][part_index] = started
                 if bus.active:
                     bus.publish("rtseed.optional_begin", task=task.name,
                                 part=part_index, job=job_index,
                                 tid=thread.tid)
-                body_gen = task.exec_optional(ctx, part_index)
+                body_gen = task.exec_optional_stage(ctx, stage, part_index)
                 try:
                     outcome = yield from self.strategy.run(
                         body_gen, timer, od_abs, probes=bus)
@@ -412,10 +516,9 @@ class RealTimeProcess:
                     # the strategy's handler frame; count the part as
                     # terminated rather than killing the thread.
                     now = yield GetTime()
-                    outcome = OptionalOutcome(
-                        False, probe.optional_start[part_index], now)
-                probe.optional_end[part_index] = outcome.ended_at
-                probe.optional_fate[part_index] = outcome.fate
+                    outcome = OptionalOutcome(False, started, now)
+                probe.stage_end[stage][part_index] = outcome.ended_at
+                probe.stage_fates[stage][part_index] = outcome.fate
                 if bus.active:
                     bus.publish(
                         "rtseed.optional_end", task=task.name,

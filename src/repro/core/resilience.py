@@ -87,10 +87,11 @@ class RetryPolicy:
 class OverrunWatchdog:
     """Force-discards optional parts that outlive their termination.
 
-    Armed by the protocol per (job, part) at signal time: if the part
-    has not ended ``grace`` ns after its optional deadline, the strategy
-    that was supposed to stop it has failed (wedged signal mask, dropped
-    SIGALRM, drifted timer) and the watchdog delivers a forced unwind.
+    Armed by the protocol per (job, stage, part) at signal time: if the
+    part has not ended ``grace`` ns after its optional deadline, the
+    strategy that was supposed to stop it has failed (wedged signal
+    mask, dropped SIGALRM, drifted timer) and the watchdog delivers a
+    forced unwind.
 
     :param grace: how far past the optional deadline a part may run
         before the watchdog intervenes, nanoseconds.
@@ -104,7 +105,8 @@ class OverrunWatchdog:
         self.fired = []
 
     def arm(self, kernel, process, job_index, part_index, od_abs):
-        """Schedule the overrun check for one part of one job."""
+        """Schedule the overrun check for one part of the optional stage
+        whose deadline is ``od_abs``."""
         kernel.engine.schedule_at(
             od_abs + self.grace,
             partial(self._check, kernel, process, job_index, part_index,
@@ -113,7 +115,9 @@ class OverrunWatchdog:
 
     def _check(self, kernel, process, job_index, part_index, od_abs):
         probe = process.probes[job_index]
-        if probe.optional_end[part_index] is not None:
+        # the stage armed for: stage deadlines strictly increase
+        stage = probe.stage_ods.index(od_abs)
+        if probe.stage_end[stage][part_index] is not None:
             return  # part ended in time; nothing to do
         thread = process.optional_threads[part_index]
         if not thread.alive:
@@ -156,7 +160,8 @@ class DegradedModeController:
         #: completed episodes: (enter time, exit time) tuples; an episode
         #: still open at shutdown has exit time ``None``.
         self.episodes = []
-        #: jobs whose optional parts were shed while degraded.
+        #: jobs whose optional parts were shed while degraded (one per
+        #: shed stage for a task with more than one optional stage).
         self.shed_jobs = 0
         self._consecutive_miss = {}
         self._consecutive_met = 0
@@ -167,7 +172,7 @@ class DegradedModeController:
         return self.degraded
 
     def note_shed(self):
-        """One job's optional parts were shed (bookkeeping)."""
+        """One optional stage's parts were shed (bookkeeping)."""
         self.shed_jobs += 1
 
     def record_job(self, task_name, met, now):

@@ -100,7 +100,20 @@ class Task:
 
     Subclasses override the three ``exec_*`` generators.  The default
     implementations do nothing (zero-length parts).
+
+    The real-time process runs a job as a chain of :attr:`n_phases`
+    mandatory parts with one stage of ``np`` parallel optional parts
+    between consecutive parts, through :meth:`exec_mandatory_part` and
+    :meth:`exec_optional_stage`.  The paper's task is the chain
+    ``m -> o -> w``: phase 0 is :meth:`exec_mandatory`, phase 1
+    :meth:`exec_windup` and stage 0 :meth:`exec_optional`.  Longer
+    chains (the practical model) override the two chain hooks instead
+    (:class:`~repro.core.practical.PracticalTask`).
     """
+
+    #: mandatory parts per job ``K``; ``K - 1`` optional stages lie
+    #: between them.
+    n_phases = 2
 
     def __init__(self, name, period, n_parallel=1):
         if period <= 0:
@@ -132,6 +145,18 @@ class Task:
         """The wind-up part (generator).  Default: no work."""
         return
         yield  # pragma: no cover - makes this a generator
+
+    def exec_mandatory_part(self, ctx, phase):
+        """Mandatory part ``phase`` of the chain (generator):
+        :meth:`exec_mandatory`, then :meth:`exec_windup`."""
+        if phase == 0:
+            return self.exec_mandatory(ctx)
+        return self.exec_windup(ctx)
+
+    def exec_optional_stage(self, ctx, stage, part_index):
+        """One optional part of ``stage`` (generator):
+        :meth:`exec_optional` in the paper's single stage."""
+        return self.exec_optional(ctx, part_index)
 
     def __repr__(self):
         return (

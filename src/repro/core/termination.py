@@ -20,11 +20,13 @@ an :class:`OptionalOutcome`.
 The any-time column also decides how a default-chunk workload part
 (:class:`~repro.core.task.WorkloadTask`,
 :class:`~repro.core.practical.PracticalWorkloadTask`) is issued; the
-process hands the flag over in the part's
-:class:`~repro.core.task.TaskContext`.  Under the two timer strategies
-the part is one ``Compute``, cut mid-flight, and it publishes the work
-the kernel executed before the unwind.  Under periodic check it keeps
-its check-point chunks, the only points where it can be stopped.
+one :class:`~repro.core.process.RealTimeProcess` that runs both hands
+the flag over in the part's :class:`~repro.core.task.TaskContext`, and
+runs every optional stage of a longer chain through the same strategy.
+Under the two timer strategies the part is one ``Compute``, cut
+mid-flight, and it publishes the work the kernel executed before the
+unwind.  Under periodic check it keeps its check-point chunks, the only
+points where it can be stopped.
 
 When a probe bus is passed to :meth:`TerminationStrategy.run`, each
 outcome is published as ``termination.completed`` (with the part's

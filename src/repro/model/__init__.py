@@ -15,8 +15,9 @@ paper):
   terminated, or discarded independently.
 
 Plus job bookkeeping (:mod:`repro.model.job`), optional-deadline
-computation (:mod:`repro.model.optional_deadline`), and seeded random
-task-set generation (:mod:`repro.model.generator`).
+computation and the one response-time iteration every analysis uses
+(:mod:`repro.model.optional_deadline`), and seeded random task-set
+generation (:mod:`repro.model.generator`).
 """
 
 from repro.model.generator import TaskSetGenerator, uunifast
@@ -24,6 +25,7 @@ from repro.model.job import Job, JobOutcome, PartType
 from repro.model.optional_deadline import (
     optional_deadline_simple,
     optional_deadlines_rmwp,
+    response_time,
     windup_response_time,
 )
 from repro.model.practical import (
@@ -46,6 +48,7 @@ __all__ = [
     "PartType",
     "optional_deadline_simple",
     "optional_deadlines_rmwp",
+    "response_time",
     "windup_response_time",
     "PracticalImpreciseTask",
     "practical_optional_deadlines",

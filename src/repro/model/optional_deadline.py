@@ -25,12 +25,44 @@ unchanged in the *parallel*-extended model: parallel optional parts never
 interfere with mandatory/wind-up parts, so the analysis carries over.
 """
 
+import math
+
 from repro.engine.classes import get_sched_class
 from repro.model.task_model import PeriodicTask
+
+#: Iteration cap of every response-time fixed point (:func:`response_time`).
+RTA_MAX_ITERATIONS = 10_000
 
 
 class OptionalDeadlineError(ValueError):
     """The task set admits no valid optional deadline (wind-up infeasible)."""
+
+
+def response_time(demand, higher_priority, bound):
+    """Worst-case response time of ``demand`` under fixed priorities.
+
+    The smallest fixed point of ``R = demand + sum_hp ceil(R / T_j) C_j``
+    (Joseph & Pandya), iterated from ``R = demand``; ``C_j`` is each
+    higher-priority task's WCET (``m_j + w_j`` for an imprecise task).
+    Every response-time question of the reproduction is this iteration:
+    a whole task's (``demand = C_i``), a wind-up part's (``w_i``) and a
+    practical task's mandatory prefix or tail.
+
+    :returns: ``R``, or ``None`` when an iterate exceeds ``bound`` or
+        :data:`RTA_MAX_ITERATIONS` steps do not converge.
+    """
+    response = demand
+    for _ in range(RTA_MAX_ITERATIONS):
+        interference = 0.0
+        for other in higher_priority:
+            interference += math.ceil(response / other.period) * other.wcet
+        updated = demand + interference
+        if updated > bound:
+            return None
+        if updated == response:
+            return response
+        response = updated
+    return None
 
 
 def _mandatory_windup(task):
@@ -40,10 +72,10 @@ def _mandatory_windup(task):
     return mandatory, windup
 
 
-def windup_response_time(task, higher_priority, max_iterations=1000):
+def windup_response_time(task, higher_priority):
     """Worst-case response time of ``task``'s wind-up part.
 
-    Fixed-point iteration of
+    :func:`response_time` of ``w_i``:
     ``WR = w_i + sum_hp ceil(WR / T_j) (m_j + w_j)``.
 
     :param higher_priority: tasks with higher (RM) priority on the same
@@ -51,29 +83,14 @@ def windup_response_time(task, higher_priority, max_iterations=1000):
     :raises OptionalDeadlineError: if the iteration exceeds the deadline
         (the wind-up part cannot be guaranteed).
     """
-    import math
-
     _, windup = _mandatory_windup(task)
-    if windup <= 0:
-        return 0.0
-    response = windup
-    for _ in range(max_iterations):
-        interference = 0.0
-        for other in higher_priority:
-            m_j, w_j = _mandatory_windup(other)
-            interference += math.ceil(response / other.period) * (m_j + w_j)
-        updated = windup + interference
-        if updated > task.deadline:
-            raise OptionalDeadlineError(
-                f"{task.name}: wind-up response time {updated} exceeds "
-                f"deadline {task.deadline}"
-            )
-        if updated == response:
-            return response
-        response = updated
-    raise OptionalDeadlineError(
-        f"{task.name}: wind-up response-time iteration did not converge"
-    )
+    response = response_time(windup, higher_priority, task.deadline)
+    if response is None:
+        raise OptionalDeadlineError(
+            f"{task.name}: wind-up part {windup} has no response time "
+            f"within the deadline {task.deadline}"
+        )
+    return response
 
 
 def optional_deadline_simple(task):
@@ -93,19 +110,28 @@ def optional_deadlines_rmwp(tasks):
     :raises OptionalDeadlineError: if any wind-up part is unschedulable.
     """
     ordered = get_sched_class("rm").priority_order(tasks)
-    deadlines = {}
-    for index, task in enumerate(ordered):
-        higher = ordered[:index]
-        response = windup_response_time(task, higher)
-        optional_deadline = task.deadline - response
-        mandatory, _ = _mandatory_windup(task)
-        if optional_deadline < mandatory:
-            raise OptionalDeadlineError(
-                f"{task.name}: optional deadline {optional_deadline} leaves "
-                f"no room for the mandatory part ({mandatory})"
-            )
-        deadlines[task.name] = optional_deadline
-    return deadlines
+    return {
+        task.name: windup_optional_deadline(task, ordered[:index])
+        for index, task in enumerate(ordered)
+    }
+
+
+def windup_optional_deadline(task, higher_priority):
+    """One task's relative optional deadline under RMWP:
+    ``OD = D - WR`` (:func:`windup_response_time`).
+
+    :raises OptionalDeadlineError: if the wind-up part is unschedulable
+        or ``OD`` leaves no room for the mandatory part.
+    """
+    optional_deadline = task.deadline - windup_response_time(
+        task, higher_priority)
+    mandatory, _ = _mandatory_windup(task)
+    if optional_deadline < mandatory:
+        raise OptionalDeadlineError(
+            f"{task.name}: optional deadline {optional_deadline} leaves "
+            f"no room for the mandatory part ({mandatory})"
+        )
+    return optional_deadline
 
 
 def validate_optional_deadline(task, optional_deadline):

@@ -15,12 +15,11 @@ the deadline.  With ``K = 2`` the model degenerates to the extended
 imprecise computation model (``m^1 = m``, ``m^2 = w``).
 
 This module provides the task model and the offline optional-deadline
-computation; :mod:`repro.core.practical` runs it on the middleware.
+computation; :mod:`repro.core.practical` holds the middleware task and
+:class:`~repro.core.process.RealTimeProcess` runs it.
 """
 
-import math
-
-from repro.model.optional_deadline import OptionalDeadlineError
+from repro.model.optional_deadline import OptionalDeadlineError, response_time
 from repro.model.task_model import PeriodicTask
 
 
@@ -89,33 +88,17 @@ class PracticalImpreciseTask(PeriodicTask):
         )
 
 
-def _interference(response, higher_priority):
-    total = 0.0
-    for other in higher_priority:
-        total += math.ceil(response / other.period) * other.wcet
-    return total
-
-
-def _tail_response_time(tail, task, higher_priority, max_iterations=1000):
-    """Worst-case response time of a ``tail`` of mandatory work released
-    mid-period, under RM interference (same construction as the wind-up
-    response time of RMWP, with the tail in place of ``w``)."""
-    if tail <= 0:
-        return 0.0
-    response = tail
-    for _ in range(max_iterations):
-        updated = tail + _interference(response, higher_priority)
-        if updated > task.deadline:
-            raise OptionalDeadlineError(
-                f"{task.name}: mandatory tail {tail} has response time "
-                f"{updated} beyond the deadline {task.deadline}"
-            )
-        if updated == response:
-            return response
-        response = updated
-    raise OptionalDeadlineError(
-        f"{task.name}: tail response-time iteration did not converge"
-    )
+def _chain_response_time(work, task, higher_priority):
+    """Worst-case response time of ``work`` of ``task``'s mandatory chain
+    under RM interference (the wind-up construction of RMWP, with the
+    chain's prefix or tail in place of ``w``)."""
+    response = response_time(work, higher_priority, task.deadline)
+    if response is None:
+        raise OptionalDeadlineError(
+            f"{task.name}: mandatory work {work} has no response time "
+            f"within the deadline {task.deadline}"
+        )
+    return response
 
 
 def practical_optional_deadlines(task, higher_priority=(), balance=False):
@@ -148,11 +131,11 @@ def practical_optional_deadlines(task, higher_priority=(), balance=False):
     prefix_responses = []
     for stage in range(task.n_phases - 1):
         tail = task.tail_mandatory(stage)
-        response = _tail_response_time(tail, task, higher_priority)
+        response = _chain_response_time(tail, task, higher_priority)
         optional_deadline = task.deadline - response
         prefix = sum(task.mandatory_parts[: stage + 1])
-        prefix_response = _tail_response_time(prefix, task,
-                                              higher_priority)
+        prefix_response = _chain_response_time(prefix, task,
+                                               higher_priority)
         if prefix_response > optional_deadline:
             raise OptionalDeadlineError(
                 f"{task.name}: mandatory prefix through part {stage + 1} "

@@ -11,7 +11,7 @@ For imprecise tasks, ``C_i = m_i + w_i`` — the optional part is
 non-real-time and never enters the analysis (Section II-A).
 """
 
-import math
+from repro.model.optional_deadline import response_time
 
 
 def liu_layland_bound(n_tasks):
@@ -36,27 +36,16 @@ def hyperbolic_bound(tasks):
     return product <= 2.0 + 1e-12
 
 
-def response_time_analysis(task, higher_priority, max_iterations=10_000):
+def response_time_analysis(task, higher_priority):
     """Exact worst-case response time under fixed priorities.
 
-    Smallest fixed point of ``R = C_i + sum_hp ceil(R / T_j) C_j``.
+    Smallest fixed point of ``R = C_i + sum_hp ceil(R / T_j) C_j``
+    (:func:`repro.model.optional_deadline.response_time`).
 
     :returns: the response time, or ``None`` if it exceeds the deadline
         (unschedulable) or fails to converge.
     """
-    response = task.wcet
-    for _ in range(max_iterations):
-        interference = sum(
-            math.ceil(response / other.period) * other.wcet
-            for other in higher_priority
-        )
-        updated = task.wcet + interference
-        if updated > task.deadline:
-            return None
-        if updated == response:
-            return response
-        response = updated
-    return None
+    return response_time(task.wcet, higher_priority, task.deadline)
 
 
 def rta_schedulable(tasks):

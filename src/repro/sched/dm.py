@@ -12,9 +12,8 @@ classic fixed-priority assignments beyond RM:
   response-time analysis).
 """
 
-import math
-
 from repro.engine.classes import get_sched_class
+from repro.sched.analysis import response_time_analysis
 
 
 class DeadlineMonotonic:
@@ -32,30 +31,11 @@ class DeadlineMonotonic:
     @staticmethod
     def is_schedulable(tasks):
         """Exact RTA in DM order."""
-        from repro.sched.analysis import response_time_analysis
-
         ordered = DeadlineMonotonic.priority_order(tasks)
         for index, task in enumerate(ordered):
             if response_time_analysis(task, ordered[:index]) is None:
                 return False
         return True
-
-
-def _rta_feasible_at_lowest(task, others, max_iterations=10_000):
-    """Does ``task`` meet its deadline with every other task above it?"""
-    response = task.wcet
-    for _ in range(max_iterations):
-        interference = sum(
-            math.ceil(response / other.period) * other.wcet
-            for other in others
-        )
-        updated = task.wcet + interference
-        if updated > task.deadline:
-            return False
-        if updated == response:
-            return True
-        response = updated
-    return False
 
 
 def audsley_opa(tasks):
@@ -71,8 +51,9 @@ def audsley_opa(tasks):
         placed = None
         # deterministic: try candidates in name order
         for candidate in sorted(remaining, key=lambda t: t.name):
+            # feasible at the lowest level: every other task above it
             others = [t for t in remaining if t is not candidate]
-            if _rta_feasible_at_lowest(candidate, others):
+            if response_time_analysis(candidate, others) is not None:
                 placed = candidate
                 break
         if placed is None:

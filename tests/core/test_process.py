@@ -230,7 +230,7 @@ def test_custom_task_subclass_hooks():
 
 
 def test_job_probe_properties_none_before_measurement():
-    probe = JobProbe(0, 0.0, 750.0, 1000.0, 2)
+    probe = JobProbe(0, 0.0, [750.0], 1000.0, 2)
     assert probe.delta_m is None
     assert probe.delta_b is None
     assert probe.delta_s is None

@@ -409,6 +409,31 @@ def test_farm_verbs_refuse_fewer_than_one_worker(verb, workers, capsys):
     assert "argument --workers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "--fault-rate", "1.5"],
+    ["check", "--fault-rate", "-0.5"],
+    ["check", "--fault-rate", "nan"],
+    ["faults", "--seconds", "0"],
+], ids=["fault_rate_above_one", "negative_fault_rate", "nan_fault_rate",
+        "zero_fault_seconds"])
+def test_out_of_range_values_refused_at_parse_time(argv, capsys):
+    """Regression: ``repro check --fault-rate`` with ``1.5``, ``-0.5``
+    or ``nan`` ran, exited 0 and wrote the value into the document and
+    the checkpoint fingerprint, and ``repro faults --seconds 0`` ran
+    every scenario through the farm into an all-``incomplete``
+    document."""
+    with pytest.raises(SystemExit) as exit_info:
+        build_parser().parse_args(argv)
+    assert exit_info.value.code == 2
+    assert f"argument {argv[1]}" in capsys.readouterr().err
+
+
+def test_fault_rate_bounds_are_accepted():
+    for rate in ("0", "1"):
+        args = build_parser().parse_args(["check", "--fault-rate", rate])
+        assert args.fault_rate == float(rate)
+
+
 def test_core_batch_refuses_a_fault_rate():
     code, output = run_cli(["check", "--runs", "2", "--tasks-per-core",
                             "4", "--fault-rate", "0.5"])
