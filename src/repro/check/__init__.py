@@ -7,7 +7,9 @@ Pipeline (``repro check`` drives it end to end):
    repo's task-set generator, pre-filtered for RMWP schedulability;
 2. :mod:`repro.check.runner` — each scenario runs on the theoretical
    simulator (:mod:`repro.sched.simulator`) and the middleware
-   simkernel (:mod:`repro.core` / :mod:`repro.simkernel`);
+   simkernel (:mod:`repro.core` / :mod:`repro.simkernel`), the latter
+   as a :class:`~repro.snapshot.programs.CheckProgram`, the one
+   builder of a check run;
 3. :mod:`repro.check.differential` — the two probe streams are
    canonicalized and compared event by event, with documented
    tolerances for the known wind-up deviations;
@@ -36,7 +38,6 @@ from repro.check.oracles import (
 from repro.check.runner import (
     CheckReport,
     run_fuzz_index,
-    run_middleware,
     run_scenario,
     run_simulator,
 )
@@ -68,7 +69,6 @@ __all__ = [
     "check_protocol",
     "CheckReport",
     "run_fuzz_index",
-    "run_middleware",
     "run_scenario",
     "run_simulator",
     "CheckTask",

@@ -40,8 +40,6 @@ Documented deviations (EXPERIMENTS.md §Deviations, item 4)
    wind-up actually ran.
 """
 
-from repro.model.job import JobOutcome
-
 #: Absolute time tolerance, in nanoseconds.  Both backends compute
 #: event times with the same float arithmetic; the only expected
 #: discrepancy is last-ulp rounding from the middleware's start-time
@@ -324,14 +322,3 @@ def compare_traces(sim_trace, mw_trace, scenario, max_divergences=16):
             start + extra.time,
         ))
     return divergences
-
-
-def simulator_outcomes(result):
-    """Sanity digest of a :class:`SimulationResult` (for reports)."""
-    return {
-        "jobs": len(result.jobs),
-        "misses": len(result.deadline_misses),
-        "incomplete": sum(
-            1 for job in result.jobs if job.outcome is JobOutcome.RUNNING
-        ),
-    }

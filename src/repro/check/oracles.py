@@ -35,10 +35,6 @@ from repro.simkernel.signals import SIGALRM
 from repro.simkernel.thread import ThreadState
 
 
-class OracleViolation(Exception):
-    """Raised internally; the checker reports violations as data."""
-
-
 def _violation(oracle, time, detail):
     return {"oracle": oracle, "time": time, "detail": detail}
 

@@ -2,11 +2,15 @@
 aggregate verdicts.
 
 :func:`run_scenario` is the single entry point the CLI, the shrinker
-and the tests share: middleware run (with the kernel-trace, protocol
-and final-state oracles) plus — for fault-free scenarios whose
+and the tests share: a :class:`~repro.snapshot.programs.CheckProgram`
+run of the scenario, judged by :func:`judge_run` — the kernel-trace,
+protocol and final-state oracles plus, for fault-free scenarios whose
 optional CPUs are task-owned
-(:attr:`~repro.check.scenario.Scenario.task_owned_optional_cpus`) —
-the theory simulator and the lockstep differential.
+(:attr:`~repro.check.scenario.Scenario.task_owned_optional_cpus`),
+the theory simulator and the lockstep differential.  The program
+class holds the check run's only build and drain; the snapshot
+time-travel replay (:mod:`repro.check.timetravel`) judges its
+restored program with the same :func:`judge_run`.
 """
 
 from repro.check.differential import (
@@ -19,15 +23,11 @@ from repro.check.oracles import (
     check_kernel_trace,
     check_protocol,
 )
-from repro.check.scenario import CheckTask, Scenario
-from repro.core.middleware import RTSeed
-from repro.faults.injectors import FaultInjector
-from repro.obs.flightrec import FlightRecorder
-from repro.obs.profile import NullProfile
+from repro.check.scenario import Scenario
 from repro.model.task_model import TaskSet
+from repro.obs.profile import NullProfile
 from repro.sched.simulator import ScheduleSimulator
-from repro.simkernel.cpu import Topology, uniform_share
-from repro.simkernel.errors import SimKernelError
+from repro.snapshot.programs import CheckProgram
 
 #: Event-count circuit breaker for the middleware kernel: a planted bug
 #: that livelocks the protocol hits this instead of hanging the fuzzer;
@@ -96,74 +96,6 @@ class CheckReport:
         return f"<CheckReport {self.summary()}>"
 
 
-def build_middleware(scenario, cost_model="zero", noise_seed=0):
-    """Build (don't run) the middleware stack for ``scenario``.
-
-    Shared by :func:`run_middleware` (which runs it to completion) and
-    the snapshot layer's ``check`` program (which drives the engine to
-    a barrier first — check-artifact time-travel).
-
-    :returns: ``(middleware, events)`` — the constructed
-        :class:`~repro.core.middleware.RTSeed` (not yet started) and
-        the live list its probe subscriber appends recorded events to.
-    """
-    if isinstance(scenario, dict):
-        scenario = Scenario.from_dict(scenario)
-    topology = Topology(scenario.n_cpus, 1, share_fn=uniform_share,
-                        background_weight=0.0)
-    middleware = RTSeed(topology=topology, cost_model=cost_model,
-                        seed=noise_seed)
-
-    events = []
-    middleware.probes.subscribe(
-        lambda topic, time, data: events.append((topic, time,
-                                                 dict(data))),
-        topics=EVENT_TOPICS,
-    )
-    # passive flight recorder: free while the bus is idle, and the
-    # subscriber above activates the bus anyway — on failure its ring
-    # is attached into the check artifact
-    FlightRecorder.attach(middleware.kernel, seed=scenario.seed)
-
-    for spec in scenario.tasks:
-        middleware.add_task(
-            CheckTask(spec),
-            n_jobs=spec.n_jobs,
-            cpu=spec.cpu,
-            optional_cpus=spec.optional_cpus,
-            optional_deadline=spec.optional_deadline,
-            start_time=scenario.start_time,
-        )
-
-    plan = scenario.build_fault_plan()
-    if plan is not None:
-        FaultInjector(plan).attach(middleware.kernel)
-    return middleware, events
-
-
-def run_middleware(scenario, cost_model="zero", noise_seed=0):
-    """One middleware run of ``scenario``.
-
-    :param cost_model: passed to :class:`~repro.core.middleware.RTSeed`;
-        the conformance oracles use ``"zero"`` (costs would diverge from
-        the theory simulator); ``"xeonphi"`` exercises the noisy cost
-        path.
-    :param noise_seed: cost-model noise seed (``"xeonphi"`` only).
-    :returns: ``(events, kernel, crash)`` — the recorded probe events,
-        the kernel (for post-run state oracles) and the crash message
-        (``None`` on a clean run).
-    """
-    middleware, events = build_middleware(
-        scenario, cost_model=cost_model, noise_seed=noise_seed,
-    )
-    crash = None
-    try:
-        middleware.run(max_events=MAX_KERNEL_EVENTS)
-    except SimKernelError as error:
-        crash = f"{type(error).__name__}: {error}"
-    return events, middleware.kernel, crash
-
-
 def run_simulator(scenario):
     """The theory-simulator run of ``scenario`` (no faults possible)."""
     taskset = TaskSet([spec.to_model() for spec in scenario.tasks],
@@ -197,31 +129,32 @@ def run_simulator(scenario):
     return events, result
 
 
-def judge_run(scenario, mw_events, kernel, crash, profile=None):
-    """Verdict over an already-executed middleware run.
+def judge_run(run, profile=None):
+    """Verdict over a drained
+    :class:`~repro.snapshot.programs.CheckProgram`.
 
-    Shared by :func:`run_scenario` (which just ran the middleware) and
-    the snapshot time-travel replay (which restored a barrier snapshot
-    and finished the run) — both judge the *full* recorded event
-    stream with the same oracles and, for fault-free scenarios that
-    meet its precondition
+    Shared by :func:`run_scenario` (which just ran the program) and the
+    snapshot time-travel replay (which restored a barrier snapshot and
+    finished the run) — both judge the *full* recorded event stream
+    with the same oracles and, for fault-free scenarios that meet its
+    precondition
     (:attr:`~repro.check.scenario.Scenario.task_owned_optional_cpus`),
     the theory differential.
     """
-    if isinstance(scenario, dict):
-        scenario = Scenario.from_dict(scenario)
     if profile is None:
         profile = NullProfile()
+    scenario = run.scenario
+    mw_events = run.events
     report = CheckReport(scenario)
-    report.crash = crash
+    report.crash = run.crash
     with profile.section("check.oracles"):
         report.violations.extend(
             check_kernel_trace(mw_events, scenario.n_cpus)
         )
         report.violations.extend(check_protocol(mw_events, scenario))
-        report.violations.extend(check_final_state(kernel))
+        report.violations.extend(check_final_state(run.kernel))
 
-    if (not scenario.has_faults and crash is None
+    if (not scenario.has_faults and run.crash is None
             and scenario.task_owned_optional_cpus):
         with profile.section("check.simulator"):
             sim_events, _result = run_simulator(scenario)
@@ -235,28 +168,29 @@ def judge_run(scenario, mw_events, kernel, crash, profile=None):
             )
         report.differential_ran = True
     if not report.ok:
-        flight = getattr(kernel.probes, "flight", None)
-        if flight is not None:
-            report.flight = flight.snapshot("check_failure")
+        report.flight = run.recorder.snapshot("check_failure")
     return report
 
 
 def run_scenario(scenario, profile=None):
-    """Full verdict for one scenario: oracles always, differential when
-    fault-free on task-owned optional CPUs.
+    """Full verdict for one scenario (a
+    :class:`~repro.check.scenario.Scenario` or its dict): a zero-cost
+    :class:`~repro.snapshot.programs.CheckProgram` run, then
+    :func:`judge_run`.
 
     :param profile: optional
         :class:`~repro.obs.profile.WallClockProfile` — phases are timed
         under ``check.middleware`` / ``check.oracles`` /
         ``check.simulator`` / ``check.compare`` sections.
     """
-    if isinstance(scenario, dict):
-        scenario = Scenario.from_dict(scenario)
+    if isinstance(scenario, Scenario):
+        scenario = scenario.to_dict()
     if profile is None:
         profile = NullProfile()
     with profile.section("check.middleware"):
-        mw_events, kernel, crash = run_middleware(scenario)
-    return judge_run(scenario, mw_events, kernel, crash, profile=profile)
+        run = CheckProgram({"scenario": scenario}).build().spawn()
+        run.drain()
+    return judge_run(run, profile=profile)
 
 
 def run_fuzz_index(base_seed, index, fault_rate=0.0, shrink=True,

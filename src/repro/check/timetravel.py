@@ -31,7 +31,6 @@ faithful replay — that's what ``repro check --replay`` asserts.
 from bisect import bisect_left
 
 from repro.check.differential import TOLERANCE
-from repro.simkernel.errors import SimKernelError
 from repro.snapshot.core import SnapshotError
 from repro.snapshot.programs import build_program
 from repro.snapshot.resume import restore
@@ -66,29 +65,19 @@ def failure_time(artifact):
 def _scout_probes(spec):
     """Re-execute the spec once, recording ``(time, events_processed)``
     at every collected probe event (aligned 1:1 with the artifact
-    run's event stream — same topics, subscribed before start)."""
-    from repro.check.runner import (
-        EVENT_TOPICS,
-        MAX_KERNEL_EVENTS,
-        build_middleware,
-    )
+    run's event stream — same topics, subscribed before the spawn)."""
+    from repro.check.runner import EVENT_TOPICS
 
-    middleware, _events = build_middleware(
-        spec["scenario"],
-        cost_model=spec["cost_model"],
-        noise_seed=spec["noise_seed"],
-    )
+    run = build_program(spec).build()
+    engine = run.kernel.engine
     probes = []
-    engine = middleware.kernel.engine
-    middleware.probes.subscribe(
+    run.kernel.probes.subscribe(
         lambda topic, time, data: probes.append(
             (time, engine.events_processed)),
         topics=EVENT_TOPICS,
     )
-    try:
-        middleware.run(max_events=MAX_KERNEL_EVENTS)
-    except SimKernelError:
-        pass  # the crash is part of the run; the prefix still maps
+    # a crash is part of the run; the prefix still maps
+    run.spawn().drain()
     return probes, engine.events_processed
 
 
@@ -156,7 +145,4 @@ def replay_from_snapshot(document):
         )
     run = restore(document)
     payload = run.finish()
-    report = judge_run(
-        run.spec["scenario"], run.events, run.kernel, run.crash,
-    )
-    return report, payload
+    return judge_run(run), payload

@@ -607,6 +607,11 @@ def cmd_faults(args, out):
             print(f"unknown scenario(s): {', '.join(unknown)} "
                   f"(try --list)", file=out)
             return 2
+        repeated = sorted({name for name in names if names.count(name) > 1})
+        if repeated:
+            print(f"repeated scenario(s): {', '.join(repeated)} (the "
+                  f"report keys scenarios by name)", file=out)
+            return 2
     report, farm_result = farm_campaign(
         scenarios=names, n_seconds=args.seconds, seed=args.seed,
         workers=args.workers, flight_dir=args.flight_dir,

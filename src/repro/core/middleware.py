@@ -81,10 +81,6 @@ class TaskResult:
                     counts[fate] += 1
         return counts
 
-    def job_results(self):
-        """The wind-up-visible results each job collected."""
-        return [probe.results for probe in self.probes]
-
 
 class RTSeedResult:
     """Outcome of :meth:`RTSeed.run`: per-task results plus kernel stats."""

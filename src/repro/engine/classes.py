@@ -331,10 +331,6 @@ class Fifo99Class(SchedClass):
         top = rq.peek()
         return None if top is None else top[0]
 
-    def top_priority(self, rq):
-        """Priority of the most urgent ready entity, or ``None``."""
-        return rq.highest_priority()
-
     def check_preempt(self, rq, current):
         top = rq.highest_priority()
         if top is None:

@@ -12,6 +12,10 @@ the item description (the check runs derive their scenario RNG from
 ``derive_run_seed(base_seed, index)``; campaign scenarios are seeded by
 name), which is what makes the merged report a pure function of the
 batch — independent of worker count, scheduling order, and retries.
+An item runs one program of the registry
+(:mod:`repro.snapshot.programs`): a check item a ``CheckProgram``
+through :func:`repro.check.runner.run_fuzz_index`, a campaign item a
+``FaultsProgram``, built, spawned and drained.
 
 These are the only runners of those batches: ``repro check`` and
 ``repro faults`` call :func:`farm_check` / :func:`farm_campaign`, and
@@ -49,12 +53,13 @@ def _campaign_item(name, n_seconds, seed, flight_dir):
     numbered per process, so scenarios of different workers sharing
     one directory would overwrite each other's files.
     """
-    from repro.faults.campaign import run_scenario
+    from repro.snapshot.programs import FaultsProgram
 
     if flight_dir is not None:
         flight_dir = os.path.join(flight_dir, name)
-    return run_scenario(name, n_seconds=n_seconds, seed=seed,
-                        flight_dir=flight_dir)
+    run = FaultsProgram({"scenario": name, "seconds": n_seconds,
+                         "seed": seed}, flight_dir=flight_dir)
+    return run.build().spawn().drain()
 
 
 def merge_check_results(farm_result, base_seed, n_runs, fault_rate,
@@ -184,7 +189,8 @@ def farm_campaign(scenarios=None, n_seconds=30, seed=0, workers=1,
     :func:`repro.faults.campaign.assemble_campaign` document of the
     completed scenarios, byte-identical at any worker count.  A
     quarantined or errored scenario appears under ``"incomplete"`` with
-    its name and reason instead of vanishing.
+    its name and reason instead of vanishing.  An unknown scenario
+    name raises ``KeyError`` and a repeated one ``ValueError``.
 
     ``flight_dir`` receives the quarantine flight dump, and each
     scenario's own flight dumps under ``flight_dir/<scenario>/``.
@@ -201,6 +207,10 @@ def farm_campaign(scenarios=None, n_seconds=30, seed=0, workers=1,
             raise KeyError(
                 f"unknown scenario {name!r}; valid: {sorted(SCENARIOS)}"
             )
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ValueError(f"scenarios named more than once: {repeated}; "
+                         "the document keys scenarios by name")
     task = functools.partial(_campaign_item, n_seconds=n_seconds,
                              seed=seed, flight_dir=flight_dir)
     checkpoint_meta = {"what": "campaign", "scenarios": names,

@@ -1,10 +1,14 @@
 """Resilience campaigns: canned fault scenarios + a JSON report.
 
-A *scenario* pairs a :class:`~repro.faults.plan.FaultPlan` with the
-hardening configuration under test (retry policy, overrun watchdog,
-degraded-mode controller) and runs the end-to-end trading system
-(:class:`~repro.trading.system.RealTimeTradingSystem`) under it.  A
-*campaign* runs a list of scenarios through the scenario farm
+A *scenario* of :data:`SCENARIOS` pairs a
+:class:`~repro.faults.plan.FaultPlan` factory with the hardening
+configuration under test (retry policy, overrun watchdog,
+degraded-mode controller).
+:class:`repro.snapshot.programs.FaultsProgram` is the one builder of a
+scenario run, on the end-to-end trading system
+(:class:`~repro.trading.system.RealTimeTradingSystem`): alone (``repro
+run --program faults``), snapshotted, or as one item of a *campaign*.
+A campaign runs a list of scenarios through the scenario farm
 (:func:`repro.farm.farm_campaign`) and :func:`assemble_campaign` folds
 the results into one JSON resilience report: deadline misses, QoS,
 injected-fault counts, recovery latency.
@@ -16,28 +20,9 @@ report (CI runs a small campaign twice and compares).
 
 import json
 
-from repro.core.resilience import (
-    DegradedModeController,
-    OverrunWatchdog,
-    RetryPolicy,
-)
-from repro.faults.injectors import FaultInjector
 from repro.faults.plan import FaultPlan, FaultSpec
-from repro.obs.flightrec import FlightRecorder
 from repro.obs.report import RunReport
-from repro.simkernel.time_units import MSEC, SEC
-from repro.trading.network import NetworkModel
-from repro.trading.system import RealTimeTradingSystem
-
-#: probe topics the campaign counts per scenario.
-_COUNTED_TOPICS = (
-    "fault.*",
-    "degrade.*",
-    "rtseed.job_abort",
-    "rtseed.discard",
-    "trading.fetch_retry",
-    "trading.broker_error",
-)
+from repro.simkernel.time_units import MSEC
 
 
 def _signal_storm(horizon, seed):
@@ -175,146 +160,6 @@ SCENARIOS = {
         "degrade": True,
     },
 }
-
-
-class ScenarioRun:
-    """A prepared (not yet run) campaign scenario.
-
-    :func:`prepare_scenario` builds the full system + fault plan +
-    hardening stack and wires the campaign's own subscribers, but
-    spawns nothing: ``system.start()`` plans and spawns, and
-    :meth:`finish` drains the kernel and builds the scenario's report
-    dict.  The split exists for the program registry
-    (:class:`repro.snapshot.programs.FaultsProgram`), which attaches
-    its observers before the spawn and may fast-forward the engine to
-    a barrier before the drain; :func:`run_scenario` is the one-shot
-    composition the campaign uses.
-    """
-
-    def __init__(self, name, config, n_seconds, seed, plan, injector,
-                 system, events, retry, watchdog, degrade, recorder):
-        self.name = name
-        self.config = config
-        self.n_seconds = n_seconds
-        self.seed = seed
-        self.plan = plan
-        self.injector = injector
-        self.system = system
-        self.kernel = system.middleware.kernel
-        self.events = events
-        self.retry = retry
-        self.watchdog = watchdog
-        self.degrade = degrade
-        self.recorder = recorder
-
-    def finish(self):
-        """Drain the kernel; returns the scenario's report dict."""
-        report = self.system.finish()
-        task = self.system.task
-        probes = report.task_result.probes
-        misses = len(report.task_result.deadline_misses)
-        summary = report.summary()
-
-        result = {
-            "scenario": self.name,
-            "description": self.config["description"],
-            "seed": self.seed,
-            "n_seconds": self.n_seconds,
-            "plan": self.plan.to_dict(),
-            "injected": dict(self.injector.counts),
-            "events": self.events,
-            "jobs": len(probes),
-            "deadline_misses": misses,
-            "miss_ratio": misses / len(probes) if probes else 0.0,
-            "aborted_jobs": sum(1 for p in probes if p.aborted),
-            "qos_ms": summary["qos_ms"],
-            "trades": summary["trades"],
-            "rejected": summary["rejected"],
-            "equity": summary["equity"],
-            "broker_failures": len(task.broker_failures),
-            "run_report": RunReport.collect(
-                self.kernel, injector=self.injector,
-                watchdog=self.watchdog, degrade=self.degrade,
-                include_wallclock=False,
-            ).to_dict(),
-        }
-        if self.watchdog is not None:
-            result["watchdog_fires"] = len(self.watchdog.fired)
-        if self.degrade is not None:
-            degrade = self.degrade
-            result["degraded"] = {
-                "episodes": len(degrade.episodes),
-                "shed_jobs": degrade.shed_jobs,
-                "recovery_latency_ms": [
-                    latency / MSEC
-                    for latency in degrade.recovery_latencies
-                ],
-            }
-        return result
-
-
-def prepare_scenario(name, n_seconds=30, seed=0, flight_dir=None):
-    """Build one canned scenario, not yet spawned; returns a
-    :class:`ScenarioRun` (see :func:`run_scenario` for parameters)."""
-    if name not in SCENARIOS:
-        raise KeyError(
-            f"unknown scenario {name!r}; valid: {sorted(SCENARIOS)}"
-        )
-    config = SCENARIOS[name]
-    horizon = n_seconds * SEC
-    plan = config["plan"](horizon, seed)
-    injector = FaultInjector(plan)
-
-    network = None
-    if config.get("network"):
-        network = injector.wrap_network(NetworkModel(seed=seed))
-    retry = RetryPolicy(max_attempts=3, backoff=5 * MSEC,
-                        reserve=100 * MSEC) if config.get("retry") else None
-    watchdog = OverrunWatchdog(grace=5 * MSEC) \
-        if config.get("watchdog") else None
-    degrade = DegradedModeController(enter_after=3, exit_after=2) \
-        if config.get("degrade") else None
-
-    system = RealTimeTradingSystem(
-        n_seconds=n_seconds, seed=seed, network=network,
-        retry_policy=retry, watchdog=watchdog, degrade=degrade,
-        **config.get("system", {}),
-    )
-    task = system.task
-    task.feed = injector.wrap_feed(task.feed)
-    task.broker = injector.wrap_broker(task.broker)
-    kernel = system.middleware.kernel
-
-    events = {}
-
-    def count_event(topic, _time, _data):
-        events[topic] = events.get(topic, 0) + 1
-
-    kernel.probes.subscribe(count_event, topics=_COUNTED_TOPICS)
-    recorder = FlightRecorder.attach(kernel, dump_dir=flight_dir,
-                                     seed=seed)
-    recorder.degrade = degrade
-    injector.attach(kernel)
-
-    return ScenarioRun(name, config, n_seconds, seed, plan, injector,
-                       system, events, retry, watchdog, degrade,
-                       recorder)
-
-
-def run_scenario(name, n_seconds=30, seed=0, flight_dir=None):
-    """Run one canned scenario; returns its (JSON-ready) report dict.
-
-    :param flight_dir: when set, a
-        :class:`~repro.obs.flightrec.FlightRecorder` rides along
-        passively and dumps its ring into this directory at every
-        failure edge (invariant violation, degraded-mode entry,
-        watchdog fire).
-    """
-    scenario = prepare_scenario(
-        name, n_seconds=n_seconds, seed=seed, flight_dir=flight_dir,
-    )
-    scenario.system.start()
-    return scenario.finish()
 
 
 def assemble_campaign(names, n_seconds, seed, results):

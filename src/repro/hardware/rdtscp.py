@@ -26,9 +26,6 @@ class RdtscpCounter:
         """Return ``(cycles, cpu_id)`` — the rdtscp register pair."""
         return int(self.kernel.now * self.cycles_per_ns), cpu
 
-    def cycles_to_ns(self, cycles):
-        return cycles / self.cycles_per_ns
-
     def cycles_to_us(self, cycles):
         return cycles / (self.cycles_per_ns * 1_000.0)
 

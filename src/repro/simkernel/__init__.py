@@ -80,8 +80,6 @@ from repro.simkernel.time_units import (
     NSEC_PER_USEC,
     SEC,
     USEC,
-    from_seconds,
-    to_seconds,
 )
 
 __all__ = [
@@ -135,6 +133,4 @@ __all__ = [
     "NSEC_PER_USEC",
     "SEC",
     "USEC",
-    "from_seconds",
-    "to_seconds",
 ]

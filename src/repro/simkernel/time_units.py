@@ -28,32 +28,3 @@ MSEC = NSEC_PER_MSEC
 #: One second, in nanoseconds.
 SEC = NSEC_PER_SEC
 
-
-def from_seconds(seconds):
-    """Convert seconds to simulated nanoseconds."""
-    return float(seconds) * NSEC_PER_SEC
-
-
-def to_seconds(nanoseconds):
-    """Convert simulated nanoseconds to seconds."""
-    return float(nanoseconds) / NSEC_PER_SEC
-
-
-def from_microseconds(microseconds):
-    """Convert microseconds to simulated nanoseconds."""
-    return float(microseconds) * NSEC_PER_USEC
-
-
-def to_microseconds(nanoseconds):
-    """Convert simulated nanoseconds to microseconds."""
-    return float(nanoseconds) / NSEC_PER_USEC
-
-
-def from_milliseconds(milliseconds):
-    """Convert milliseconds to simulated nanoseconds."""
-    return float(milliseconds) * NSEC_PER_MSEC
-
-
-def to_milliseconds(nanoseconds):
-    """Convert simulated nanoseconds to milliseconds."""
-    return float(nanoseconds) / NSEC_PER_MSEC

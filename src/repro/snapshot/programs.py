@@ -10,15 +10,19 @@ parameters) — and the restore rebuilds it, fast-forwards the
 engine to the barrier, and refuses to continue unless the live state
 digests to the captured value.
 
-These classes are the only code that constructs a run, in three
-steps: ``build()`` constructs the workload from the spec (no spawn, no
-observer), ``spawn()`` plans and spawns every process, and ``drain()``
-runs to the end and returns the domain result (``RTSeedResult``,
-``TradingReport``, the scenario dict, or the check crash).  The caller
-attaches its observers between build and spawn: ``repro run`` only
-what its emissions need, the snapshot surface one fixed, *attested*
-set (the probe-stream hash, ``SchedulerMetrics`` and a
-``FlightRecorder``):
+These classes hold the one build and the one drain of each kind, in
+three steps: ``build()`` constructs the workload from the spec (no
+spawn, no observer), ``spawn()`` plans and spawns every process, and
+``drain()`` runs to the end and returns the domain result
+(``RTSeedResult``, ``TradingReport``, the scenario's campaign result
+dict, or the check crash).  Every run of the four kinds goes through
+them, whether single, farmed, replayed or snapshotted: the fault
+campaign (:mod:`repro.faults.campaign`) and the check runner
+(:mod:`repro.check.runner`) drive these classes and keep no builder
+of their own.  The caller attaches its observers between build and
+spawn: ``repro run`` only what its emissions need, the snapshot
+surface one fixed, *attested* set (the probe-stream hash,
+``SchedulerMetrics`` and a ``FlightRecorder``):
 
 ``start()``
     ``build()``, the attested observers, ``spawn()``.
@@ -35,7 +39,8 @@ set (the probe-stream hash, ``SchedulerMetrics`` and a
 Four program kinds cover the robustness surfaces: ``overheads`` (the
 Section V-A evaluation workload), ``trade`` (the end-to-end trading
 system), ``faults`` (a canned resilience scenario, fault plan active),
-and ``check`` (a conformance scenario, for check-artifact time-travel).
+and ``check`` (a conformance scenario, judged by
+:func:`repro.check.runner.judge_run`).
 """
 
 import hashlib
@@ -267,24 +272,93 @@ class TradeProgram(ProgramRun):
 
 
 class FaultsProgram(ProgramRun):
-    """A canned resilience scenario — fault plan active, hardening
-    stack wired (:mod:`repro.faults.campaign`)."""
+    """A canned resilience scenario of
+    :data:`repro.faults.campaign.SCENARIOS`: fault plan active,
+    hardening stack wired.  :meth:`drain` returns the scenario's
+    campaign result dict; ``repro faults`` runs one per scenario.
+
+    :param flight_dir: when set, the scenario's flight recorder dumps
+        its ring into this directory at every failure edge (invariant
+        violation, degraded-mode entry, watchdog fire).  It says where
+        the run writes, not what it runs, so it stays out of the spec.
+    """
 
     kind = "faults"
 
-    def build(self):
-        from repro.faults.campaign import prepare_scenario
+    #: Probe topics the result counts under ``events``.
+    COUNTED_TOPICS = (
+        "fault.*",
+        "degrade.*",
+        "rtseed.job_abort",
+        "rtseed.discard",
+        "trading.fetch_retry",
+        "trading.broker_error",
+    )
 
-        spec = self.spec
-        self.scenario = prepare_scenario(
-            spec["scenario"],
-            n_seconds=spec.get("seconds", 12),
-            seed=self.seed,
+    def __init__(self, spec, flight_dir=None):
+        super().__init__(spec)
+        self.flight_dir = flight_dir
+
+    @property
+    def seconds(self):
+        return self.spec.get("seconds", 12)
+
+    def build(self):
+        from repro.core.resilience import (
+            DegradedModeController,
+            OverrunWatchdog,
+            RetryPolicy,
         )
-        self.kernel = self.scenario.kernel
-        # the scenario wires its own flight recorder; ride it instead
-        # of attaching a second ring
-        self.recorder = self.scenario.recorder
+        from repro.faults.campaign import SCENARIOS
+        from repro.faults.injectors import FaultInjector
+        from repro.obs import FlightRecorder
+        from repro.simkernel.time_units import MSEC, SEC
+        from repro.trading.network import NetworkModel
+        from repro.trading.system import RealTimeTradingSystem
+
+        name = self.spec["scenario"]
+        if name not in SCENARIOS:
+            raise KeyError(
+                f"unknown scenario {name!r}; valid: {sorted(SCENARIOS)}"
+            )
+        config = self.config = SCENARIOS[name]
+        seed = self.seed
+        self.plan = config["plan"](self.seconds * SEC, seed)
+        injector = self.injector = FaultInjector(self.plan)
+
+        network = None
+        if config.get("network"):
+            network = injector.wrap_network(NetworkModel(seed=seed))
+        self.retry = RetryPolicy(max_attempts=3, backoff=5 * MSEC,
+                                 reserve=100 * MSEC) \
+            if config.get("retry") else None
+        self.watchdog = OverrunWatchdog(grace=5 * MSEC) \
+            if config.get("watchdog") else None
+        self.degrade = DegradedModeController(enter_after=3,
+                                              exit_after=2) \
+            if config.get("degrade") else None
+
+        system = self.system = RealTimeTradingSystem(
+            n_seconds=self.seconds, seed=seed, network=network,
+            retry_policy=self.retry, watchdog=self.watchdog,
+            degrade=self.degrade, **config.get("system", {}),
+        )
+        task = system.task
+        task.feed = injector.wrap_feed(task.feed)
+        task.broker = injector.wrap_broker(task.broker)
+        kernel = self.kernel = system.middleware.kernel
+
+        counts = self.event_counts = {}
+
+        def count_event(topic, _time, _data):
+            counts[topic] = counts.get(topic, 0) + 1
+
+        kernel.probes.subscribe(count_event, topics=self.COUNTED_TOPICS)
+        # the attested set rides this ring instead of a second one
+        self.recorder = FlightRecorder.attach(
+            kernel, dump_dir=self.flight_dir, seed=seed)
+        self.recorder.degrade = self.degrade
+        injector.attach(kernel)
         return self
 
     def attach_attested(self):
@@ -292,11 +366,50 @@ class FaultsProgram(ProgramRun):
         self.kernel.probes.subscribe(self.stream)
 
     def spawn(self):
-        self.scenario.system.start()
+        self.system.start()
         return self
 
     def drain(self):
-        return self.scenario.finish()
+        """Run to the end; returns the scenario's result dict (its
+        ``run_report`` included)."""
+        from repro.simkernel.time_units import MSEC
+
+        report = self.system.finish()
+        probes = report.task_result.probes
+        misses = len(report.task_result.deadline_misses)
+        summary = report.summary()
+        result = {
+            "scenario": self.spec["scenario"],
+            "description": self.config["description"],
+            "seed": self.seed,
+            "n_seconds": self.seconds,
+            "plan": self.plan.to_dict(),
+            "injected": dict(self.injector.counts),
+            "events": self.event_counts,
+            "jobs": len(probes),
+            "deadline_misses": misses,
+            "miss_ratio": misses / len(probes) if probes else 0.0,
+            "aborted_jobs": sum(1 for p in probes if p.aborted),
+            "qos_ms": summary["qos_ms"],
+            "trades": summary["trades"],
+            "rejected": summary["rejected"],
+            "equity": summary["equity"],
+            "broker_failures": len(self.system.task.broker_failures),
+            "run_report": self.run_report().to_dict(),
+        }
+        if self.watchdog is not None:
+            result["watchdog_fires"] = len(self.watchdog.fired)
+        degrade = self.degrade
+        if degrade is not None:
+            result["degraded"] = {
+                "episodes": len(degrade.episodes),
+                "shed_jobs": degrade.shed_jobs,
+                "recovery_latency_ms": [
+                    latency / MSEC
+                    for latency in degrade.recovery_latencies
+                ],
+            }
+        return result
 
     def payload(self, result):
         result = dict(result)
@@ -308,46 +421,80 @@ class FaultsProgram(ProgramRun):
                    include_wallclock=False):
         from repro.obs import RunReport
 
-        scenario = self.scenario
         return RunReport.collect(
             self.kernel, metrics=metrics, profile=profile,
-            injector=scenario.injector, watchdog=scenario.watchdog,
-            degrade=scenario.degrade, include_wallclock=include_wallclock)
+            injector=self.injector, watchdog=self.watchdog,
+            degrade=self.degrade, include_wallclock=include_wallclock)
 
     def extras(self):
-        scenario = self.scenario
         extras = super().extras()
         extras.update(
             resilience=capture_resilience(
-                retry=scenario.retry, watchdog=scenario.watchdog,
-                degrade=scenario.degrade,
+                retry=self.retry, watchdog=self.watchdog,
+                degrade=self.degrade,
             ),
-            injected=dict(scenario.injector.counts),
-            trading=capture_trading(scenario.system.task,
-                                    scenario.system.broker),
+            injected=dict(self.injector.counts),
+            trading=capture_trading(self.system.task,
+                                    self.system.broker),
         )
         return extras
 
 
 class CheckProgram(ProgramRun):
-    """A conformance-check scenario (``repro check``), for
-    check-artifact time-travel: the spec embeds the full scenario dict
-    (:meth:`repro.check.scenario.Scenario.to_dict`)."""
+    """A conformance-check scenario (``repro check``).  The spec embeds
+    the full scenario dict
+    (:meth:`repro.check.scenario.Scenario.to_dict`) and may name a
+    ``cost_model`` (default ``"zero"``, which the oracles and the
+    theory differential need; ``"xeonphi"`` exercises the noisy cost
+    path) with its ``noise_seed``.  The drained run carries what
+    :func:`repro.check.runner.judge_run` reads: ``scenario``,
+    ``events`` (the recorded ``rtseed.*``/``kernel.*`` probes),
+    ``kernel`` and ``crash``."""
 
     kind = "check"
 
     def build(self):
-        from repro.check.runner import build_middleware
+        from repro.check.runner import EVENT_TOPICS
+        from repro.check.scenario import CheckTask, Scenario
+        from repro.core.middleware import RTSeed
+        from repro.faults.injectors import FaultInjector
+        from repro.obs import FlightRecorder
+        from repro.simkernel.cpu import Topology, uniform_share
 
         spec = self.spec
-        self.middleware, self.events = build_middleware(
-            spec["scenario"],
-            cost_model=spec.get("cost_model", "zero"),
-            noise_seed=spec.get("noise_seed", 0),
+        scenario = self.scenario = Scenario.from_dict(spec["scenario"])
+        topology = Topology(scenario.n_cpus, 1, share_fn=uniform_share,
+                            background_weight=0.0)
+        middleware = self.middleware = RTSeed(
+            topology=topology, cost_model=spec.get("cost_model", "zero"),
+            seed=spec.get("noise_seed", 0),
         )
-        self.kernel = self.middleware.kernel
-        # ride the ring the check stack wires, as the faults program does
-        self.recorder = self.kernel.probes.flight
+        kernel = self.kernel = middleware.kernel
+
+        events = self.events = []
+        middleware.probes.subscribe(
+            lambda topic, time, data: events.append((topic, time,
+                                                     dict(data))),
+            topics=EVENT_TOPICS,
+        )
+        # passive flight recorder: free while the bus is idle, and the
+        # subscriber above activates the bus anyway.  A failing run's
+        # verdict carries its ring, and the attested set rides it.
+        self.recorder = FlightRecorder.attach(kernel, seed=scenario.seed)
+
+        for task in scenario.tasks:
+            middleware.add_task(
+                CheckTask(task),
+                n_jobs=task.n_jobs,
+                cpu=task.cpu,
+                optional_cpus=task.optional_cpus,
+                optional_deadline=task.optional_deadline,
+                start_time=scenario.start_time,
+            )
+
+        plan = scenario.build_fault_plan()
+        if plan is not None:
+            FaultInjector(plan).attach(kernel)
         return self
 
     def spawn(self):
@@ -355,7 +502,8 @@ class CheckProgram(ProgramRun):
         return self
 
     def drain(self):
-        """Run to the end (or the check event budget); returns the
+        """Run to the end, or to the check event budget
+        (:data:`repro.check.runner.MAX_KERNEL_EVENTS`); returns the
         crash line, ``None`` for a clean run."""
         from repro.check.runner import MAX_KERNEL_EVENTS
         from repro.simkernel.errors import SimKernelError

@@ -7,9 +7,10 @@ import json
 import pytest
 
 from repro.bench.overheads import OPTIONAL_DEADLINE, make_eval_task
-from repro.check.runner import run_middleware, run_simulator
+from repro.check.runner import run_simulator
 from repro.check.scenario import generate_scenario
 from repro.core.middleware import RTSeed
+from repro.snapshot.programs import CheckProgram
 
 pytestmark = pytest.mark.tier1
 
@@ -55,9 +56,9 @@ def test_fault_campaign_scenario_stream_is_deterministic():
 
     streams = []
     for _ in range(2):
-        events, _kernel, crash = run_middleware(scenario)
-        assert crash is None
-        streams.append(_serialize(events))
+        run = CheckProgram({"scenario": scenario.to_dict()})
+        assert run.build().spawn().drain() is None
+        streams.append(_serialize(run.events))
     assert streams[0] == streams[1]
 
 

@@ -9,8 +9,9 @@ from repro.check.differential import (
     normalize_middleware,
     normalize_simulator,
 )
-from repro.check.runner import run_middleware, run_scenario, run_simulator
+from repro.check.runner import run_scenario, run_simulator
 from repro.check.scenario import Scenario, ScenarioTask, generate_scenario
+from repro.snapshot.programs import CheckProgram
 
 pytestmark = pytest.mark.tier1
 
@@ -31,6 +32,13 @@ def _single_task_scenario(optionals=(30e6,), optional_deadline=40e6,
     return Scenario(n_cpus=2, start_time=50e6, tasks=[task])
 
 
+def _middleware_events(scenario):
+    """The probe events of the scenario's check run."""
+    run = CheckProgram({"scenario": scenario.to_dict()})
+    run.build().spawn().drain()
+    return run.events
+
+
 class TestConformance:
     def test_generated_scenarios_have_zero_divergences(self):
         for seed in range(25):
@@ -45,7 +53,7 @@ class TestConformance:
         scenario = _single_task_scenario(optionals=(10e6,))
         report = run_scenario(scenario)
         assert report.ok, report.summary()
-        mw_events, _, _ = run_middleware(scenario)
+        mw_events = _middleware_events(scenario)
         trace = normalize_middleware(mw_events, scenario)
         windups = [e for e in trace if e.kind == "windup_begin"]
         assert windups and windups[0].actual is not None
@@ -53,7 +61,7 @@ class TestConformance:
 
     def test_overrunning_part_needs_no_tolerance(self):
         scenario = _single_task_scenario(optionals=(60e6,))
-        mw_events, _, _ = run_middleware(scenario)
+        mw_events = _middleware_events(scenario)
         trace = normalize_middleware(mw_events, scenario)
         windups = [e for e in trace if e.kind == "windup_begin"]
         assert windups and windups[0].actual is None
@@ -68,7 +76,7 @@ class TestConformance:
         report = run_scenario(scenario)
         assert report.ok, report.summary()
         sim_events, _ = run_simulator(scenario)
-        mw_events, _, _ = run_middleware(scenario)
+        mw_events = _middleware_events(scenario)
         for trace in (normalize_simulator(sim_events, scenario),
                       normalize_middleware(mw_events, scenario)):
             dead = [e for e in trace if e.kind == "part_dead"]

@@ -17,9 +17,9 @@ comparison is known to bite.  The swap is
 
 import pytest
 
-from repro.check.runner import run_middleware
 from repro.check.scenario import generate_scenario
 from repro.hardware.noise import BatchedLognormalStream
+from repro.snapshot.programs import CheckProgram
 from tests.engine.reference import (
     ReferenceEngine,
     ReferenceLevelQueue,
@@ -30,8 +30,11 @@ pytestmark = pytest.mark.tier1
 
 
 def _run(scenario):
-    return run_middleware(scenario, cost_model="xeonphi",
-                          noise_seed=scenario.seed)
+    run = CheckProgram({"scenario": scenario.to_dict(),
+                        "cost_model": "xeonphi",
+                        "noise_seed": scenario.seed})
+    crash = run.build().spawn().drain()
+    return run.events, run.kernel, crash
 
 
 def lockstep(scenario):

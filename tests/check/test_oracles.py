@@ -9,9 +9,9 @@ from repro.check.oracles import (
     check_kernel_trace,
     check_protocol,
 )
-from repro.check.runner import run_middleware
 from repro.check.scenario import generate_scenario
 from repro.simkernel.signals import SIGALRM
+from repro.snapshot.programs import CheckProgram
 
 pytestmark = pytest.mark.tier1
 
@@ -129,11 +129,11 @@ class TestKernelTraceOracle:
     def test_real_middleware_run_is_clean(self):
         for seed in (0, 5, 9):
             scenario = generate_scenario(seed)
-            events, kernel, crash = run_middleware(scenario)
-            assert crash is None
-            assert check_kernel_trace(events, scenario.n_cpus) == []
-            assert check_protocol(events, scenario) == []
-            assert check_final_state(kernel) == []
+            run = CheckProgram({"scenario": scenario.to_dict()})
+            assert run.build().spawn().drain() is None
+            assert check_kernel_trace(run.events, scenario.n_cpus) == []
+            assert check_protocol(run.events, scenario) == []
+            assert check_final_state(run.kernel) == []
 
 
 class TestProtocolOracle:
@@ -166,8 +166,9 @@ class TestFinalStateOracle:
         """Optional threads must park with SIGALRM blocked (window
         closed); a thread that installed an unwind handler but exits
         with the signal deliverable is the stale-signal regression."""
-        scenario = generate_scenario(0)
-        _events, kernel, _crash = run_middleware(scenario)
+        run = CheckProgram({"scenario": generate_scenario(0).to_dict()})
+        run.build().spawn().drain()
+        kernel = run.kernel
         assert check_final_state(kernel) == []
         victim = next(
             thread for thread in kernel.threads

@@ -4,7 +4,7 @@ import contextlib
 
 import pytest
 
-from repro.check.runner import CheckReport, run_middleware, run_scenario
+from repro.check.runner import CheckReport, run_scenario
 from repro.check.scenario import generate_scenario
 from repro.check.shrink import make_artifact
 from repro.check.timetravel import (
@@ -14,6 +14,7 @@ from repro.check.timetravel import (
     replay_from_snapshot,
 )
 from repro.snapshot import (
+    CheckProgram,
     SnapshotError,
     build_program,
     restore,
@@ -41,8 +42,9 @@ def _artifact(seed=2, divergences=None, violations=None, crash=None):
 
 def _probe_times(seed=2):
     """Probe times of the scenario's check run, in stream order."""
-    return [time for _topic, time, _data
-            in run_middleware(generate_scenario(seed))[0]]
+    run = CheckProgram({"scenario": generate_scenario(seed).to_dict()})
+    run.build().spawn().drain()
+    return [time for _topic, time, _data in run.events]
 
 
 def _restored_split(document):

@@ -3,7 +3,7 @@
 The same batch — check runs or a fault campaign —
 must produce **byte-identical** merged reports at ``--workers 1``,
 ``2``, and ``4``, and a farmed campaign must be byte-identical to the
-campaign assembled from direct ``run_scenario`` calls.  ``workers=1``
+campaign assembled from direct ``FaultsProgram`` runs.  ``workers=1``
 runs in-process through the same merge path, so it is simultaneously
 the baseline and the proof that the multiprocessing machinery adds
 nothing to the bytes.
@@ -19,17 +19,14 @@ method.
 import pytest
 
 import repro.simkernel.kernel as kernel_mod
-from repro.faults.campaign import (
-    assemble_campaign,
-    render_report,
-    run_scenario,
-)
+from repro.faults.campaign import assemble_campaign, render_report
 from repro.farm import (
     farm_campaign,
     farm_check,
     farm_map,
     render_check_report,
 )
+from repro.snapshot.programs import FaultsProgram
 
 pytestmark = pytest.mark.tier1
 
@@ -80,8 +77,9 @@ def test_shrunk_artifacts_invariant_with_planted_bug(monkeypatch):
 def test_campaign_farm_matches_serial_bytes():
     names = ["baseline", "cpu_stall"]
     serial = render_report(assemble_campaign(
-        names, 2, 3, [run_scenario(name, n_seconds=2, seed=3)
-                      for name in names],
+        names, 2, 3,
+        [FaultsProgram({"scenario": name, "seconds": 2, "seed": 3})
+         .build().spawn().drain() for name in names],
     ))
     for workers in (1, 2):
         document, result = farm_campaign(names, n_seconds=2, seed=3,

@@ -1,19 +1,29 @@
 """End-to-end tests for the resilience campaign runner."""
 
+import io
 import json
 
 import pytest
 
+from repro.cli import main
 from repro.farm import farm_campaign
-from repro.faults.campaign import SCENARIOS, render_report, run_scenario
+from repro.faults.campaign import SCENARIOS, render_report
 from repro.simkernel.time_units import SEC
+from repro.snapshot.programs import FaultsProgram
 
 pytestmark = pytest.mark.tier1
 
 
+def scenario_result(name, n_seconds, seed):
+    """One campaign scenario's result dict."""
+    run = FaultsProgram({"scenario": name, "seconds": n_seconds,
+                         "seed": seed})
+    return run.build().spawn().drain()
+
+
 def test_unknown_scenario_rejected():
     with pytest.raises(KeyError, match="unknown scenario"):
-        run_scenario("nope")
+        FaultsProgram({"scenario": "nope"}).build()
 
 
 def test_every_scenario_builds_a_valid_plan():
@@ -35,8 +45,37 @@ def test_campaign_is_byte_deterministic():
     assert json.loads(render_report(first)) == first
 
 
+def test_farm_campaign_refuses_a_repeated_scenario():
+    """Regression: a repeated name ran twice; the document keyed it
+    once, but its merged ``run_report`` summed both runs."""
+    with pytest.raises(ValueError, match=r"more than once: \['baseline'\]"):
+        farm_campaign(["baseline", "cpu_stall", "baseline"], n_seconds=2,
+                      seed=0)
+
+
+def test_one_scenario_gives_one_result_through_both_entry_points():
+    """A campaign scenario reproduces alone: its entry in the campaign
+    document, less its ``run_report``, is the ``scenario`` section of
+    ``repro run --program faults --emit payload`` at the same seconds
+    and seed, and the two run reports are equal."""
+    names = ["cpu_stall", "overload_degrade"]
+    args = ["--seconds", "6", "--seed", "3"]
+    out = io.StringIO()
+    assert main(["faults", "--scenario", ",".join(names), *args],
+                out=out) == 0
+    scenarios = json.loads(out.getvalue())["scenarios"]
+    for name in names:
+        out = io.StringIO()
+        assert main(["run", "--program", "faults", "--scenario", name,
+                     *args, "--emit", "payload"], out=out) == 0
+        payload = json.loads(out.getvalue())
+        result = dict(scenarios[name])
+        assert result.pop("run_report") == payload["run_report"]
+        assert result == payload["scenario"]
+
+
 def test_baseline_scenario_injects_nothing():
-    report = run_scenario("baseline", n_seconds=10, seed=0)
+    report = scenario_result("baseline", n_seconds=10, seed=0)
     assert report["injected"] == {}
     assert report["events"] == {}
     assert report["deadline_misses"] == 0
@@ -45,7 +84,7 @@ def test_baseline_scenario_injects_nothing():
 
 
 def test_net_timeouts_scenario_retries_within_budget():
-    report = run_scenario("net_timeouts", n_seconds=30, seed=0)
+    report = scenario_result("net_timeouts", n_seconds=30, seed=0)
     assert report["injected"]["net_timeout"] > 0
     assert report["events"].get("trading.fetch_retry", 0) > 0
     # retries keep the protocol alive: most jobs still complete
@@ -56,7 +95,7 @@ def test_overload_degrade_enters_and_recovers():
     """The headline acceptance scenario: sustained misses push the
     system into degraded mode, shedding clears pressure, and it
     recovers with a measurable latency."""
-    report = run_scenario("overload_degrade", n_seconds=30, seed=0)
+    report = scenario_result("overload_degrade", n_seconds=30, seed=0)
     assert report["injected"]["core_throttle"] >= 1
     assert report["deadline_misses"] >= 3
     degraded = report["degraded"]
@@ -70,7 +109,7 @@ def test_overload_degrade_enters_and_recovers():
 
 
 def test_signal_storm_exercises_signal_faults_and_watchdog():
-    report = run_scenario("signal_storm", n_seconds=30, seed=0)
+    report = scenario_result("signal_storm", n_seconds=30, seed=0)
     injected = report["injected"]
     assert injected["spurious_wakeup"] > 0
     assert injected["signal_drop"] > 0
@@ -82,7 +121,7 @@ def test_signal_storm_exercises_signal_faults_and_watchdog():
 
 
 def test_report_embeds_the_exact_plan():
-    report = run_scenario("timer_drift", n_seconds=10, seed=3)
+    report = scenario_result("timer_drift", n_seconds=10, seed=3)
     plan = report["plan"]
     assert plan["name"] == "timer_drift"
     assert plan["seed"] == 3

@@ -6,7 +6,6 @@ import pytest
 
 from repro.bench.overheads import OPTIONAL_DEADLINE, make_eval_task
 from repro.core.middleware import RTSeed
-from repro.faults.campaign import prepare_scenario
 from repro.faults.invariants import check_kernel_invariants
 from repro.obs.bus import PROBE_SITES, ProbeBus
 from repro.obs.flightrec import (
@@ -19,6 +18,7 @@ from repro.obs.flightrec import (
 from repro.simkernel.errors import InvariantViolationError
 from repro.simkernel.thread import SchedPolicy
 from repro.simkernel.time_units import MSEC, SEC
+from repro.snapshot.programs import FaultsProgram
 
 pytestmark = pytest.mark.tier1
 
@@ -301,12 +301,12 @@ def plant_violation(kernel):
 def planted_run(flight_dir):
     """A 2 s ``baseline`` campaign scenario with the violation planted
     between build and spawn; returns the raised error."""
-    scenario = prepare_scenario("baseline", n_seconds=2, seed=0,
-                                flight_dir=str(flight_dir))
-    plant_violation(scenario.kernel)
-    scenario.system.start()
+    run = FaultsProgram({"scenario": "baseline", "seconds": 2,
+                         "seed": 0}, flight_dir=str(flight_dir)).build()
+    plant_violation(run.kernel)
+    run.spawn()
     with pytest.raises(InvariantViolationError) as excinfo:
-        scenario.finish()
+        run.drain()
     return excinfo.value
 
 

@@ -227,6 +227,17 @@ def test_faults_flight_dir_same_at_any_worker_count(tmp_path, monkeypatch):
         in trees[1]
 
 
+def test_faults_refuses_a_repeated_scenario():
+    """Regression: ``--scenario baseline,baseline`` ran ``baseline``
+    twice and exited 0; the document listed it once, but its merged
+    ``run_report`` said ``"shards": 2`` and summed both runs."""
+    code, output = run_cli(["faults", "--scenario", "baseline,baseline",
+                            "--seconds", "2"])
+    assert code == 2
+    assert output.count("\n") == 1
+    assert output.startswith("repeated scenario(s): baseline ")
+
+
 @pytest.mark.parametrize("argv", [
     ["faults", "--scenario", "baseline,cpu_stall", "--seconds", "2"],
     ["scale"],
