@@ -174,7 +174,9 @@ def test_batched_noise_stream_matches_scalar_draws(seed, sigma, n, chunk):
     )
     scalar_rng = np.random.default_rng(seed)
     for _ in range(n):
-        assert stream.next() == scalar_rng.lognormal(0.0, sigma)
+        drawn = stream.next()
+        assert type(drawn) is float
+        assert drawn.hex() == float(scalar_rng.lognormal(0.0, sigma)).hex()
 
 
 class _Stall:

@@ -105,6 +105,23 @@ def test_rate_for_background_weight_zero():
     assert core.rate_for(2, 2) == 0.5
 
 
+@pytest.mark.parametrize("share_fn", [xeon_phi_share, uniform_share])
+def test_unweighted_background_count_never_moves_the_rate(share_fn):
+    """The kernel prices a core of weight 0 as if no sibling carried
+    background load, skipping the sibling walk: that is exact only if
+    ``rate_for(n, k)`` has the bits of ``rate_for(n, 0)`` for every
+    ``k`` the core can see."""
+    topology = Topology(1, 4, share_fn=share_fn, background_weight=0.0)
+    core = topology.cores[0]
+    width = topology.threads_per_core
+    for speed in (1.0, 0.37, 2.5):
+        core.speed = speed
+        for n in range(width + 1):
+            for k in range(width + 1):
+                assert core.rate_for(n, k).hex() \
+                    == core.rate_for(n, 0).hex(), (speed, n, k)
+
+
 def test_rate_for_background_weight_one():
     topology = Topology(1, 4, share_fn=uniform_share, background_weight=1.0)
     core = topology.cores[0]

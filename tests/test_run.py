@@ -96,6 +96,23 @@ def test_trade_payload_keeps_its_bytes(tmp_path):
         == "ec254e5682832035"
 
 
+@pytest.mark.parametrize("argv, digest", [
+    # MACD needs slow + signal = 35 ticks of history, so the 30 s run
+    # never refines it; this one does
+    (["--program", "trade", "--seconds", "60"], "ed4ceecc1150dd27"),
+    # the Section V-A task on the loaded evaluation topology: lock
+    # handoffs priced by background pressure, and SMT rates on cores
+    # whose every hardware thread carries the load flag
+    (["--program", "overheads", "--np", "57", "--jobs", "3", "--load",
+      "cpu_memory"], "e8c06c3586dbf855"),
+], ids=["trade-60s", "overheads-np57-cpu-memory"])
+def test_long_and_loaded_payloads_keep_their_bytes(tmp_path, argv, digest):
+    path = tmp_path / "payload.json"
+    code, _output = run_cli(["run", *argv, "--emit", f"payload={path}"])
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == digest
+
+
 @pytest.mark.parametrize("program, cls", [
     ("overheads", OverheadsProgram),
     ("trade", TradeProgram),
