@@ -34,6 +34,12 @@ duration) or ``termination.terminated`` (with the overrun past the
 optional deadline — the user-space termination latency the paper's
 Table I trades off).  The strategy instances in :data:`STRATEGIES` are
 shared, so the bus travels as a call argument, never instance state.
+
+The kernel never stores or mutates a request it is yielded, so the
+requests that carry no per-part value are built once here
+(:data:`GET_TIME`, :data:`BLOCK_SIGALRM`, :data:`UNBLOCK_ALL`) and
+yielded by every part; :class:`~repro.core.process.RealTimeProcess`
+shares :data:`GET_TIME` too.
 """
 
 from repro.simkernel.errors import SignalUnwind
@@ -44,6 +50,12 @@ from repro.simkernel.syscalls import (
     Sigaction,
     TimerSettime,
 )
+
+#: ``clock_gettime``, shared by every part and process.
+GET_TIME = GetTime()
+#: ``sigprocmask`` requests around the optional body (Figure 7).
+BLOCK_SIGALRM = SetSignalMask({SIGALRM})
+UNBLOCK_ALL = SetSignalMask(())
 
 
 class OptionalOutcome:
@@ -130,27 +142,27 @@ class SigjmpTermination(TerminationStrategy):
 
     def setup(self, timer):
         yield Sigaction(SIGALRM, UnwindDisposition(restore_mask=True))
-        yield SetSignalMask({SIGALRM})
+        yield BLOCK_SIGALRM
 
     def run(self, body, timer, od_abs, probes=None):
-        started_at = yield GetTime()
+        started_at = yield GET_TIME
         try:
             # sigsetjmp(...) == 0 branch: arm the one-shot timer and run.
             yield TimerSettime(timer, od_abs)
-            yield SetSignalMask(set())
+            yield UNBLOCK_ALL
             yield from body
             # Completed: stop the optional deadline timer and close the
             # delivery window before touching any shared protocol state.
-            yield SetSignalMask({SIGALRM})
+            yield BLOCK_SIGALRM
             yield TimerSettime(timer, None)
-            ended_at = yield GetTime()
+            ended_at = yield GET_TIME
             outcome = OptionalOutcome(True, started_at, ended_at)
         except SignalUnwind:
             # siglongjmp landed: stack context and signal mask restored
             # (re-block first — a second in-flight delivery must not
             # unwind the post-part bookkeeping).
-            yield SetSignalMask({SIGALRM})
-            ended_at = yield GetTime()
+            yield BLOCK_SIGALRM
+            ended_at = yield GET_TIME
             outcome = OptionalOutcome(False, started_at, ended_at)
         _publish_outcome(probes, self, outcome, od_abs)
         return outcome
@@ -173,15 +185,15 @@ class TryCatchTermination(TerminationStrategy):
         yield Sigaction(SIGALRM, UnwindDisposition(restore_mask=False))
 
     def run(self, body, timer, od_abs, probes=None):
-        started_at = yield GetTime()
+        started_at = yield GET_TIME
         try:
             yield TimerSettime(timer, od_abs)
             yield from body
             yield TimerSettime(timer, None)
-            ended_at = yield GetTime()
+            ended_at = yield GET_TIME
             outcome = OptionalOutcome(True, started_at, ended_at)
         except SignalUnwind:
-            ended_at = yield GetTime()
+            ended_at = yield GET_TIME
             outcome = OptionalOutcome(False, started_at, ended_at)
         _publish_outcome(probes, self, outcome, od_abs)
         return outcome
@@ -201,7 +213,7 @@ class PeriodicCheckTermination(TerminationStrategy):
     restores_signal_mask = True  # trivially: nothing is ever masked
 
     def run(self, body, timer, od_abs, probes=None):
-        started_at = yield GetTime()
+        started_at = yield GET_TIME
         completed = True
         try:
             request = next(body)
@@ -209,7 +221,7 @@ class PeriodicCheckTermination(TerminationStrategy):
             request = None
         while request is not None:
             result = yield request
-            now = yield GetTime()
+            now = yield GET_TIME
             if now >= od_abs:
                 completed = False
                 body.close()
@@ -218,7 +230,7 @@ class PeriodicCheckTermination(TerminationStrategy):
                 request = body.send(result)
             except StopIteration:
                 break
-        ended_at = yield GetTime()
+        ended_at = yield GET_TIME
         outcome = OptionalOutcome(completed, started_at, ended_at)
         _publish_outcome(probes, self, outcome, od_abs)
         return outcome

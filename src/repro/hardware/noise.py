@@ -7,15 +7,18 @@ per fig10 run into a few hundred.
 
 **The RNG-order contract.**  Batching must not change a single consumed
 value: figure and benchmark data are keyed by seed, and the documents
-seeded runs produce are pinned byte for byte.  Two properties of
-:class:`numpy.random.Generator` make the chunked stream exactly equal
-to one scalar ``rng.lognormal(0.0, sigma)`` call per priced event:
+seeded runs produce are pinned byte for byte.  Two properties make the
+chunked stream exactly equal to one scalar ``rng.lognormal(0.0,
+sigma)`` call per priced event:
 
-1. ``rng.lognormal(mean, sigma, n)`` produces element-for-element the
+1. ``rng.lognormal(mean, sigma, n)`` of a
+   :class:`numpy.random.Generator` produces element-for-element the
    same values as ``n`` successive scalar ``rng.lognormal(mean,
    sigma)`` calls (the vectorized path consumes the bit stream in the
    same order), and
-2. ``float(chunk[i])`` preserves the float64 bit pattern exactly.
+2. each chunk is converted once with ``chunk.tolist()``, which turns
+   every float64 into a Python float with the same bit pattern, so a
+   draw is a list index with no per-draw conversion.
 
 Both are asserted by hypothesis property tests
 (``tests/engine/test_backend_properties.py``), so a numpy upgrade that
@@ -50,6 +53,7 @@ class BatchedLognormalStream:
         self._rng = rng
         self._sigma = sigma
         self._chunk = chunk
+        #: the current chunk, as Python floats
         self._buf = ()
         self._idx = 0
 
@@ -61,7 +65,7 @@ class BatchedLognormalStream:
         if idx >= len(buf):
             buf = self._buf = self._rng.lognormal(
                 0.0, self._sigma, self._chunk
-            )
+            ).tolist()
             idx = 0
         self._idx = idx + 1
-        return float(buf[idx])
+        return buf[idx]

@@ -180,10 +180,11 @@ class XeonPhiCostModel(CostModel):
         return value * self._noise_stream.next()
 
     def _stalled(self, value, owner):
-        """Apply any active stall window; ``owner`` is a CPU id, a
+        """Apply the installed stall provider; ``owner`` is a CPU id, a
         thread (its ``.cpu`` is used), or ``None`` (no CPU context —
-        stall windows scoped to specific CPUs do not apply)."""
-        if self.stall is None or value <= 0:
+        stall windows scoped to specific CPUs do not apply).  The hooks
+        call it only while :attr:`stall` is set."""
+        if value <= 0:
             return value
         cpu = owner if owner is None or isinstance(owner, int) \
             else owner.cpu
@@ -204,45 +205,48 @@ class XeonPhiCostModel(CostModel):
         pressure = 0.0
         now = kernel.now
         warmup = self.costs.bg_warmup
+        current = kernel.current
+        resumed = kernel.background_resume_time
         for hw_thread in core.hw_threads:
-            if hw_thread.cpu_id == cpu:
-                continue
-            if hw_thread.background_busy and \
-                    kernel.current[hw_thread.cpu_id] is None:
-                running_for = now - kernel.background_resume_time[
-                    hw_thread.cpu_id
-                ]
+            sibling = hw_thread.cpu_id
+            if sibling != cpu and hw_thread._background_busy \
+                    and current[sibling] is None:
+                running_for = now - resumed[sibling]
                 pressure += min(1.0, max(0.0, running_for / warmup))
         return pressure
 
     # -- CostModel hooks ----------------------------------------------------
+    #
+    # Each hook draws through ``_noisy`` (the seam the reference model
+    # swaps) and reaches ``_stalled`` only while a stall provider is
+    # installed.
 
     def wakeup_latency(self, thread, kernel, kind="sync"):
         base = self.costs.sleep_wakeup if kind == "sleep" \
             else self.costs.sync_wakeup
-        return self._stalled(self._noisy(base), thread)
+        cost = self._noisy(base)
+        return cost if self.stall is None else self._stalled(cost, thread)
 
     def context_switch(self, cpu, prev_thread, next_thread, kernel):
         if prev_thread is next_thread:
             # resuming the same thread on this CPU: registers still live
-            return self._stalled(
-                self._noisy(0.25 * self.costs.context_switch), cpu
-            )
-        pressure = kernel.nr_running * self.costs.dispatch_pressure
-        return self._stalled(
-            self._noisy(self.costs.context_switch + pressure), cpu
-        )
+            cost = self._noisy(0.25 * self.costs.context_switch)
+        else:
+            pressure = kernel.nr_running * self.costs.dispatch_pressure
+            cost = self._noisy(self.costs.context_switch + pressure)
+        return cost if self.stall is None else self._stalled(cost, cpu)
 
     def cond_signal(self, signaler, woken_thread, kernel):
-        return self._stalled(self._noisy(self.costs.cond_signal),
-                             signaler)
+        cost = self._noisy(self.costs.cond_signal)
+        return cost if self.stall is None else self._stalled(cost, signaler)
 
     def timer_handler(self, thread, kernel):
-        return self._stalled(self._noisy(self.costs.timer_handler),
-                             thread)
+        cost = self._noisy(self.costs.timer_handler)
+        return cost if self.stall is None else self._stalled(cost, thread)
 
     def unwind(self, thread, kernel):
-        return self._stalled(self._noisy(self.costs.unwind), thread)
+        cost = self._noisy(self.costs.unwind)
+        return cost if self.stall is None else self._stalled(cost, thread)
 
     def mutex_handoff(self, mutex, prev_cpu, next_cpu, contended, kernel):
         # Uncontended fast-path acquisitions are effectively free (an
@@ -254,10 +258,10 @@ class XeonPhiCostModel(CostModel):
             self._background_pressure(next_cpu, kernel)
             * self.costs.lock_bg_sibling_penalty
         )
-        return self._stalled(
-            self._noisy(self.costs.lock_handoff + penalty), next_cpu
-        )
+        cost = self._noisy(self.costs.lock_handoff + penalty)
+        return cost if self.stall is None \
+            else self._stalled(cost, next_cpu)
 
     def syscall(self, request, thread, kernel):
-        return self._stalled(self._noisy(self.costs.syscall_entry),
-                             thread)
+        cost = self._noisy(self.costs.syscall_entry)
+        return cost if self.stall is None else self._stalled(cost, thread)

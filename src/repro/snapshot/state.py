@@ -205,8 +205,7 @@ def capture_cost_model(cost_model):
         state["stream"] = {
             "chunk": stream._chunk,
             "index": stream._idx,
-            "buffered": [float(value)
-                         for value in stream._buf[stream._idx:]],
+            "buffered": list(stream._buf[stream._idx:]),
         }
     return state
 
