@@ -230,7 +230,10 @@ obs.bus.ProbeBus` with no kernel behind it; returns ``self``.
         Line 1 is the header, line 2 the kernel summary, then one line
         per recorded event oldest-first.  Publishes ``flightrec.dump``
         *after* snapshotting, so the dump never contains its own marker
-        but live observers still see it.
+        but live observers still see it.  The marker names the file
+        only: later dumps of the run record it, and their bytes must
+        not depend on how the directory was spelled.  :attr:`dumps`
+        keeps the full paths.
         """
         if document is None:
             document = self.snapshot(reason)
@@ -242,7 +245,7 @@ obs.bus.ProbeBus` with no kernel behind it; returns ``self``.
             bus.publish("flightrec.dump", reason=reason,
                         recorded=document["header"]["recorded"],
                         dropped=document["header"]["dropped"],
-                        path=path)
+                        path=os.path.basename(path))
         return path
 
     def dump_to_dir(self, reason, document=None):

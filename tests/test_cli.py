@@ -200,7 +200,15 @@ def test_faults_command_flight_dir(tmp_path):
     assert any(name.startswith("flightrec-degrade_enter") for name in names)
 
 
-def test_faults_flight_dir_same_at_any_worker_count(tmp_path, monkeypatch):
+def _tree(root):
+    """Every file under ``root``, by relative path, with its bytes."""
+    return {
+        str(path.relative_to(root)): path.read_bytes()
+        for path in root.rglob("*") if path.is_file()
+    }
+
+
+def test_faults_flight_dir_same_at_any_worker_count(tmp_path):
     """Regression: a farmed campaign wrote no scenario dumps.  Each
     scenario now dumps into ``DIR/<scenario>/``, so the tree — names
     and bytes — is the same at 1 and 2 workers."""
@@ -208,23 +216,40 @@ def test_faults_flight_dir_same_at_any_worker_count(tmp_path, monkeypatch):
     for workers in (1, 2):
         run_dir = tmp_path / f"w{workers}"
         run_dir.mkdir()
-        # dumps record the paths of earlier dumps: use one relative DIR
-        monkeypatch.chdir(run_dir)
         code, _ = run_cli([
             "faults", "--scenario", "signal_storm,overload_degrade",
             "--seconds", "12", "--workers", str(workers),
-            "--flight-dir", "flight", "--out", "report.json",
+            "--flight-dir", str(run_dir / "flight"),
+            "--out", str(run_dir / "report.json"),
         ])
         assert code == 0
-        trees[workers] = {
-            str(path.relative_to(run_dir)): path.read_bytes()
-            for path in run_dir.rglob("*") if path.is_file()
-        }
+        trees[workers] = _tree(run_dir)
     assert trees[1] == trees[2]
     assert ("flight/signal_storm/flightrec-degrade_watchdog_fire-seed0-2"
             ".jsonl") in trees[1]
     assert "flight/overload_degrade/flightrec-degrade_enter-seed0.jsonl" \
         in trees[1]
+
+
+def test_faults_flight_dumps_keep_their_bytes_in_any_directory(
+        tmp_path, monkeypatch):
+    """Regression: every dump after a run's first recorded the earlier
+    dump's ``flightrec.dump`` marker with its full path, so the same
+    campaign written under ``fd1`` and under ``fd2`` (or an absolute
+    directory) gave different bytes.  The marker names the file only."""
+    monkeypatch.chdir(tmp_path)
+    directories = [tmp_path / "fd1", tmp_path / "elsewhere" / "dumps"]
+    for directory, spelled in zip(directories,
+                                  ["fd1", str(directories[1])]):
+        code, _ = run_cli([
+            "faults", "--scenario", "signal_storm", "--seconds", "12",
+            "--seed", "7", "--flight-dir", spelled,
+        ])
+        assert code == 0
+    relative, absolute = (_tree(directory) for directory in directories)
+    assert relative == absolute
+    repeat = "signal_storm/flightrec-degrade_watchdog_fire-seed7-2.jsonl"
+    assert b'"topic": "flightrec.dump"' in relative[repeat]
 
 
 def test_faults_refuses_a_repeated_scenario():
