@@ -20,6 +20,11 @@ paper / POSIX          request class
 ``sigprocmask``        :class:`SetSignalMask`
 (CPU-bound work)       :class:`Compute`
 ====================  =================================================
+
+The kernel reads a request and never stores or mutates it, so one
+instance may be yielded many times: the middleware builds the requests
+that carry no per-yield value once (its mutex, condvar and signal-mask
+requests, and one shared :class:`GetTime`).
 """
 
 

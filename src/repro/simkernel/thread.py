@@ -129,12 +129,6 @@ class KernelThread:
         return self.completion_event is not None
 
     @property
-    def has_pending_execution(self):
-        """True if dispatching this thread must execute work or latency
-        before resuming its coroutine."""
-        return self.work_remaining > 0 or self.latency_remaining > 0
-
-    @property
     def alive(self):
         return self.state is not ThreadState.TERMINATED
 
