@@ -8,12 +8,21 @@ differential) from a seeded generator, and scores them with an anytime
 Monte-Carlo analyzer: each refinement step draws more scenarios, so the
 estimate's confidence interval tightens monotonically with optional
 execution time — the same QoS contract as the technical analyzers.
+
+A job's samples live in one preallocated buffer: each round writes its
+``tanh`` draws after the ones already there and scores the filled
+prefix, a view, with :func:`repro.trading.indicators._mean_std`.  The
+factor consensus is fixed within a job, so ``start`` computes it once.
+The values are those of the list-of-samples form kept as the model in
+``tests/trading/reference.py``, bit for bit.
 """
+
+import math
 
 import numpy as np
 
 from repro.simkernel.time_units import MSEC
-from repro.trading.indicators import AnytimeAnalyzer, Estimate
+from repro.trading.indicators import AnytimeAnalyzer, Estimate, _mean_std
 
 
 class MacroSeries:
@@ -69,12 +78,16 @@ def synthetic_macro(seed=0):
 
 
 class _MonteCarloState:
-    __slots__ = ("factors", "rng", "samples", "rounds_left", "done")
+    """One job's draws: ``samples[:filled]`` holds every round's."""
 
-    def __init__(self, factors, rng, rounds):
-        self.factors = factors
+    __slots__ = ("consensus", "rng", "samples", "filled", "rounds_left",
+                 "done")
+
+    def __init__(self, consensus, rng, rounds, samples_per_round):
+        self.consensus = consensus
         self.rng = rng
-        self.samples = []
+        self.samples = np.empty(max(rounds, 0) * samples_per_round)
+        self.filled = 0
         self.rounds_left = rounds
         self.done = rounds <= 0
 
@@ -115,26 +128,29 @@ class FundamentalAnalyzer(AnytimeAnalyzer):
             [series.value_at_tick(self.tick_index)
              for series in self.macro_series]
         )
+        consensus = float(np.dot(factors, self.weights) / self.weights.sum())
         rng = np.random.default_rng((self.seed, self.tick_index))
-        return _MonteCarloState(factors, rng, self.rounds)
+        return _MonteCarloState(consensus, rng, self.rounds,
+                                self.samples_per_round)
 
     def refine(self, state):
         if state.done:
             raise RuntimeError("fundamental: refine() after completion")
-        consensus = float(
-            np.dot(state.factors, self.weights) / self.weights.sum()
-        )
-        draws = consensus + self.noise_scale * state.rng.standard_normal(
+        draws = state.consensus + self.noise_scale * state.rng.standard_normal(
             self.samples_per_round
         )
-        state.samples.extend(np.tanh(draws))
+        start = state.filled
+        end = state.filled = start + self.samples_per_round
+        # tanh into a fresh array, then copy: the values do not depend
+        # on where in the buffer a round lands
+        state.samples[start:end] = np.tanh(draws)
         state.rounds_left -= 1
         state.done = state.rounds_left <= 0
 
-        samples = np.asarray(state.samples)
-        signal = float(samples.mean())
-        stderr = float(samples.std(ddof=0) / np.sqrt(len(samples)))
-        confidence = float(1.0 / (1.0 + 10.0 * stderr))
+        signal, deviation = _mean_std(state.samples[:end])
+        # both operations correctly rounded: the bits of
+        # ``std / np.sqrt(n)``
+        stderr = deviation / math.sqrt(end)
+        confidence = 1.0 / (1.0 + 10.0 * stderr)
         return Estimate(self.name, signal, confidence,
-                        detail={"n_samples": len(samples),
-                                "stderr": stderr})
+                        detail={"n_samples": end, "stderr": stderr})

@@ -7,7 +7,15 @@ exponential ones run their recursion over Python floats, and
 and slow EMAs go through, prefix by prefix, the same
 ``alpha * price + (1.0 - alpha) * value`` steps as an :func:`ema` call
 on each prefix, so every value equals the textbook form's bit for bit
-while an analyzer's host cost stays linear in its window.  The
+while an analyzer's host cost stays linear in its window.
+:func:`bollinger_bands`, :func:`rsi` and the fundamental analyzer call
+numpy's reductions directly (``np.add.reduce`` through
+:func:`_mean_std`, and a slice difference for ``np.diff``) instead of
+the ``mean``/``std``/``sum`` method wrappers, which cost several times
+the reductions on windows this short; the sums, divisions and square
+roots are the ones those methods perform, so every value keeps its
+bits.  The method forms are the executable model in
+``tests/trading/reference.py``.  The
 ``Anytime*`` classes wrap them in the *anytime* contract the
 parallel-extended imprecise computation model needs: an analyzer refines
 its estimate over progressively longer history windows; terminating it
@@ -19,6 +27,8 @@ Signals are floats in [-1, 1]: positive means buy (bid), negative sell
 (ask), magnitude is strength.  Every analyzer also reports a confidence
 in [0, 1] that grows with refinement.
 """
+
+import math
 
 import numpy as np
 
@@ -50,14 +60,29 @@ def ema(prices, window):
     return value
 
 
+def _mean_std(values):
+    """``(mean, population standard deviation)`` of a non-empty 1-D
+    float64 array, as Python floats.
+
+    The same operations ``values.mean()`` and ``values.std(ddof=0)``
+    perform (numpy's ``_mean`` and ``_var``): one pairwise sum divided
+    by the count, the squared deviations from that mean summed and
+    divided by the count, and a correctly rounded square root, without
+    the method wrappers and with the mean computed once.
+    """
+    n = len(values)
+    mean = np.add.reduce(values) / n
+    centred = values - mean
+    centred *= centred
+    return float(mean), math.sqrt(np.add.reduce(centred) / n)
+
+
 def bollinger_bands(prices, window=20, k=2.0):
     """Bollinger Bands: (middle, upper, lower) over ``window`` [10]."""
     prices = np.asarray(prices, dtype=float)
     if len(prices) < window:
         raise ValueError(f"need {window} prices, got {len(prices)}")
-    tail = prices[-window:]
-    middle = float(tail.mean())
-    deviation = float(tail.std(ddof=0))
+    middle, deviation = _mean_std(prices[-window:])
     return middle, middle + k * deviation, middle - k * deviation
 
 
@@ -66,9 +91,10 @@ def rsi(prices, window=14):
     prices = np.asarray(prices, dtype=float)
     if len(prices) < window + 1:
         raise ValueError(f"need {window + 1} prices, got {len(prices)}")
-    deltas = np.diff(prices[-(window + 1):])
-    gains = deltas[deltas > 0].sum()
-    losses = -deltas[deltas < 0].sum()
+    tail = prices[-(window + 1):]
+    deltas = tail[1:] - tail[:-1]  # np.diff of a 1-D array
+    gains = np.add.reduce(deltas[deltas > 0])
+    losses = -np.add.reduce(deltas[deltas < 0])
     if losses == 0:
         return 100.0
     rs = gains / losses

@@ -19,7 +19,7 @@ from repro.core.task import Task
 from repro.hardware.loads import BackgroundLoad
 from repro.model.task_model import ParallelExtendedImpreciseTask
 from repro.simkernel.errors import JobAbortError
-from repro.simkernel.syscalls import ClockNanosleep
+from repro.simkernel.syscalls import ClockNanosleep, Compute
 from repro.simkernel.time_units import MSEC, SEC
 from repro.trading.broker import BrokerDisconnectedError, OrderSide, SimBroker
 from repro.trading.feed import MarketFeed
@@ -72,6 +72,12 @@ class TradingTask(Task):
         super().__init__(name, period, n_parallel=len(analyzers))
         self.feed = feed
         self.analyzers = list(analyzers)
+        # one refinement step's request per analyzer, yielded on every
+        # step (the kernel never mutates a request)
+        self._steps = [
+            Compute(analyzer.step_cost, tag=f"analyze[{analyzer.name}]")
+            for analyzer in self.analyzers
+        ]
         self.broker = broker
         self.strategy = strategy or WeightedVote()
         self.history_length = history_length
@@ -151,12 +157,12 @@ class TradingTask(Task):
 
     def exec_optional(self, ctx, part_index):
         analyzer = self.analyzers[part_index]
+        step = self._steps[part_index]
         if hasattr(analyzer, "tick_index"):
             analyzer.tick_index = ctx.scratch["tick_index"]
         state = analyzer.start(ctx.scratch["history"])
         while not state.done:
-            yield ctx.compute(analyzer.step_cost,
-                              tag=f"analyze[{analyzer.name}]")
+            yield step
             estimate = analyzer.refine(state)
             ctx.publish(part_index, estimate)
 
