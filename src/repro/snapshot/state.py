@@ -105,10 +105,13 @@ def capture_engine(engine):
 
 def _capture_level_queue(queue):
     levels = {}
-    for prio in range(queue.min_prio, queue.max_prio + 1):
-        names = [thread.name for thread in queue.items_at(prio)]
-        if names:
-            levels[str(prio)] = names
+    # most queues are empty at any instant (a capture on the 228-CPU
+    # topology would otherwise read 22,572 levels)
+    if queue:
+        for prio in range(queue.min_prio, queue.max_prio + 1):
+            names = [thread.name for thread in queue.items_at(prio)]
+            if names:
+                levels[str(prio)] = names
     return {"kind": "levels", "levels": levels}
 
 
