@@ -5,9 +5,10 @@
 * :mod:`repro.bench.traces` — Figure 2/3 trace generation.
 * :mod:`repro.bench.reporting` — ASCII series/tables matching the
   paper's presentation.
-* :mod:`repro.bench.sweeps` — the Figures 10-13 grid (three loads x
-  three policies x np in {4..228}) and the three ablations as farmable
-  point lists for ``repro scale``.
+* :mod:`repro.bench.sweeps` — the checked sweep behind ``repro
+  scale``: the Figures 10-13 grid (three loads x three policies x np in
+  {4..228}) and the three ablations as farmable point lists, farmed and
+  merged into one document.
 * :mod:`repro.bench.claims` — the paper's shapes as checked claims on
   the merged sweep document (imported by the merge, not here).
 """

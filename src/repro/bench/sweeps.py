@@ -1,16 +1,19 @@
-"""The one sweep definition: the Figures 10-13 grid and the three
-ablations as flat, farmable point lists.
+"""The checked sweep: the Figures 10-13 grid and the three ablations
+as flat, farmable point lists, farmed and judged by the paper's claims.
 
 The Figures 10-13 configurations (policy x load x np) and the three
 ablation studies (schedulability, QoS-vs-policy,
 global-vs-partitioned) are all grids of independent measurements; this
-module flattens them into JSON item dicts so the scale layer
-(:func:`repro.scale.farm_scale_sweep`, ``repro scale``)
-can shard them across farm workers, and :mod:`repro.bench.claims`
-checks the paper's shapes on the merged points.  Every payload is a
-pure function of its item — simulated outcomes only, no wall-clock —
-which is what keeps the merged sweep document byte-identical at any
-worker count.
+module flattens them into JSON item dicts, and
+:func:`farm_scale_sweep` (``repro scale``) shards them across farm
+workers, merges the points in index order and judges every claim of
+:mod:`repro.bench.claims` on them inside the document.  Every payload
+is a pure function of its item — simulated outcomes only, no
+wall-clock — which is what keeps the merged sweep document
+byte-identical at any worker count; checkpoints ride the standard
+``rtseed-farm-checkpoint/1`` layer (docs/FARM.md, "Full-topology
+sweeps").  The paper's 57-core platform itself is a core-shaped check
+batch, ``repro check --tasks-per-core K`` (docs/CHECKING.md).
 
 ``run_sweep_item`` dispatches on the item's ``kind``:
 
@@ -28,7 +31,12 @@ worker count.
   globally and P-RMWP-partitioned on 4 CPUs.
 """
 
+import json
+
 from repro.bench.overheads import PARALLEL_COUNTS
+
+#: Farmed-sweep report document schema tag.
+SCALE_SWEEP_SCHEMA = "rtseed-scale-sweep/2"
 
 #: The three assignment policies, in the figures' order.
 SWEEP_POLICIES = ("one_by_one", "two_by_two", "all_by_all")
@@ -78,6 +86,86 @@ def ablation_items():
 def sweep_items(seed=0):
     """The full farmable sweep: figure grid + every ablation point."""
     return figure_items(seed=seed) + ablation_items()
+
+
+def merge_sweep_results(farm_result, items, params):
+    """Index-ordered merge of sweep-point payloads, with the verdict
+    of every paper claim (:mod:`repro.bench.claims`) on the merged
+    points."""
+    from repro.bench.claims import evaluate
+
+    points = []
+    errors = []
+    for index, payload in farm_result.ordered_items():
+        if "farm_error" in payload:
+            errors.append({
+                "index": index,
+                "item": items[index],
+                "error": payload["farm_error"],
+            })
+            continue
+        points.append({"item": items[index], "result": payload})
+    return {
+        "schema": SCALE_SWEEP_SCHEMA,
+        "what": "sweep",
+        **params,
+        "requested_points": len(items),
+        "completed_points": len(points),
+        "points": points,
+        "errors": errors,
+        "quarantined": [
+            {
+                "reason": entry["reason"],
+                "indices": list(entry["indices"]),
+                "items": [items[index] for index in entry["indices"]],
+            }
+            for entry in farm_result.quarantined
+        ],
+        "claims": evaluate(points),
+    }
+
+
+def farm_scale_sweep(items=None, seed=0, workers=1, flight_dir=None,
+                     on_event=None, checkpoint_path=None,
+                     handle_signals=False):
+    """Farm the Figures 10-13 grid and the three ablations, and check
+    the paper's claims on the merged points.
+
+    ``items`` defaults to :func:`sweep_items` (the full figure grid
+    plus every ablation point).  Every point is an independent pure
+    function of its item dict, so the merged document is byte-identical
+    at any worker count and checkpoints compose the usual way; the
+    checkpoint fingerprint covers the items themselves, so a checkpoint
+    resumes only the grid it was written for.  The farm runs with its
+    default heartbeat, retries and start method.
+    """
+    # imported here so that importing the figure harness loads neither
+    # the farm nor OpenSSL's hashes
+    import hashlib
+
+    from repro.farm.core import farm_map
+
+    if items is None:
+        items = sweep_items(seed=seed)
+    params = {"base_seed": seed}
+    canonical = json.dumps(items, sort_keys=True, separators=(",", ":"))
+    checkpoint_meta = {
+        "what": "scale-sweep", **params, "points": len(items),
+        "items_sha256": hashlib.sha256(canonical.encode()).hexdigest(),
+    }
+    farm_result = farm_map(
+        run_sweep_item, items, n_workers=workers, flight_dir=flight_dir,
+        flight_seed=seed, on_event=on_event,
+        checkpoint_path=checkpoint_path,
+        checkpoint_meta=checkpoint_meta,
+        handle_signals=handle_signals,
+    )
+    return merge_sweep_results(farm_result, items, params), farm_result
+
+
+def render_scale_report(document):
+    """Serialize a sweep document deterministically (byte-stable)."""
+    return json.dumps(document, sort_keys=True, indent=2) + "\n"
 
 
 def run_sweep_item(item):

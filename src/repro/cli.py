@@ -753,7 +753,7 @@ def cmd_farm(args, out):
 
 
 def cmd_scale(args, out):
-    from repro.scale import farm_scale_sweep, render_scale_report
+    from repro.bench.sweeps import farm_scale_sweep, render_scale_report
 
     document, farm_result = farm_scale_sweep(
         seed=args.seed,

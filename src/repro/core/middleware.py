@@ -26,7 +26,7 @@ schedule — exactly the "no kernel modifications" claim.
 from repro.core.policies import AssignmentPolicy, get_policy
 from repro.core.process import RealTimeProcess
 from repro.core.task import Task
-from repro.engine.classes import get_sched_class
+from repro.engine.classes import HPQ_PRIORITY, get_sched_class, rtq_priority
 from repro.hardware.loads import BackgroundLoad, apply_load
 from repro.hardware.overheads import XeonPhiCostModel
 from repro.hardware.xeonphi import xeon_phi_topology
@@ -203,10 +203,11 @@ class RTSeed:
     def _plan(self):
         """Offline planning: RM priorities per CPU + optional deadlines.
 
-        Ordering and band arithmetic are the RMWP band scheduling
-        class's (:class:`repro.engine.classes.RMWPBandClass`) — the same
-        object the theory simulator dispatches through — so "shortest
-        period first, name breaks ties" and the Figure 5 rank-to-level
+        The order is the RMWP band scheduling class's
+        (:class:`repro.engine.classes.RMWPBandClass`, the same object the
+        theory simulator keys its ready queues by) and the levels are
+        Figure 5's (:func:`repro.engine.classes.rtq_priority`), so
+        "shortest period first, name breaks ties" and the rank-to-level
         mapping exist exactly once.  Each task's optional deadlines
         follow from its model and the models above it in that order;
         every model is checked, also when its deadlines are given.
@@ -230,9 +231,9 @@ class RTSeed:
                 model = entry["model"]
                 if (threshold is not None and model is not None
                         and model.utilization > threshold):
-                    entry["priority"] = sched_class.hpq_priority
+                    entry["priority"] = HPQ_PRIORITY
                 else:
-                    entry["priority"] = sched_class.mandatory_priority(rank)
+                    entry["priority"] = rtq_priority(rank)
                     rank += 1
                 if model is None:
                     continue

@@ -15,10 +15,10 @@ Linux's per-CPU SCHED_FIFO levels:
 * **SQ** — not a priority level: sleeping threads (blocked in
   ``clock_nanosleep`` / ``pthread_cond_wait``) simply are not runnable.
 
-The arithmetic and validation are owned by the RMWP band scheduling
-class (:class:`repro.engine.classes.RMWPBandClass`) — it is priority-
-ordering logic, shared with the theory-level simulator — and re-exported
-here under the historical names.  This module adds the kernel-state
+The arithmetic and validation live next to the RMWP band scheduling
+class in :mod:`repro.engine.classes` — they encode its RM order as
+SCHED_FIFO levels — and are re-exported here under the historical
+names.  This module adds the kernel-state
 introspection view used by tests and diagnostics.
 """
 

@@ -16,12 +16,14 @@ The package provides:
   lazy-cancellation compaction);
 * :mod:`repro.engine.readyqueue` — policy-free ready-queue structures
   (keyed heap with lazy removal; Figure 5's bitmap-indexed FIFO levels);
-* :mod:`repro.engine.classes` — the :class:`~repro.engine.classes.SchedClass`
-  protocol (Linux ``sched_class`` analog) and the five policy classes:
-  RM, DM, EDF, the RMWP band class, and SCHED_FIFO-99.
+* :mod:`repro.engine.classes` — the theory simulator's policies as
+  :class:`~repro.engine.classes.SchedClass` orders (RM, DM, EDF and
+  the RMWP band class) and the Figure 5 band mapping the middleware
+  plans SCHED_FIFO levels with.
 
-A policy written once as a ``SchedClass`` runs at both the theory level
-and the kernel-DES level; see ``docs/TUTORIAL.md`` for a worked
+The kernel runs SCHED_FIFO directly on its per-CPU level queues; a
+policy written as a ``SchedClass`` runs in the theory simulator and
+orders the planners' task sets.  See ``docs/TUTORIAL.md`` for a worked
 "add your own policy" example.
 """
 
@@ -35,7 +37,6 @@ from repro.engine.classes import (
     SCHED_CLASSES,
     DMClass,
     EDFClass,
-    Fifo99Class,
     PriorityBandError,
     RMClass,
     RMWPBandClass,
@@ -62,7 +63,6 @@ __all__ = [
     "SCHED_CLASSES",
     "DMClass",
     "EDFClass",
-    "Fifo99Class",
     "PriorityBandError",
     "RMClass",
     "RMWPBandClass",

@@ -1,19 +1,20 @@
-"""Ready-queue data structures shared by both simulators.
+"""Ready-queue data structures, one per simulator.
 
-Two disciplines cover every scheduling class in the reproduction:
-
-* :class:`HeapReadyQueue` — a keyed binary heap with lazy removal, for
-  classes whose urgency is an arbitrary totally-ordered key (RM/DM rank
-  tuples, EDF absolute deadlines).  Push/pop are O(log n); removal of an
-  arbitrary entry is O(1) amortized (mark + sweep at the top, with the
-  same half-dead compaction rule the event engine uses).
+* :class:`HeapReadyQueue` — a keyed binary heap with lazy removal, the
+  theory simulator's ready queue, keyed by a scheduling class's
+  ``priority_key`` (RM/DM rank tuples, EDF absolute deadlines).
+  Push/pop are O(log n); removal of an arbitrary entry is O(1)
+  amortized (mark + sweep at the top, with the same half-dead
+  compaction rule the event engine uses).
 * :class:`IndexedLevelQueue` — a fixed range of integer priority levels,
   each a FIFO, indexed by a bitmap for O(1) find-highest.  This is the
   paper's Figure 5 / Linux ``SCHED_FIFO`` structure (one list per level
-  plus a bitmap), used by the FIFO-99 scheduling class.
+  plus a bitmap), the simulated kernel's per-CPU run queue.
 
-Both structures are *policy-free*: ordering semantics live in
-:mod:`repro.engine.classes`.
+Both structures are *policy-free*: the heap's order comes from its key
+(:mod:`repro.engine.classes`), and SCHED_FIFO's rules (FIFO within a
+level, preempted threads back to the head, strict preemption) are the
+kernel's (:mod:`repro.simkernel.kernel`).
 """
 
 import heapq

@@ -12,13 +12,10 @@ loads.  This package provides:
   :class:`~repro.simkernel.costmodel.CostModel`; per-event micro-costs
   whose *composition through the middleware protocol* produces the
   shapes of Figures 10-13.
-* :mod:`repro.hardware.rdtscp` — the per-core time-stamp counter used by
-  the measurement probes.
 """
 
 from repro.hardware.loads import BackgroundLoad, apply_load
 from repro.hardware.overheads import MicroCosts, XeonPhiCostModel
-from repro.hardware.rdtscp import RdtscpCounter
 from repro.hardware.xeonphi import (
     XEON_PHI_3120A,
     MachineSpec,
@@ -30,7 +27,6 @@ __all__ = [
     "apply_load",
     "MicroCosts",
     "XeonPhiCostModel",
-    "RdtscpCounter",
     "XEON_PHI_3120A",
     "MachineSpec",
     "xeon_phi_topology",

@@ -225,11 +225,6 @@ class TaskSet:
             periods.append(int(task.period))
         return float(lcm(*periods))
 
-    def rate_monotonic_order(self):
-        """Tasks sorted by RM priority (shortest period first); ties break
-        by name for determinism."""
-        return sorted(self.tasks, key=lambda t: (t.period, t.name))
-
     def __repr__(self):
         return (
             f"TaskSet({len(self.tasks)} tasks, M={self.n_processors}, "

@@ -11,6 +11,7 @@ For imprecise tasks, ``C_i = m_i + w_i`` — the optional part is
 non-real-time and never enters the analysis (Section II-A).
 """
 
+from repro.engine.classes import get_sched_class
 from repro.model.optional_deadline import response_time
 
 
@@ -53,7 +54,7 @@ def rta_schedulable(tasks):
 
     :returns: True iff every task's response time meets its deadline.
     """
-    ordered = sorted(tasks, key=lambda t: (t.period, t.name))
+    ordered = get_sched_class("rm").priority_order(tasks)
     for index, task in enumerate(ordered):
         if response_time_analysis(task, ordered[:index]) is None:
             return False

@@ -5,6 +5,8 @@ highest-priority task, e.g. RM-US assigns the highest priority to any
 task with ``U_i > M / (3M - 2)``; remaining tasks keep RM order below.
 """
 
+from repro.engine.classes import get_sched_class
+
 
 def rm_us_threshold(n_processors):
     """The separation threshold ``M / (3M - 2)``."""
@@ -24,9 +26,8 @@ def rm_us_priorities(tasks, n_processors):
     """
     threshold = rm_us_threshold(n_processors)
     heavy = [t for t in tasks if t.utilization > threshold]
-    light = sorted(
-        (t for t in tasks if t.utilization <= threshold),
-        key=lambda t: (t.period, t.name),
+    light = get_sched_class("rm").priority_order(
+        t for t in tasks if t.utilization <= threshold
     )
     return heavy, light
 

@@ -15,8 +15,12 @@ optional deadline* — a task whose optional parts complete early sleeps in
 SQ until its optional deadline (Figures 2–4).  The middleware implements
 the Figure 6 protocol instead, where an early-completing optional part
 wakes the mandatory thread immediately; the two coincide whenever
-optional parts overrun (as in the paper's evaluation) and the difference
-is covered by tests.
+optional parts overrun on optional CPUs that each belong to one task (as
+in the paper's evaluation), and the difference is covered by tests.  On
+shared NRT threads (more than three tasks per Xeon Phi core) they do
+not: parts starved past their OD delay the wind-up, and jobs miss
+deadlines that no oracle reads yet (ROADMAP item 2: 10,208 of 15,226
+jobs at 36 tasks per core).
 
 Architecture
 ------------
@@ -26,14 +30,15 @@ The simulator is a thin driver over the shared scheduling core
 
 * timed events (job releases, optional deadlines) run through the same
   :class:`repro.engine.events.Engine` the kernel DES uses;
-* ready queues are created by a pluggable
-  :class:`repro.engine.classes.SchedClass` (heap-backed for RM/DM/EDF/
-  RMWP, bitmap-indexed FIFO levels for SCHED_FIFO), so dispatch costs
-  O(log n) instead of re-scanning/-sorting the ready list per event;
+* each ready queue is a :class:`repro.engine.readyqueue.HeapReadyQueue`
+  keyed by a :class:`repro.engine.classes.SchedClass`'s
+  ``priority_key`` (RM, DM, EDF or the RMWP band class), so dispatch
+  costs O(log n) instead of re-scanning/-sorting the ready list per
+  event;
 * all priority-ordering logic — including the RMWP band rule that every
   mandatory/wind-up part outranks every optional part — lives in the
-  scheduling class, shared verbatim with the RT-Seed middleware planner
-  and the kernel dispatcher.
+  scheduling class, whose task order the RT-Seed middleware planner
+  shares verbatim.
 
 The driver owns only what is genuinely *simulation*: job lifecycle,
 part transitions at the two RMWP priority-change points, execution-time
@@ -42,9 +47,9 @@ charging, and migration bookkeeping.
 
 from functools import partial
 
-from repro.engine.classes import NRT_BAND, RT_BAND, get_sched_class, \
-    rtq_priority
+from repro.engine.classes import NRT_BAND, RT_BAND, get_sched_class
 from repro.engine.events import Engine
+from repro.engine.readyqueue import HeapReadyQueue
 from repro.model.job import Job, JobOutcome, OptionalPartRecord, PartType
 from repro.model.optional_deadline import optional_deadlines_rmwp
 from repro.model.task_model import (
@@ -60,23 +65,19 @@ _EPSILON = 1e-6
 _RELEASE_EVENT_PRIO = 0
 _OD_EVENT_PRIO = 1
 
-#: Policies that schedule whole ``C = m + w`` jobs (no parts).
-_WHOLE_JOB_POLICIES = ("rm", "dm", "edf", "fifo")
-
 
 class _Item:
     """One schedulable strand (a part of a job, or a whole L&L job).
 
     The runtime entity the scheduling classes order: exposes ``band``,
-    ``rank``, ``part_index``, ``job`` (part-item contract) and
-    ``priority`` (SCHED_FIFO contract, used by the ``fifo`` policy).
+    ``rank``, ``part_index`` and ``job`` (the part-item contract).
     """
 
     __slots__ = ("job", "part", "part_index", "remaining", "cpu", "band",
-                 "rank", "priority", "started", "record", "seg_start")
+                 "rank", "started", "record", "seg_start")
 
     def __init__(self, job, part, remaining, cpu, band, rank,
-                 part_index=None, record=None, priority=0):
+                 part_index=None, record=None):
         self.job = job
         self.part = part
         self.part_index = part_index
@@ -84,7 +85,6 @@ class _Item:
         self.cpu = cpu
         self.band = band
         self.rank = rank
-        self.priority = priority
         self.started = False
         self.record = record
         self.seg_start = None
@@ -170,7 +170,8 @@ class SimulationResult:
 
 
 class _ReadySet:
-    """Ready items, organized as the scheduling class dictates.
+    """Ready items in heaps keyed by the scheduling class's
+    ``priority_key``.
 
     Partitioned mode: one queue per CPU (all bands — the class's key
     puts every RT-band item ahead of every NRT-band item).  Global mode:
@@ -179,25 +180,23 @@ class _ReadySet:
     """
 
     def __init__(self, sched_class, n_cpus, global_rt=False):
-        self.sched_class = sched_class
-        self.n_cpus = n_cpus
+        key = sched_class.priority_key
         self.global_rt = global_rt
         self.cpu_queues = [
-            sched_class.make_queue(cpu) for cpu in range(n_cpus)
+            HeapReadyQueue(key, cpu_id=cpu) for cpu in range(n_cpus)
         ]
-        self.rt_queue = sched_class.make_queue() if global_rt else None
+        self.rt_queue = HeapReadyQueue(key) if global_rt else None
 
     def _queue_of(self, item):
         if self.global_rt and item.band == RT_BAND:
             return self.rt_queue
         return self.cpu_queues[item.cpu]
 
-    def add(self, item, at_head=False):
-        self.sched_class.enqueue(self._queue_of(item), item,
-                                 at_head=at_head)
+    def add(self, item):
+        self._queue_of(item).push(item)
 
     def remove(self, item):
-        self.sched_class.dequeue(self._queue_of(item), item)
+        self._queue_of(item).remove(item)
 
     def __contains__(self, item):
         return item in self._queue_of(item)
@@ -209,10 +208,9 @@ class ScheduleSimulator:
     :param taskset: a :class:`~repro.model.task_model.TaskSet`.
     :param policy: a scheduling-class name — ``"rm"`` (general
         scheduling — whole ``C = m + w`` at RM priority), ``"dm"``
-        (deadline monotonic), ``"edf"``, ``"fifo"`` (SCHED_FIFO levels;
-        see ``priorities``), or ``"rmwp"`` (semi-fixed-priority with
-        parts) — or any :class:`~repro.engine.classes.SchedClass`
-        instance.
+        (deadline monotonic), ``"edf"``, or ``"rmwp"``
+        (semi-fixed-priority with parts) — or any
+        :class:`~repro.engine.classes.SchedClass` instance.
     :param assignment: task name -> CPU (partitioned).  Defaults to CPU 0
         for every task.
     :param optional_assignment: task name -> list of CPUs for its parallel
@@ -224,16 +222,11 @@ class ScheduleSimulator:
     :param optional_deadlines: task name -> relative OD.  Computed with
         :func:`~repro.model.optional_deadline.optional_deadlines_rmwp`
         per partition when omitted.
-    :param priorities: for ``policy="fifo"``: task name -> SCHED_FIFO
-        level in [1, 99], larger more urgent.  Defaults to the
-        middleware's Figure 5 plan (RM rank mapped into the RTQ band),
-        so the theory level replays exactly what RT-Seed programs into
-        the kernel.
     """
 
     def __init__(self, taskset, policy="rmwp", assignment=None,
                  optional_assignment=None, global_sched=False,
-                 optional_deadlines=None, priorities=None):
+                 optional_deadlines=None):
         self.sched_class = get_sched_class(policy)
         #: Probe bus for ``sim.*`` lifecycle events, stamped with the
         #: simulation clock.  Idle (zero subscribers) unless a consumer
@@ -243,15 +236,9 @@ class ScheduleSimulator:
         self._time = 0.0
         # Custom SchedClass instances run in whole-job mode; only the
         # registered "rmwp" class triggers part-level semantics.
-        self.policy = {"fifo99": "fifo"}.get(self.sched_class.name,
-                                             self.sched_class.name)
+        self.policy = self.sched_class.name
         self.taskset = taskset
         self.global_sched = global_sched
-        if global_sched and self.policy == "fifo":
-            raise ValueError(
-                "global scheduling needs a keyed-heap class; SCHED_FIFO "
-                "run queues are per-CPU"
-            )
         self.n_cpus = taskset.n_processors
         self.assignment = dict(assignment or {})
         for task in taskset:
@@ -276,26 +263,11 @@ class ScheduleSimulator:
 
         # Static rank (0 = highest) per task, computed by the scheduling
         # class over the whole set so ranks are stable across partitions.
-        # EDF ignores ranks at runtime (its key is the job deadline);
-        # FIFO orders by explicit priorities instead (below).
-        if self.policy == "fifo":
+        # EDF ignores ranks at runtime (its key is the job deadline).
+        try:
+            self._rank = self.sched_class.rank(taskset.tasks)
+        except NotImplementedError:
             self._rank = {}
-        else:
-            try:
-                self._rank = self.sched_class.rank(taskset.tasks)
-            except NotImplementedError:
-                self._rank = {}
-
-        if self.policy == "fifo":
-            if priorities is None:
-                rm_rank = get_sched_class("rm").rank(taskset.tasks)
-                priorities = {
-                    name: rtq_priority(rank)
-                    for name, rank in rm_rank.items()
-                }
-            self._priorities = dict(priorities)
-        else:
-            self._priorities = {}
 
     @property
     def now(self):
@@ -576,8 +548,7 @@ class ScheduleSimulator:
             return _Item(job, PartType.MANDATORY, job.task.mandatory, cpu,
                          RT_BAND, self._rank_of(job))
         return _Item(job, PartType.WHOLE, job.task.wcet, cpu, RT_BAND,
-                     self._rank_of(job),
-                     priority=self._priorities.get(job.task.name, 0))
+                     self._rank_of(job))
 
     def _release_optional(self, job, time):
         """Mandatory completion: the first RMWP priority-change point —
@@ -601,7 +572,7 @@ class ScheduleSimulator:
         job.ready_optional_items = items
 
     def _allocate(self, time):
-        """Pick what runs where (through the scheduling class)."""
+        """Pick what runs where (in the scheduling class's order)."""
         running = self._running
         if self.global_sched:
             self._allocate_global()
@@ -649,27 +620,25 @@ class ScheduleSimulator:
         return optionals[item.part_index]
 
     def _allocate_partitioned(self):
-        sched_class = self.sched_class
-        pick_next = sched_class.pick_next
-        check_preempt = sched_class.check_preempt
+        key = self.sched_class.priority_key
         running = self._running
         for cpu, queue in enumerate(self._ready.cpu_queues):
             current = running[cpu]
             if current is None:
                 if queue:
-                    running[cpu] = pick_next(queue)
-            elif check_preempt(queue, current):
-                # preempted: close its optional-progress accounting and
-                # requeue (at the head of its level for FIFO classes)
+                    running[cpu] = queue.pop()
+            elif queue and queue.peek_key() < key(current):
+                # preempted (strictly more urgent key only): close its
+                # optional-progress accounting and requeue; its earlier
+                # release already ranks it ahead of equal-rank peers
                 self._account_optional(current)
-                running[cpu] = pick_next(queue)
-                sched_class.enqueue(queue, current, at_head=True)
+                running[cpu] = queue.pop()
+                queue.push(current)
 
     def _allocate_global(self):
-        sched_class = self.sched_class
         running = self._running
         rt_queue = self._ready.rt_queue
-        key = sched_class.priority_key
+        key = self.sched_class.priority_key
 
         # Top-M of (ready RT ∪ running RT): the M most urgent queued
         # items plus every running RT item form a superset, so pull only
@@ -685,7 +654,7 @@ class ScheduleSimulator:
         chosen_set = set(map(id, chosen))
         for item in pulled:
             if id(item) not in chosen_set:
-                sched_class.enqueue(rt_queue, item)
+                rt_queue.push(item)
 
         # Clear CPUs whose current RT item lost its slot.
         for cpu in range(self.n_cpus):
@@ -694,7 +663,7 @@ class ScheduleSimulator:
                 continue
             if item.band == RT_BAND and id(item) not in chosen_set:
                 self._account_optional(item)
-                sched_class.enqueue(rt_queue, item)
+                rt_queue.push(item)
                 running[cpu] = None
 
         # Place chosen RT items: keep items already on a CPU in place.
@@ -734,7 +703,7 @@ class ScheduleSimulator:
             if running[cpu] is not None:
                 continue
             queue = self._ready.cpu_queues[cpu]
-            running[cpu] = sched_class.pick_next(queue)
+            running[cpu] = queue.pop() if queue else None
 
     def _account_optional(self, item):
         if item.part is PartType.OPTIONAL and item.record is not None:

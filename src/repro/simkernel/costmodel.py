@@ -67,39 +67,3 @@ class CostModel:
 class ZeroCostModel(CostModel):
     """Charges nothing anywhere — pure logical simulation."""
 
-
-class ScaledCostModel(CostModel):
-    """Wrap another cost model, scaling every charge by ``factor``.
-
-    Useful for sensitivity ablations ("would the orderings hold if the
-    platform were 2x slower at context switches?").
-    """
-
-    def __init__(self, inner, factor):
-        self.inner = inner
-        self.factor = float(factor)
-
-    def context_switch(self, cpu, prev_thread, next_thread, kernel):
-        return self.factor * self.inner.context_switch(
-            cpu, prev_thread, next_thread, kernel
-        )
-
-    def wakeup_latency(self, thread, kernel, kind="sync"):
-        return self.factor * self.inner.wakeup_latency(thread, kernel, kind)
-
-    def cond_signal(self, signaler, woken_thread, kernel):
-        return self.factor * self.inner.cond_signal(signaler, woken_thread, kernel)
-
-    def timer_handler(self, thread, kernel):
-        return self.factor * self.inner.timer_handler(thread, kernel)
-
-    def unwind(self, thread, kernel):
-        return self.factor * self.inner.unwind(thread, kernel)
-
-    def mutex_handoff(self, mutex, prev_cpu, next_cpu, contended, kernel):
-        return self.factor * self.inner.mutex_handoff(
-            mutex, prev_cpu, next_cpu, contended, kernel
-        )
-
-    def syscall(self, request, thread, kernel):
-        return self.factor * self.inner.syscall(request, thread, kernel)

@@ -28,8 +28,8 @@ from collections import deque
 from functools import partial
 from operator import attrgetter
 
-from repro.engine.classes import get_sched_class
 from repro.engine.events import Engine
+from repro.engine.readyqueue import IndexedLevelQueue
 from repro.obs.bus import ProbeBus
 from repro.simkernel.costmodel import ZeroCostModel
 from repro.simkernel.errors import (
@@ -44,6 +44,7 @@ from repro.simkernel.signals import (
     CallbackDisposition,
     UnwindDisposition,
 )
+from repro.simkernel.runqueue import MAX_RT_PRIO, MIN_RT_PRIO
 from repro.simkernel.syscalls import (
     ClockNanosleep,
     Compute,
@@ -91,12 +92,6 @@ class Kernel:
     :param topology: the :class:`~repro.simkernel.cpu.Topology` to run on.
     :param cost_model: a :class:`~repro.simkernel.costmodel.CostModel`;
         defaults to :class:`~repro.simkernel.costmodel.ZeroCostModel`.
-    :param sched_class: the real-time scheduling class dispatch goes
-        through — a :class:`~repro.engine.classes.SchedClass` instance or
-        registry name.  Defaults to SCHED_FIFO
-        (:class:`~repro.engine.classes.Fifo99Class`), which is what the
-        paper's middleware relies on; the kernel itself contains no
-        priority-ordering logic.
     :param probe_bus: optionally share a
         :class:`~repro.obs.bus.ProbeBus`; a fresh (idle) bus is created
         otherwise and wired into the engine and run queues, so
@@ -108,8 +103,7 @@ class Kernel:
         call; the rarer sites leave the test to :meth:`_emit`.
     """
 
-    def __init__(self, topology, cost_model=None, sched_class=None,
-                 probe_bus=None):
+    def __init__(self, topology, cost_model=None, probe_bus=None):
         self.topology = topology
         self.cost_model = cost_model or ZeroCostModel()
         self.engine = Engine()
@@ -119,10 +113,9 @@ class Kernel:
             self.probes.clock = self.engine
         if self.engine.probes is None:
             self.engine.probes = self.probes
-        self.sched_class = get_sched_class(sched_class or "fifo")
         n = topology.n_cpus
         self.runqueues = [
-            self.sched_class.make_queue(cpu)
+            IndexedLevelQueue(MIN_RT_PRIO, MAX_RT_PRIO, cpu_id=cpu)
             for cpu in range(n)
         ]
         for runqueue in self.runqueues:
@@ -399,8 +392,8 @@ class Kernel:
         thread.state = _READY
         thread.blocked_on = None
         if thread.policy is _FIFO:
-            self.sched_class.enqueue(
-                self.runqueues[thread.cpu], thread, at_head=at_head
+            self.runqueues[thread.cpu].enqueue(
+                thread, thread.priority, at_head=at_head
             )
         else:
             queue = self.other_queues[thread.cpu]
@@ -414,7 +407,7 @@ class Kernel:
 
     def _dequeue_ready(self, thread):
         if thread.policy is _FIFO:
-            self.sched_class.dequeue(self.runqueues[thread.cpu], thread)
+            self.runqueues[thread.cpu].dequeue(thread, thread.priority)
         else:
             self.other_queues[thread.cpu].remove(thread)
 
@@ -436,9 +429,11 @@ class Kernel:
             if runqueue or self.other_queues[cpu]:
                 self._dispatch(cpu)
             return
-        # SCHED_OTHER never preempts (pseudo-priority 0 vs 0 or below an
-        # RT level); the RT class decides everything else.
-        if self.sched_class.check_preempt(runqueue, current):
+        # SCHED_FIFO preempts only from a strictly higher level; a
+        # SCHED_OTHER thread runs at pseudo-priority 0, below every level,
+        # and never preempts.
+        top = runqueue.highest_priority()
+        if top is not None and top > current.effective_priority():
             self._preempt(cpu)
             self._dispatch(cpu)
 
@@ -452,8 +447,8 @@ class Kernel:
         if thread.policy is _FIFO:
             # SCHED_FIFO: a preempted thread returns to the *head* of its
             # priority level so it resumes before equal-priority peers.
-            self.sched_class.enqueue(self.runqueues[cpu], thread,
-                                     at_head=True)
+            self.runqueues[cpu].enqueue(thread, thread.priority,
+                                        at_head=True)
         else:
             self.other_queues[cpu].appendleft(thread)
         self._core_changed(self._cpu_core[cpu])
@@ -461,12 +456,13 @@ class Kernel:
             self._emit("preempt", thread)
 
     def _dispatch(self, cpu):
-        thread = self.sched_class.pick_next(self.runqueues[cpu])
-        if thread is None:
-            if self.other_queues[cpu]:
-                thread = self.other_queues[cpu].popleft()
-            else:
-                return
+        runqueue = self.runqueues[cpu]
+        if runqueue:
+            thread = runqueue.pop()[0]
+        elif self.other_queues[cpu]:
+            thread = self.other_queues[cpu].popleft()
+        else:
+            return
         thread.state = _RUNNING
         self.current[cpu] = thread
         if thread.policy is _FIFO:
@@ -885,9 +881,10 @@ class Kernel:
         if owner.state is ThreadState.READY:
             # requeue discipline: urgency changed, so remove at the old
             # priority and re-enqueue at the boosted one
-            self.sched_class.dequeue(self.runqueues[owner.cpu], owner)
+            runqueue = self.runqueues[owner.cpu]
+            runqueue.dequeue(owner, owner.priority)
             owner.priority = waiter.priority
-            self.sched_class.enqueue(self.runqueues[owner.cpu], owner)
+            runqueue.enqueue(owner, owner.priority)
             self._emit("prio_boost", owner, old_prio=old_prio,
                        waiter=waiter.name)
             self._request_resched(owner.cpu)
@@ -980,9 +977,7 @@ class Kernel:
             is_fifo = request.policy is SchedPolicy.FIFO
             self._nr_running_fifo += int(is_fifo) - int(was_fifo)
         if request.policy is SchedPolicy.FIFO:
-            min_prio = getattr(self.sched_class, "min_prio", 1)
-            max_prio = getattr(self.sched_class, "max_prio", 99)
-            if not min_prio <= request.priority <= max_prio:
+            if not MIN_RT_PRIO <= request.priority <= MAX_RT_PRIO:
                 raise SchedulingError(
                     f"priority {request.priority} outside FIFO range"
                 )
@@ -1031,8 +1026,7 @@ class Kernel:
         thread.state = ThreadState.READY
         self._vacate_cpu(cpu)
         if thread.policy is SchedPolicy.FIFO:
-            self.sched_class.enqueue(self.runqueues[cpu], thread,
-                                     at_head=False)
+            self.runqueues[cpu].enqueue(thread, thread.priority)
         else:
             self.other_queues[cpu].append(thread)
         self._core_changed(self._cpu_core[cpu])

@@ -6,9 +6,11 @@ a FIFO list, with larger priority values denoting higher priority.  The
 generic structure (one FIFO per level plus a priority bitmap for O(1)
 lookup of the highest non-empty level — the same trick Linux's rt
 scheduling class uses) is
-:class:`~repro.engine.readyqueue.IndexedLevelQueue`; the
-:class:`~repro.engine.classes.Fifo99Class` scheduling class builds one
-per CPU over the range below, and the kernel dispatches through it.
+:class:`~repro.engine.readyqueue.IndexedLevelQueue`; the kernel
+(:class:`~repro.simkernel.kernel.Kernel`) builds one per CPU over the
+range below and applies SCHED_FIFO's rules on it: a woken thread joins
+the tail of its level, a preempted one returns to the head, and only a
+strictly higher level preempts the running thread.
 """
 
 #: Number of real-time priority levels (1..99), as in Linux SCHED_FIFO.

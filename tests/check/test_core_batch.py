@@ -16,6 +16,7 @@ import re
 
 import pytest
 
+import repro.simkernel.kernel as kernel_mod
 from repro.check import load_artifact, replay_artifact, run_scenario
 from repro.check.scenario import generate_core_scenario
 from repro.check.timetravel import (
@@ -24,7 +25,6 @@ from repro.check.timetravel import (
     replay_from_snapshot,
 )
 from repro.cli import main
-from repro.engine.classes import Fifo99Class
 from repro.farm import farm_check
 from repro.snapshot import load_snapshot, restore, write_snapshot
 
@@ -54,8 +54,8 @@ def test_core_with_a_thread_per_task_passes_the_differential(n_tasks):
 def test_planted_bug_in_a_core_batch_shrinks_and_replays(monkeypatch,
                                                          tmp_path):
     # a higher-priority arrival never preempts the running thread
-    monkeypatch.setattr(Fifo99Class, "check_preempt",
-                        lambda self, runqueue, current: False)
+    monkeypatch.setattr(kernel_mod.IndexedLevelQueue, "highest_priority",
+                        lambda self: None)
     document, result = farm_check(4, seed=0, tasks_per_core=8,
                                   max_failures=1, workers=1)
     assert result.ok
@@ -88,8 +88,8 @@ def test_planted_batch_snapshots_sit_before_each_first_failure(
     batch names its first failure's time, so its snapshot lands just
     before that failure instead of at the run's midpoint, and still
     replays with the artifact's kinds."""
-    monkeypatch.setattr(Fifo99Class, "check_preempt",
-                        lambda self, runqueue, current: False)
+    monkeypatch.setattr(kernel_mod.IndexedLevelQueue, "highest_priority",
+                        lambda self: None)
     out = io.StringIO()
     argv = ["check", "--runs", "4", "--seed", "0", "--tasks-per-core",
             "8", "--artifacts", str(tmp_path)]
@@ -121,8 +121,8 @@ def test_artifact_describes_its_shrunk_scenario(monkeypatch):
     unshrunk run's report, so ``repro check`` printed a FAIL line (16
     violations on cpu0) that ``--replay`` did not give (1 violation on
     cpu2)."""
-    monkeypatch.setattr(Fifo99Class, "check_preempt",
-                        lambda self, runqueue, current: False)
+    monkeypatch.setattr(kernel_mod.IndexedLevelQueue, "highest_priority",
+                        lambda self: None)
     document, result = farm_check(4, seed=0, tasks_per_core=8,
                                   max_failures=1, workers=1)
     assert result.ok

@@ -20,7 +20,6 @@ from repro.check import (
     shrink_report,
 )
 from repro.check.timetravel import divergence_snapshot, replay_from_snapshot
-from repro.engine.classes import Fifo99Class
 from repro.simkernel.signals import SIGALRM, UnwindDisposition
 from repro.simkernel.syscalls import Sigaction
 from repro.simkernel.time_units import MSEC
@@ -45,8 +44,8 @@ def _fifo_inversion(monkeypatch):
 
 def _broken_preemption(monkeypatch):
     """A higher-priority arrival never preempts the running thread."""
-    monkeypatch.setattr(Fifo99Class, "check_preempt",
-                        lambda self, runqueue, current: False)
+    monkeypatch.setattr(kernel_mod.IndexedLevelQueue, "highest_priority",
+                        lambda self: None)
 
 
 def _mask_leak(monkeypatch):

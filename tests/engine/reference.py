@@ -570,24 +570,20 @@ def scalar_noisy(cost_model, value):
 # ---------------------------------------------------------------------------
 
 
-def _model_fifo_queue(sched_class, cpu_id=0):
-    return ReferenceLevelQueue(sched_class.min_prio, sched_class.max_prio,
-                               cpu_id=cpu_id)
-
-
 @contextlib.contextmanager
 def model_core():
     """Run everything built inside the block on the model: kernels get
-    a :class:`ReferenceEngine`, FIFO run queues are
-    :class:`ReferenceLevelQueue` and the Xeon Phi cost model draws its
-    noise with :func:`scalar_noisy`.  Leaving the block restores the
-    execution core."""
+    a :class:`ReferenceEngine` and :class:`ReferenceLevelQueue` run
+    queues (both swapped in through the kernel module, which builds
+    them) and the Xeon Phi cost model draws its noise with
+    :func:`scalar_noisy`.  Leaving the block restores the execution
+    core."""
     import repro.simkernel.kernel as kernel_module
-    from repro.engine.classes import Fifo99Class
     from repro.hardware.overheads import XeonPhiCostModel
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kernel_module, "Engine", ReferenceEngine)
-        patch.setattr(Fifo99Class, "make_queue", _model_fifo_queue)
+        patch.setattr(kernel_module, "IndexedLevelQueue",
+                      ReferenceLevelQueue)
         patch.setattr(XeonPhiCostModel, "_noisy", scalar_noisy)
         yield

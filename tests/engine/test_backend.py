@@ -13,7 +13,6 @@ compare them.
 import pytest
 
 from repro.engine.backend import get_backend
-from repro.engine.classes import DMClass, EDFClass, Fifo99Class, RMClass
 from repro.engine.events import Engine
 from repro.engine.readyqueue import (
     HeapReadyQueue,
@@ -21,6 +20,8 @@ from repro.engine.readyqueue import (
     ReadyQueueError,
 )
 from repro.hardware.overheads import XeonPhiCostModel
+from repro.model import PeriodicTask, TaskSet
+from repro.sched.simulator import ScheduleSimulator
 from repro.simkernel.cpu import Topology, uniform_share
 from repro.simkernel.kernel import Kernel
 from tests.engine.reference import ReferenceEngine, ReferenceLevelQueue
@@ -42,14 +43,17 @@ def test_backend_describes_the_single_core():
 
 def test_backend_factories_build_the_right_classes():
     """Consumers construct the core's classes directly: the kernel its
-    engine and FIFO run queues, the keyed-heap classes their heap."""
+    engine and FIFO run queues, the theory simulator its keyed heaps."""
     kernel = Kernel(Topology(2, 1, share_fn=uniform_share))
     assert type(kernel.engine) is Engine
     assert [type(queue) for queue in kernel.runqueues] \
         == [IndexedLevelQueue, IndexedLevelQueue]
-    assert type(Fifo99Class().make_queue(cpu_id=1)) is IndexedLevelQueue
-    for sched_class in (RMClass(), DMClass(), EDFClass()):
-        assert type(sched_class.make_queue()) is HeapReadyQueue
+    taskset = TaskSet([PeriodicTask("a", 1.0, 4.0)], n_processors=2)
+    for policy in ("rm", "dm", "edf"):
+        simulator = ScheduleSimulator(taskset, policy=policy)
+        simulator.run(until=4.0)
+        assert [type(queue) for queue in simulator._ready.cpu_queues] \
+            == [HeapReadyQueue, HeapReadyQueue]
 
 
 def test_noise_modes():

@@ -1,16 +1,19 @@
 """Equivalence of the two simulators through the shared scheduling core.
 
-Both drivers — the theory-level :class:`ScheduleSimulator` and the
-RT-Seed middleware on the simulated kernel — now dispatch through the
-same :class:`~repro.engine.classes.SchedClass` objects.  With overheads
-zeroed they must therefore produce *identical* mandatory/wind-up
-schedules, which is exactly what the paper's Theorems 1 and 2 guarantee
-analytically: parallel optional parts never perturb the real-time
-schedule, and the wind-up part's start is fixed by the optional deadline.
+The theory-level :class:`ScheduleSimulator` dispatches from heaps keyed
+by the RMWP band class
+(:class:`~repro.engine.classes.RMWPBandClass`); the RT-Seed middleware
+plans SCHED_FIFO levels from the same class's task order (Figure 5) and
+the simulated kernel runs them.  With overheads zeroed they must
+therefore produce *identical* mandatory/wind-up schedules, which is
+exactly what the paper's Theorems 1 and 2 guarantee analytically:
+parallel optional parts never perturb the real-time schedule, and the
+wind-up part's start is fixed by the optional deadline.
 
-Every workload here has *overrunning* optional parts, the regime where
-the strict RMWP semantics (wind-up at the OD) and the middleware's
-Figure 6 protocol coincide.
+Every workload here has *overrunning* optional parts on optional CPUs
+that each belong to one task, the regime where the strict RMWP
+semantics (wind-up at the OD) and the middleware's Figure 6 protocol
+coincide.
 """
 
 import pytest
@@ -158,23 +161,3 @@ def test_parallel_optional_parts_do_not_perturb_rt_schedule():
     # and the optional runs did happen in the first variant
     assert with_optional.total_optional_time > 0
 
-
-def test_fifo_class_replays_middleware_plan():
-    """The theory simulator's "fifo" policy defaults to the middleware's
-    Figure 5 priorities (RM rank -> RTQ level); under it, whole-job
-    dispatch order must match the "rm" policy's on every CPU."""
-    from repro.model import PeriodicTask
-
-    tasks = [
-        PeriodicTask("a", 1.0, 8.0),
-        PeriodicTask("b", 2.0, 16.0),
-        PeriodicTask("c", 1.0, 4.0),
-    ]
-    results = {}
-    for policy in ("rm", "fifo"):
-        sim = ScheduleSimulator(TaskSet(tasks), policy=policy)
-        results[policy] = sim.run(until=16.0).mandatory_windup_schedule()
-    from repro.sched.simulator import SimulationResult
-
-    assert SimulationResult.schedules_equal(results["rm"],
-                                            results["fifo"])

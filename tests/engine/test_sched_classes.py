@@ -1,8 +1,8 @@
-"""Unit tests for the pluggable scheduling classes.
+"""Unit tests for the scheduling classes.
 
-These exercise the :class:`~repro.engine.classes.SchedClass` vtable in
-isolation, with minimal fake entities of both shapes the reproduction
-uses: part items (band/rank/job) and prioritized threads (priority).
+These exercise the :class:`~repro.engine.classes.SchedClass` orders in
+isolation, with minimal fake part items (band/rank/job), and the theory
+simulator's dispatch on heaps keyed by a class's ``priority_key``.
 """
 
 import pytest
@@ -13,14 +13,17 @@ from repro.engine.classes import (
     PRIORITY_GAP,
     RT_BAND,
     DMClass,
-    EDFClass,
-    Fifo99Class,
     RMClass,
     RMWPBandClass,
     SchedClass,
     get_sched_class,
+    nrtq_priority,
+    rtq_priority,
 )
-from repro.engine.readyqueue import HeapReadyQueue, IndexedLevelQueue
+from repro.engine.readyqueue import HeapReadyQueue
+from repro.model import PeriodicTask, TaskSet
+from repro.model.job import PartType
+from repro.sched.simulator import ScheduleSimulator, _ReadySet
 
 pytestmark = pytest.mark.tier1
 
@@ -53,18 +56,18 @@ def part(name="t", period=10.0, deadline=None, release=0.0, band=RT_BAND,
     item.band = band
     item.rank = rank
     item.part_index = part_index
+    item.part = PartType.WHOLE
+    item.cpu = 0
     return item
 
 
-class _Thread:
-    """A minimal prioritized thread (the kernel's entity shape)."""
-
-    def __init__(self, priority, boosted=None):
-        self.priority = priority
-        self._boosted = boosted
-
-    def effective_priority(self):
-        return self._boosted if self._boosted is not None else self.priority
+def _one_cpu_simulator(policy, running):
+    """A theory simulator on one CPU, ``running`` on it, nothing ready."""
+    simulator = ScheduleSimulator(TaskSet([PeriodicTask("t", 1.0, 10.0)]),
+                                  policy=policy)
+    simulator._ready = _ReadySet(simulator.sched_class, 1)
+    simulator._running = [running]
+    return simulator
 
 
 # ---------------------------------------------------------------------------
@@ -73,15 +76,15 @@ class _Thread:
 
 
 def test_registry_resolves_all_policies():
-    for name in ("rm", "dm", "edf", "rmwp", "fifo"):
+    for name in ("rm", "dm", "edf", "rmwp"):
         assert isinstance(get_sched_class(name), SchedClass)
 
 
-def test_registry_aliases_and_passthrough():
-    fifo = get_sched_class("fifo")
-    assert get_sched_class("fifo99") is fifo
-    assert get_sched_class("sched_fifo") is fifo
-    assert get_sched_class(fifo) is fifo  # instances pass through
+def test_registry_passes_instances_through():
+    custom = RMClass()
+    assert get_sched_class(custom) is custom
+    rmwp = get_sched_class("rmwp")
+    assert get_sched_class(rmwp) is rmwp
 
 
 def test_registry_rejects_unknown():
@@ -148,51 +151,63 @@ def test_tie_break_is_release_then_name_then_part_index():
 
 def test_heap_classes_dispatch_in_key_order():
     sched = get_sched_class("rm")
-    queue = sched.make_queue()
-    assert isinstance(queue, HeapReadyQueue)
+    queue = HeapReadyQueue(sched.priority_key)
     items = [part(name=f"t{i}", rank=rank)
              for i, rank in enumerate([3, 0, 2, 1])]
     for item in items:
-        sched.enqueue(queue, item)
-    picked = [sched.pick_next(queue) for _ in range(4)]
+        queue.push(item)
+    picked = [queue.pop() for _ in range(4)]
     assert [i.rank for i in picked] == [0, 1, 2, 3]
-    assert sched.pick_next(queue) is None  # empty -> idle, not an error
+    assert not queue
 
 
 def test_check_preempt_is_strict():
-    """An equal-key arrival must NOT preempt (keys are unique per
+    """The theory simulator preempts only for a strictly more urgent
+    key.  An equal-key arrival must NOT preempt (keys are unique per
     coexisting item, so equality only arises against the running item's
     own key — and a strict comparison is what makes heap dispatch
     equivalent to the historical min() scan)."""
-    sched = get_sched_class("rm")
-    queue = sched.make_queue()
     current = part(name="cur", rank=1, release=0.0)
-    assert not sched.check_preempt(queue, current)  # empty queue
-    sched.enqueue(queue, part(name="worse", rank=2, release=0.0))
-    assert not sched.check_preempt(queue, current)
-    sched.enqueue(queue, part(name="better", rank=0, release=0.0))
-    assert sched.check_preempt(queue, current)
-    assert sched.check_preempt(queue, None)  # idle CPU takes anything
+    simulator = _one_cpu_simulator("rm", current)
+    simulator._allocate_partitioned()  # empty queue
+    assert simulator._running == [current]
+    simulator._ready.add(part(name="worse", rank=2, release=0.0))
+    simulator._allocate_partitioned()
+    assert simulator._running == [current]
+    simulator._ready.add(part(name="cur", rank=1, release=0.0))
+    simulator._allocate_partitioned()
+    assert simulator._running == [current]
+    better = part(name="better", rank=0, release=0.0)
+    simulator._ready.add(better)
+    simulator._allocate_partitioned()
+    assert simulator._running == [better]
+    assert current in simulator._ready
+
+    idle = _one_cpu_simulator("rm", None)  # idle CPU takes anything
+    worst = part(name="worst", rank=9, release=0.0)
+    idle._ready.add(worst)
+    idle._allocate_partitioned()
+    assert idle._running == [worst]
 
 
 def test_dequeue_removes_from_middle():
     sched = get_sched_class("rm")
-    queue = sched.make_queue()
+    queue = HeapReadyQueue(sched.priority_key)
     items = [part(name=f"t{i}", rank=i) for i in range(3)]
     for item in items:
-        sched.enqueue(queue, item)
-    sched.dequeue(queue, items[1])
-    assert sched.pick_next(queue) is items[0]
-    assert sched.pick_next(queue) is items[2]
+        queue.push(item)
+    queue.remove(items[1])
+    assert queue.pop() is items[0]
+    assert queue.pop() is items[2]
 
 
 def test_pop_upto_returns_ordered_prefix():
     sched = get_sched_class("rm")
-    queue = sched.make_queue()
+    queue = HeapReadyQueue(sched.priority_key)
     items = [part(name=f"t{i}", rank=rank)
              for i, rank in enumerate([4, 1, 3, 0, 2])]
     for item in items:
-        sched.enqueue(queue, item)
+        queue.push(item)
     top = queue.pop_upto(2)
     assert [i.rank for i in top] == [0, 1]
     assert len(queue) == 3
@@ -204,15 +219,13 @@ def test_pop_upto_returns_ordered_prefix():
 
 
 def test_rmwp_band_mapping():
-    sched = get_sched_class("rmwp")
-    assert isinstance(sched, RMWPBandClass)
-    assert sched.hpq_priority == HPQ_PRIORITY == 99
-    assert sched.mandatory_priority(0) == 98
-    assert sched.mandatory_priority(48) == 50
+    assert isinstance(get_sched_class("rmwp"), RMWPBandClass)
+    assert HPQ_PRIORITY == 99
+    assert rtq_priority(0) == 98
+    assert rtq_priority(48) == 50
     for rank in range(49):
-        mandatory = sched.mandatory_priority(rank)
-        assert sched.optional_priority(mandatory) == \
-            mandatory - PRIORITY_GAP
+        mandatory = rtq_priority(rank)
+        assert nrtq_priority(mandatory) == mandatory - PRIORITY_GAP
 
 
 def test_rmwp_runtime_key_is_rm_within_band():
@@ -221,49 +234,3 @@ def test_rmwp_runtime_key_is_rm_within_band():
     rm, rmwp = get_sched_class("rm"), get_sched_class("rmwp")
     item = part(rank=7)
     assert rm.priority_key(item) == rmwp.priority_key(item)
-
-
-# ---------------------------------------------------------------------------
-# FIFO-99 (SCHED_FIFO levels)
-# ---------------------------------------------------------------------------
-
-
-def test_fifo_queue_is_indexed_levels():
-    sched = get_sched_class("fifo")
-    assert isinstance(sched, Fifo99Class)
-    assert isinstance(sched.make_queue(), IndexedLevelQueue)
-
-
-def test_fifo_dispatch_order_and_at_head():
-    sched = get_sched_class("fifo")
-    queue = sched.make_queue()
-    low, first, second = _Thread(10), _Thread(50), _Thread(50)
-    sched.enqueue(queue, low)
-    sched.enqueue(queue, first)
-    sched.enqueue(queue, second)
-    assert sched.pick_next(queue) is first          # FIFO within level
-    sched.enqueue(queue, first, at_head=True)       # preempted: to head
-    assert sched.pick_next(queue) is first
-    assert sched.pick_next(queue) is second
-    assert sched.pick_next(queue) is low
-    assert sched.pick_next(queue) is None
-
-
-def test_fifo_check_preempt_needs_strictly_higher_level():
-    sched = get_sched_class("fifo")
-    queue = sched.make_queue()
-    current = _Thread(50)
-    sched.enqueue(queue, _Thread(50))
-    assert not sched.check_preempt(queue, current)  # equal: no preempt
-    sched.enqueue(queue, _Thread(51))
-    assert sched.check_preempt(queue, current)
-
-
-def test_fifo_check_preempt_honours_priority_inheritance():
-    """A boosted running thread is compared at its *effective* priority,
-    so a mid-priority arrival does not preempt a boosted lock holder."""
-    sched = get_sched_class("fifo")
-    queue = sched.make_queue()
-    holder = _Thread(10, boosted=90)
-    sched.enqueue(queue, _Thread(60))
-    assert not sched.check_preempt(queue, holder)

@@ -1,4 +1,4 @@
-"""Tests for the hardware package (topology, loads, rdtscp, costs)."""
+"""Tests for the hardware package (topology, loads, costs)."""
 
 import pytest
 
@@ -8,7 +8,6 @@ from repro.hardware.overheads import (
     MicroCosts,
     XeonPhiCostModel,
 )
-from repro.hardware.rdtscp import RdtscpCounter
 from repro.hardware.xeonphi import (
     NR_CPUS,
     XEON_PHI_3120A,
@@ -65,18 +64,6 @@ def test_load_labels():
     assert BackgroundLoad.NONE.label == "No load"
     assert BackgroundLoad.CPU.label == "CPU load"
     assert BackgroundLoad.CPU_MEMORY.label == "CPU-Memory load"
-
-
-def test_rdtscp_reads_cycles_at_clock_rate():
-    topology = xeon_phi_topology()
-    kernel = Kernel(topology)
-    counter = RdtscpCounter(kernel)
-    kernel.engine.now = 1000.0  # 1000 ns
-    cycles, cpu = counter.read(5)
-    assert cpu == 5
-    assert cycles == 1100  # 1.1 cycles per ns
-    assert counter.cycles_to_us(1100) == pytest.approx(1.0)
-    assert counter.elapsed_us(0, 2200) == pytest.approx(2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -179,11 +179,6 @@ def test_taskset_hyperperiod_needs_integral_periods():
         taskset.hyperperiod
 
 
-def test_taskset_rm_order():
-    taskset = _simple_set()
-    assert [t.name for t in taskset.rate_monotonic_order()] == ["a", "b", "c"]
-
-
 def test_taskset_rejects_duplicates_and_empty():
     with pytest.raises(ValueError):
         TaskSet([])

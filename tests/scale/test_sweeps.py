@@ -12,18 +12,16 @@ import pytest
 
 from repro.bench.claims import CLAIMS
 from repro.bench.sweeps import (
+    SCALE_SWEEP_SCHEMA,
     SWEEP_LOADS,
     SWEEP_POLICIES,
+    farm_scale_sweep,
     figure_items,
+    render_scale_report,
     run_sweep_item,
     sweep_items,
 )
 from repro.farm import CheckpointMismatchError
-from repro.scale import (
-    SCALE_SWEEP_SCHEMA,
-    farm_scale_sweep,
-    render_scale_report,
-)
 
 pytestmark = pytest.mark.tier1
 

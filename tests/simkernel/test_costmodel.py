@@ -1,16 +1,8 @@
-"""Tests for the cost-model base classes (including ScaledCostModel)."""
+"""Tests for the cost-model base classes."""
 
 import pytest
 
-from repro.hardware.loads import BackgroundLoad
-from repro.hardware.overheads import XeonPhiCostModel
-from repro.hardware.xeonphi import xeon_phi_topology
-from repro.simkernel import Kernel
-from repro.simkernel.costmodel import (
-    CostModel,
-    ScaledCostModel,
-    ZeroCostModel,
-)
+from repro.simkernel.costmodel import CostModel, ZeroCostModel
 
 pytestmark = pytest.mark.tier1
 
@@ -30,67 +22,3 @@ def test_base_cost_model_charges_nothing():
 def test_zero_cost_model_is_a_cost_model():
     assert isinstance(ZeroCostModel(), CostModel)
 
-
-@pytest.fixture
-def inner_and_kernel():
-    topology = xeon_phi_topology()
-    topology.set_background_load(busy=True)
-    kernel = Kernel(topology)
-    inner = XeonPhiCostModel(topology, BackgroundLoad.CPU,
-                             noise_sigma=0.0)
-    return inner, kernel
-
-
-def test_scaled_cost_model_scales_every_hook(inner_and_kernel):
-    inner, kernel = inner_and_kernel
-    scaled = ScaledCostModel(inner, 2.0)
-    assert scaled.timer_handler(None, kernel) == pytest.approx(
-        2.0 * inner.timer_handler(None, kernel)
-    )
-    assert scaled.unwind(None, kernel) == pytest.approx(
-        2.0 * inner.unwind(None, kernel)
-    )
-    assert scaled.cond_signal(None, None, kernel) == pytest.approx(
-        2.0 * inner.cond_signal(None, None, kernel)
-    )
-    assert scaled.wakeup_latency(None, kernel, "sleep") == pytest.approx(
-        2.0 * inner.wakeup_latency(None, kernel, "sleep")
-    )
-    assert scaled.mutex_handoff(None, 0, 8, True, kernel) == \
-        pytest.approx(2.0 * inner.mutex_handoff(None, 0, 8, True, kernel))
-    assert scaled.context_switch(0, None, object(), kernel) == \
-        pytest.approx(2.0 * inner.context_switch(0, None, object(),
-                                                 kernel))
-    assert scaled.syscall(None, None, kernel) == pytest.approx(
-        2.0 * inner.syscall(None, None, kernel)
-    )
-
-
-def test_scaled_cost_model_in_middleware():
-    """Doubling every micro-cost roughly doubles the measured overheads
-    — the sensitivity ablation DESIGN.md mentions."""
-    from repro.core import RTSeed, WorkloadTask
-    from repro.hardware.loads import apply_load
-    from repro.simkernel.time_units import MSEC, SEC
-
-    def run(factor):
-        topology = xeon_phi_topology()
-        apply_load(topology, BackgroundLoad.NONE)
-        model = ScaledCostModel(
-            XeonPhiCostModel(topology, BackgroundLoad.NONE,
-                             noise_sigma=0.0),
-            factor,
-        )
-        middleware = RTSeed(topology=topology, cost_model=model)
-        task = WorkloadTask("t", 200 * MSEC, 1 * SEC, 200 * MSEC,
-                            1 * SEC, n_parallel=8)
-        middleware.add_task(task, n_jobs=3,
-                            optional_deadline=750 * MSEC)
-        return middleware.run().tasks["t"]
-
-    base = run(1.0)
-    doubled = run(2.0)
-    for which in "mbe":
-        assert doubled.mean_delta_us(which) == pytest.approx(
-            2.0 * base.mean_delta_us(which), rel=0.15
-        )

@@ -177,6 +177,29 @@ def test_higher_priority_preempts_lower():
     assert finish["low"] == pytest.approx(130 * MSEC)
 
 
+def test_equal_priority_wakeup_does_not_preempt():
+    """SCHED_FIFO preempts only from a strictly higher level: a peer
+    that wakes at the running thread's level waits for it."""
+    kernel = make_kernel()
+    finish = {}
+
+    def peer(thread):
+        yield ClockNanosleep(10 * MSEC)
+        yield Compute(10 * MSEC)
+        finish["peer"] = yield GetTime()
+
+    def runner(thread):
+        yield Compute(30 * MSEC)
+        finish["runner"] = yield GetTime()
+
+    kernel.create_thread("peer", peer, cpu=0, priority=50)
+    runner_thread = kernel.create_thread("runner", runner, cpu=0,
+                                         priority=50)
+    kernel.run_to_completion()
+    assert finish == {"runner": 30 * MSEC, "peer": 40 * MSEC}
+    assert runner_thread.preemptions == 0
+
+
 def test_preempted_thread_resumes_before_equal_priority_peers():
     """SCHED_FIFO: a preempted thread returns to the head of its level."""
     kernel = make_kernel()
@@ -236,6 +259,31 @@ def test_sched_other_runs_below_fifo():
     kernel.create_thread("fifo", fifo, cpu=0, priority=1)
     kernel.run_to_completion()
     assert order == ["fifo", "other"]
+
+
+def test_sched_other_thread_yields_to_any_fifo_arrival():
+    """A SCHED_OTHER thread runs at pseudo-priority 0, below every
+    SCHED_FIFO level, whatever level it held before its policy
+    changed."""
+    kernel = make_kernel()
+    order = []
+
+    def demoted(thread):
+        yield SchedSetScheduler(SchedPolicy.OTHER, 0)
+        yield Compute(20 * MSEC)
+        order.append("demoted")
+
+    def fifo(thread):
+        yield ClockNanosleep(5 * MSEC)
+        yield Compute(5 * MSEC)
+        order.append("fifo")
+
+    kernel.create_thread("fifo", fifo, cpu=0, priority=10)
+    demoted_thread = kernel.create_thread("demoted", demoted, cpu=0,
+                                          priority=90)
+    kernel.run_to_completion()
+    assert demoted_thread.priority == 90
+    assert order == ["fifo", "demoted"]
 
 
 def test_sched_yield_round_robins_same_priority():

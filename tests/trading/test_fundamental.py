@@ -20,11 +20,19 @@ def test_macro_series_deterministic():
 
 
 def test_macro_series_constant_within_period():
+    """The value steps once per period, by one AR(1) step whose shock
+    is the series' first standard-normal draw, and holds in between."""
     series = MacroSeries("gdp", seed=1, period=3600)
-    assert series.value_at_tick(0) == series.value_at_tick(3599)
-    assert series.value_at_tick(3600) != pytest.approx(
-        series.value_at_tick(0), abs=1e-12
-    ) or True  # values can coincide; the real assertion is no crash
+    first = series.value_at_tick(0)
+    assert first == series.mean
+    shock = series.shock_scale * np.random.default_rng(1).standard_normal()
+    step = (series.mean + series.persistence * (first - series.mean)
+            + shock)
+    assert series.value_at_tick(3600) == step
+    assert step != first
+    assert {series.value_at_tick(tick) for tick in range(3600)} == {first}
+    assert {series.value_at_tick(tick) for tick in range(3600, 7200)} \
+        == {step}
 
 
 def test_macro_series_mean_reversion():
