@@ -129,13 +129,6 @@ class HeapReadyQueue:
             heapq.heappop(heap)
             self._removed -= 1
 
-    def peek(self):
-        """Most urgent item, or ``None`` when empty (not removed)."""
-        self._sweep_top()
-        if not self._heap:
-            return None
-        return self._heap[0][2]
-
     def peek_key(self):
         """Key of the most urgent item, or ``None`` when empty."""
         self._sweep_top()
@@ -290,14 +283,6 @@ class IndexedLevelQueue:
         if probes is not None and probes.active:
             probes.publish("rq.dequeue", cpu=self.cpu_id, prio=prio,
                            depth=self._count)
-
-    def peek(self):
-        """``(item, prio)`` of the most urgent ready item, or ``None``."""
-        bits = self._bits
-        if not bits:
-            return None
-        prio = bits.bit_length() - 1
-        return self._levels[prio][0], prio
 
     def pop(self):
         """Remove and return ``(item, prio)`` of the most urgent item."""

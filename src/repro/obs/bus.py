@@ -251,9 +251,14 @@ class ProbeBus:
     :param clock: object exposing ``.now`` (the DES engine); every
         published event is stamped with ``clock.now``.  ``None`` stamps
         ``0.0`` (useful for unit tests of pure data structures).
+
+    Publishing fans out through a per-topic *route*: the tuple of
+    subscribers whose filter matches the topic, in subscription order.
+    A topic's route is built on its first publish and every route is
+    dropped on subscribe and unsubscribe, so no filter runs per event.
     """
 
-    __slots__ = ("active", "_clock", "_subs", "_passive", "published",
+    __slots__ = ("active", "_clock", "_subs", "_routes", "published",
                  "flight")
 
     def __init__(self, clock=None):
@@ -262,12 +267,14 @@ class ProbeBus:
         #: idle path to one LOAD_ATTR) before building any payload.
         self.active = False
         self._clock = clock
-        self._subs = []
-        #: ids of passive subscribers — attached but not counted toward
-        #: :attr:`active`, so they ride along for free whenever a real
-        #: observer activates the bus (see
+        #: ``(fn, matcher, passive)`` per subscriber, in subscription
+        #: order.  Passive subscribers are attached but not counted
+        #: toward :attr:`active`, so they ride along for free whenever
+        #: a real observer activates the bus (see
         #: :class:`repro.obs.flightrec.FlightRecorder`).
-        self._passive = set()
+        self._subs = []
+        #: topic -> tuple of the subscribers it fans out to.
+        self._routes = {}
         #: events fanned out so far (diagnostics).
         self.published = 0
         #: the attached :class:`~repro.obs.flightrec.FlightRecorder`,
@@ -289,6 +296,10 @@ class ProbeBus:
     def subscribe(self, fn, topics=None, passive=False):
         """Attach ``fn(topic, time, data)``; returns ``fn`` for chaining.
 
+        Subscribers are matched with ``==``, so a bound method
+        (``obj.method``, a new object on every access) is the same
+        subscriber each time it is named.
+
         :param topics: iterable of exact topic names and/or ``"layer.*"``
             prefix patterns; ``None`` subscribes to everything.
         :param passive: a passive subscriber does not flip
@@ -298,22 +309,27 @@ class ProbeBus:
             published.  This is the flight recorder's always-on,
             zero-steady-state-cost mode.
         """
-        if any(sub_fn is fn for sub_fn, _ in self._subs):
+        if any(sub_fn == fn for sub_fn, _, _ in self._subs):
             raise ValueError(f"{fn!r} already subscribed")
-        self._subs.append((fn, _make_matcher(topics)))
-        if passive:
-            self._passive.add(id(fn))
-        else:
+        self._subs.append((fn, _make_matcher(topics), passive))
+        self._routes = {}
+        if not passive:
             self.active = True
         return fn
 
     def unsubscribe(self, fn):
         """Detach a subscriber; unknown subscribers are a no-op."""
-        self._subs = [entry for entry in self._subs if entry[0] is not fn]
-        self._passive.discard(id(fn))
-        self.active = any(
-            id(sub_fn) not in self._passive for sub_fn, _ in self._subs
+        self._subs = [entry for entry in self._subs if entry[0] != fn]
+        self._routes = {}
+        self.active = any(not passive for _, _, passive in self._subs)
+
+    def _route(self, topic):
+        """Build and keep ``topic``'s route."""
+        route = self._routes[topic] = tuple(
+            fn for fn, matcher, _ in self._subs
+            if matcher is None or matcher(topic)
         )
+        return route
 
     def publish(self, topic, **data):
         """Stamp and fan out one probe event.
@@ -321,14 +337,15 @@ class ProbeBus:
         No-op without subscribers — but call sites should still guard on
         :attr:`active` so the keyword payload is never even built.
         """
-        subs = self._subs
-        if not subs:
+        if not self._subs:
             return
         time = self._clock.now if self._clock is not None else 0.0
         self.published += 1
-        for fn, matcher in subs:
-            if matcher is None or matcher(topic):
-                fn(topic, time, data)
+        route = self._routes.get(topic)
+        if route is None:
+            route = self._route(topic)
+        for fn in route:
+            fn(topic, time, data)
 
     def __repr__(self):
         return (

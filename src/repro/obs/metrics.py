@@ -17,7 +17,7 @@ summaries additionally report microseconds for the Δ-overheads so they
 read directly against the paper's figures.
 """
 
-from bisect import bisect_left, insort
+from bisect import bisect_left
 
 from repro.simkernel.time_units import NSEC_PER_USEC
 
@@ -69,9 +69,12 @@ class Histogram:
 
     :param buckets: ascending upper bucket bounds; an implicit +inf
         bucket catches the rest.
-    :param sample_cap: raw samples kept (sorted) for exact quantiles;
-        beyond the cap quantiles fall back to linear interpolation
-        within the matching bucket, Prometheus-style.
+    :param sample_cap: raw samples kept for exact quantiles; beyond the
+        cap quantiles fall back to linear interpolation within the
+        matching bucket, Prometheus-style.
+
+    A sample is appended in O(1) and the samples are sorted when a
+    quantile is read (in O(n) when nothing arrived since the last read).
     """
 
     __slots__ = ("buckets", "bucket_counts", "count", "total",
@@ -99,7 +102,7 @@ class Histogram:
             self.max = value
         self.bucket_counts[bisect_left(self.buckets, value)] += 1
         if len(self._samples) < self._sample_cap:
-            insort(self._samples, value)
+            self._samples.append(value)
 
     @property
     def mean(self):
@@ -118,6 +121,7 @@ class Histogram:
         if self.count == 0:
             return None
         if self.exact:
+            self._samples.sort()
             rank = max(int(q * self.count + 0.999999) - 1, 0)
             return self._samples[rank]
         return self._interpolate(q)
@@ -234,10 +238,6 @@ class SchedulerMetrics:
 
     :param registry: a :class:`MetricsRegistry`; created if omitted.
     """
-
-    #: Topics this subscriber consumes.
-    TOPICS = ("kernel.*", "rtseed.*", "termination.*", "trading.*",
-              "engine.*")
 
     def __init__(self, registry=None):
         self.registry = registry if registry is not None else MetricsRegistry()
@@ -358,6 +358,9 @@ class SchedulerMetrics:
         "trading.order": _on_trading_order,
         "engine.compact": _on_engine_compact,
     }
+
+    #: Topics this subscriber consumes: exactly those it handles.
+    TOPICS = tuple(_HANDLERS)
 
     # -- formatting ----------------------------------------------------
 

@@ -211,7 +211,7 @@ class Kernel:
         thread._ready_cb = partial(self._make_ready, thread)
         thread._sleep_expire_cb = partial(self._sleep_expire, thread)
         self.threads.append(thread)
-        self._emit("spawn", thread)
+        self._emit("kernel.spawn", thread)
         self._make_ready(thread)
         return thread
 
@@ -264,10 +264,10 @@ class Kernel:
             return
         if self.probes.active:
             self._signal_posted[(thread.tid, signum)] = self.engine.now
-            self._emit("signal_post", thread, signum=signum)
+            self._emit("kernel.signal_post", thread, signum=signum)
         if signum in thread.signal_mask:
             thread.pending_signals.append(signum)
-            self._emit("signal_blocked", thread)
+            self._emit("kernel.signal_blocked", thread)
             return
         self._deliver_signal(thread, signum, disposition)
 
@@ -287,7 +287,7 @@ class Kernel:
         if thread.gen is not None:
             thread.gen.close()
         thread.state = ThreadState.TERMINATED
-        self._emit("thread_exit", thread)
+        self._emit("kernel.thread_exit", thread)
 
     def spurious_wakeup(self, cond, thread):
         """Wake ``thread`` from ``cond`` without any signal/broadcast.
@@ -368,13 +368,12 @@ class Kernel:
         if not 0 <= cpu < self.topology.n_cpus:
             raise SchedulingError(f"CPU {cpu} out of range")
 
-    def _emit(self, name, thread, **extra):
-        """Publish a thread-lifecycle event to the probe bus as
-        ``kernel.<name>``, with a uniform thread/tid/cpu/prio payload
-        plus ``extra``."""
+    def _emit(self, topic, thread, **extra):
+        """Publish a thread-lifecycle ``kernel.*`` event to the probe
+        bus, with a uniform thread/tid/cpu/prio payload plus ``extra``."""
         probes = self.probes
         if probes.active:
-            probes.publish("kernel." + name, thread=thread.name,
+            probes.publish(topic, thread=thread.name,
                            tid=thread.tid, cpu=thread.cpu,
                            prio=thread.priority, **extra)
 
@@ -402,7 +401,7 @@ class Kernel:
             else:
                 queue.append(thread)
         if self.probes.active:
-            self._emit("ready", thread)
+            self._emit("kernel.ready", thread)
         self._request_resched(thread.cpu)
 
     def _dequeue_ready(self, thread):
@@ -453,7 +452,7 @@ class Kernel:
             self.other_queues[cpu].appendleft(thread)
         self._core_changed(self._cpu_core[cpu])
         if self.probes.active:
-            self._emit("preempt", thread)
+            self._emit("kernel.preempt", thread)
 
     def _dispatch(self, cpu):
         runqueue = self.runqueues[cpu]
@@ -474,7 +473,7 @@ class Kernel:
         self._last_running[cpu] = thread
         self._core_changed(self._cpu_core[cpu])
         if self.probes.active:
-            self._emit("dispatch", thread)
+            self._emit("kernel.dispatch", thread)
         if switch_cost > 0:
             thread.latency_remaining += switch_cost
         # work or latency to execute before the coroutine resumes
@@ -683,7 +682,7 @@ class Kernel:
         self._detach_from_wait_objects(thread)
         self._core_changed(self._cpu_core[cpu])
         self._request_resched(cpu)
-        self._emit("thread_exit", thread)
+        self._emit("kernel.thread_exit", thread)
 
     def _block(self, thread, blocked_on):
         cpu = thread.cpu
@@ -694,7 +693,7 @@ class Kernel:
         self._core_changed(self._cpu_core[cpu])
         self._request_resched(cpu)
         if self.probes.active:
-            self._emit("block", thread)
+            self._emit("kernel.block", thread)
 
     def _charge_syscall_cost(self, thread, cost, result=None):
         """Finish a syscall whose effect is done but that costs time."""
@@ -781,7 +780,7 @@ class Kernel:
         thread.sleep_event = None
         if thread.state is not ThreadState.BLOCKED:
             return
-        self._emit("sleep_expire", thread)
+        self._emit("kernel.sleep_expire", thread)
         latency = self.cost_model.wakeup_latency(thread, self, kind="sleep")
         if latency > 0:
             self.engine.schedule_after(latency, thread._ready_cb)
@@ -821,7 +820,7 @@ class Kernel:
         woken = self._wake_cond_waiter(request.cond)
         cost = base_cost + self.cost_model.cond_signal(thread, woken, self)
         if self.probes.active:
-            self._emit("cond_signal", thread)
+            self._emit("kernel.cond_signal", thread)
         return self._charge_syscall_cost(thread, cost, 1 if woken else 0)
 
     def _sys_cond_broadcast(self, thread, request, base_cost):
@@ -831,7 +830,7 @@ class Kernel:
             woken = self._wake_cond_waiter(request.cond)
             cost += self.cost_model.cond_signal(thread, woken, self)
             count += 1
-        self._emit("cond_broadcast", thread)
+        self._emit("kernel.cond_broadcast", thread)
         return self._charge_syscall_cost(thread, cost, count)
 
     def _wake_after_latency(self, thread):
@@ -858,7 +857,7 @@ class Kernel:
             boosted_prio = thread.priority
             thread.priority = mutex.boosted_from
             mutex.boosted_from = None
-            self._emit("prio_restore", thread, old_prio=boosted_prio)
+            self._emit("kernel.prio_restore", thread, old_prio=boosted_prio)
             if thread.state is ThreadState.RUNNING:
                 self._request_resched(thread.cpu)
         if mutex.waiters:
@@ -885,12 +884,12 @@ class Kernel:
             runqueue.dequeue(owner, owner.priority)
             owner.priority = waiter.priority
             runqueue.enqueue(owner, owner.priority)
-            self._emit("prio_boost", owner, old_prio=old_prio,
+            self._emit("kernel.prio_boost", owner, old_prio=old_prio,
                        waiter=waiter.name)
             self._request_resched(owner.cpu)
         else:
             owner.priority = waiter.priority
-            self._emit("prio_boost", owner, old_prio=old_prio,
+            self._emit("kernel.prio_boost", owner, old_prio=old_prio,
                        waiter=waiter.name)
 
     def _sys_mutex_lock(self, thread, request, cost):
@@ -944,10 +943,10 @@ class Kernel:
             timer.event = self.engine.schedule_at(expires, expire_cb)
             self.armed_timers.add(timer)
             if self.probes.active:
-                self._emit("timer_arm", thread, timer=timer.name,
+                self._emit("kernel.timer_arm", thread, timer=timer.name,
                            at=expires)
         elif was_armed and self.probes.active:
-            self._emit("timer_disarm", thread, timer=timer.name)
+            self._emit("kernel.timer_disarm", thread, timer=timer.name)
         return self._charge_syscall_cost(thread, cost)
 
     def _timer_expire(self, timer):
@@ -957,7 +956,7 @@ class Kernel:
         timer.expirations += 1
         timer.last_expired_at = self.engine.now
         if self.probes.active:
-            self._emit("timer_expire", timer.owner, timer=timer.name,
+            self._emit("kernel.timer_expire", timer.owner, timer=timer.name,
                        signum=timer.signum, expirations=timer.expirations)
         self.post_signal(timer.owner, timer.signum)
 
@@ -985,7 +984,7 @@ class Kernel:
         if self.probes.active:
             # priority-band transitions (HPQ/RTQ/NRTQ) are derived from
             # these by the metrics/export layers
-            self._emit("setscheduler", thread, old_prio=old_prio,
+            self._emit("kernel.setscheduler", thread, old_prio=old_prio,
                        policy=request.policy.value)
         self._request_resched(thread.cpu)
         return self._charge_syscall_cost(thread, cost)
@@ -996,7 +995,7 @@ class Kernel:
         old_cpu = target.cpu
         if old_cpu == request.cpu:
             return self._charge_syscall_cost(thread, cost)
-        self._emit("migrate", target, from_cpu=old_cpu,
+        self._emit("kernel.migrate", target, from_cpu=old_cpu,
                    to_cpu=request.cpu)
         if target.state is ThreadState.READY:
             self._dequeue_ready(target)
@@ -1030,7 +1029,7 @@ class Kernel:
         else:
             self.other_queues[cpu].append(thread)
         self._core_changed(self._cpu_core[cpu])
-        self._emit("yield", thread)
+        self._emit("kernel.yield", thread)
         self._request_resched(cpu)
         return False
 
@@ -1072,7 +1071,7 @@ class Kernel:
             raise SyscallError(f"unknown disposition {disposition!r}")
 
         if self.probes.active:
-            self._emit("signal_deliver", thread, signum=signum,
+            self._emit("kernel.signal_deliver", thread, signum=signum,
                        latency=signal_latency, forced=forced)
         if disposition.on_deliver is not None:
             disposition.on_deliver(thread, self.engine.now)

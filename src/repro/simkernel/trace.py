@@ -60,7 +60,6 @@ class Tracer:
         self.max_records = max_records
         self.dropped = 0
         self._bus = None
-        self._subscription = None
 
     @classmethod
     def attach(cls, kernel, max_records=None):
@@ -72,18 +71,14 @@ class Tracer:
         """
         tracer = cls(max_records=max_records)
         tracer._bus = kernel.probes
-        # pin one bound-method object: the bus unsubscribes by identity
-        tracer._subscription = tracer._on_probe
-        kernel.probes.subscribe(tracer._subscription,
-                                topics=("kernel.*",))
+        kernel.probes.subscribe(tracer._on_probe, topics=("kernel.*",))
         return tracer
 
     def detach(self):
         """Unsubscribe from the bus (records stay queryable)."""
         if self._bus is not None:
-            self._bus.unsubscribe(self._subscription)
+            self._bus.unsubscribe(self._on_probe)
             self._bus = None
-            self._subscription = None
 
     def _record(self, time, event, thread_name, tid, cpu, extra=None):
         if self.max_records is not None and \

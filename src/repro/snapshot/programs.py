@@ -44,7 +44,8 @@ and ``check`` (a conformance scenario, judged by
 """
 
 import hashlib
-import json
+import io
+import pickle
 
 from repro.snapshot.core import SnapshotError
 from repro.snapshot.state import (
@@ -58,9 +59,26 @@ from repro.snapshot.state import (
 #: definition, so a constant and not an option.
 STREAM_HASH_BATCH = 1024
 
-#: ``json.dumps(obj, sort_keys=True, default=str)`` without building a
-#: new encoder per call: the same bytes, once per batch.
-_encode_rows = json.JSONEncoder(sort_keys=True, default=str).encode
+
+class _RowPickler(pickle.Pickler):
+    """Pickles probe rows by content: a value of any type the pickler
+    does not write natively is written as its ``str()``."""
+
+    def reducer_override(self, obj):
+        if isinstance(obj, type):
+            # the ``str`` callable of the reduction below is a class
+            return NotImplemented
+        return str, (str(obj),)
+
+
+def _encode_rows(rows):
+    """``rows`` as pickle protocol 5 in memo-free (``fast``) mode; a
+    cyclic value raises ``ValueError``."""
+    buffer = io.BytesIO()
+    pickler = _RowPickler(buffer, protocol=5)
+    pickler.fast = True
+    pickler.dump(rows)
+    return buffer.getvalue()
 
 
 class _StreamHash:
@@ -71,13 +89,22 @@ class _StreamHash:
     resumed run both carry the hash of every ``(topic, time, payload)``
     triple they published.
 
-    An event's canonical row is ``[topic, time, data]``.  Rows are
-    buffered and JSON-encoded (sorted keys, ``default=str``) one batch
-    of :data:`STREAM_HASH_BATCH` at a time, and each batch's bytes
-    extend the hash.  :meth:`hexdigest` folds the partial batch into a
-    copy, so the digest depends on the event sequence alone, not on
-    when it is read.  Buffered payloads are held by reference: a
-    publisher must not mutate a payload after publishing it.
+    An event's canonical row is the tuple ``(topic, time, data)``.  Rows
+    are buffered and pickled (protocol 5, no memo) one list of
+    :data:`STREAM_HASH_BATCH` at a time, and each batch's bytes extend
+    the hash.  Values of the exact types ``str``, ``int``, ``float``,
+    ``bool``, ``None``, ``list``, ``tuple`` and ``dict`` (dicts in their
+    key order) are pickled as themselves, and so are ``bytes`` and
+    ``bytearray``; a value of any other class (a subclass of a native
+    type included) is pickled as its ``str()``.  With no memo, the bytes
+    depend on the values alone, never on which objects hold them.  A
+    payload must carry no ``set`` or ``frozenset``: the C pickler writes
+    them natively, in an order that follows string hashing, and its
+    memo-free mode fails on the 50th frozenset of a batch.
+    :meth:`hexdigest` folds the partial batch into a copy, so the digest
+    depends on the event sequence alone, not on when it is read.
+    Buffered payloads are held by reference: a publisher must not
+    mutate a payload after publishing it.
     """
 
     def __init__(self):
@@ -89,7 +116,7 @@ class _StreamHash:
         rows = self._rows
         rows.append((topic, time, data))
         if len(rows) == STREAM_HASH_BATCH:
-            self._hash.update(_encode_rows(rows).encode())
+            self._hash.update(_encode_rows(rows))
             rows.clear()
             self._batches += 1
 
@@ -101,7 +128,7 @@ class _StreamHash:
     def hexdigest(self):
         digest = self._hash.copy()
         if self._rows:
-            digest.update(_encode_rows(self._rows).encode())
+            digest.update(_encode_rows(self._rows))
         return digest.hexdigest()
 
 

@@ -499,13 +499,6 @@ class ReferenceLevelQueue:
             probes.publish("rq.dequeue", cpu=self.cpu_id, prio=prio,
                            depth=self._count)
 
-    def peek(self):
-        """``(item, prio)`` of the most urgent ready item, or ``None``."""
-        prio = self._bitmap.highest()
-        if prio is None:
-            return None
-        return self._levels[prio].peek_head(), prio
-
     def pop(self):
         """Remove and return ``(item, prio)`` of the most urgent item."""
         prio = self._bitmap.highest()

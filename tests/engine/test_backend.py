@@ -114,7 +114,6 @@ def test_fifo_queue_api_parity(name):
     queue = LEVEL_QUEUES[name](1, 10, cpu_id=3)
     assert queue.cpu_id == 3
     assert not queue
-    assert queue.peek() is None
     assert queue.highest_priority() is None
     with pytest.raises(ReadyQueueError):
         queue.pop()
@@ -125,7 +124,6 @@ def test_fifo_queue_api_parity(name):
     queue.enqueue("head", 5, at_head=True)
     assert len(queue) == 4
     assert queue.highest_priority() == 7
-    assert queue.peek() == ("c", 7)
     assert queue.items_at(5) == ["head", "a", "b"]
     assert list(queue) == ["c", "head", "a", "b"]
 

@@ -74,7 +74,6 @@ def test_fifo_queues_observationally_identical(ops):
             assert model.pop() == queue.pop()
         assert len(model) == len(queue)
         assert model.highest_priority() == queue.highest_priority()
-        assert model.peek() == queue.peek()
     assert list(model) == list(queue)
     for prio in range(MIN_PRIO, MAX_PRIO + 1):
         assert model.items_at(prio) == queue.items_at(prio)

@@ -1,6 +1,9 @@
-"""Tests for the probe bus: fan-out, filtering, idle cost, probe sites."""
+"""Tests for the probe bus: fan-out, filtering, routes, idle cost,
+probe sites."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.middleware import RTSeed
 from repro.core.task import WorkloadTask
@@ -36,6 +39,40 @@ def test_duplicate_subscribe_rejected():
     fn = bus.subscribe(lambda topic, time, data: None)
     with pytest.raises(ValueError):
         bus.subscribe(fn)
+
+
+class Sink:
+    """A subscriber reached through a bound method, which is a new
+    object on every attribute access."""
+
+    def __init__(self):
+        self.seen = []
+
+    def on_event(self, topic, _time, _data):
+        self.seen.append(topic)
+
+
+def test_duplicate_bound_method_subscribe_rejected():
+    bus = ProbeBus()
+    sink = Sink()
+    bus.subscribe(sink.on_event)
+    with pytest.raises(ValueError):
+        bus.subscribe(sink.on_event)
+    assert len(bus) == 1
+    other = Sink()
+    bus.subscribe(other.on_event)  # the same function on another object
+    assert len(bus) == 2
+
+
+def test_bound_method_unsubscribes_by_equality():
+    bus = ProbeBus()
+    sink = Sink()
+    bus.subscribe(sink.on_event)
+    bus.publish("kernel.ready")
+    bus.unsubscribe(sink.on_event)
+    assert len(bus) == 0 and not bus.active
+    bus.publish("kernel.ready")
+    assert sink.seen == ["kernel.ready"]
 
 
 def test_unsubscribe_unknown_is_noop():
@@ -202,3 +239,133 @@ def test_unsubscribed_mid_run_stops_delivery():
     bus.unsubscribe(fn)
     bus.publish("kernel.dispatch")
     assert seen == ["kernel.ready"]
+
+
+# -- per-topic routes -------------------------------------------------------
+
+
+def test_subscriber_attached_between_publishes_gets_only_the_second():
+    """The first publish builds the topic's route; subscribing must
+    drop it."""
+    bus = ProbeBus(clock=FakeClock())
+    first, late = [], []
+    bus.subscribe(lambda t, _time, d: first.append(d["n"]))
+    bus.publish("kernel.ready", n=1)
+    bus.subscribe(lambda t, _time, d: late.append(d["n"]),
+                  topics=("kernel.*",))
+    bus.publish("kernel.ready", n=2)
+    assert first == [1, 2]
+    assert late == [2]
+
+
+def test_detached_subscriber_gets_nothing_after():
+    """Unsubscribing must drop a route that names the subscriber."""
+    bus = ProbeBus(clock=FakeClock())
+    kept, gone = [], []
+    bus.subscribe(lambda t, _time, d: kept.append(d["n"]))
+    fn = bus.subscribe(lambda t, _time, d: gone.append(d["n"]),
+                       topics=("kernel.ready",))
+    bus.publish("kernel.ready", n=1)
+    bus.unsubscribe(fn)
+    bus.publish("kernel.ready", n=2)
+    assert kept == [1, 2]
+    assert gone == [1]
+
+
+def test_route_keeps_subscription_order_across_filters():
+    bus = ProbeBus(clock=FakeClock())
+    order = []
+    names = {}
+    for name, topics in (("all", None), ("layer", ("kernel.*",)),
+                         ("exact", ("kernel.ready",)),
+                         ("other", ("rtseed.*",)), ("star", ("*",))):
+        names[name] = bus.subscribe(
+            lambda t, _time, _d, name=name: order.append(name),
+            topics=topics)
+    bus.publish("kernel.ready")
+    assert order == ["all", "layer", "exact", "star"]
+    # a re-subscribed observer joins the end of every route
+    bus.unsubscribe(names["layer"])
+    bus.subscribe(names["layer"], topics=("kernel.*",))
+    order.clear()
+    bus.publish("kernel.ready")
+    assert order == ["all", "exact", "star", "layer"]
+
+
+def test_passive_subscriber_gets_only_what_active_ones_cause():
+    """Probe sites publish only while the bus is active, so a passive
+    subscriber sees exactly the events published while an active one
+    is attached, whatever routes were built before."""
+    bus = ProbeBus(clock=FakeClock())
+    passive, active = [], []
+
+    def probe_site(n):
+        if bus.active:
+            bus.publish("kernel.ready", n=n)
+
+    bus.subscribe(lambda t, _time, d: passive.append(d["n"]),
+                  passive=True)
+    probe_site(1)
+    fn = bus.subscribe(lambda t, _time, d: active.append(d["n"]))
+    probe_site(2)
+    probe_site(3)
+    bus.unsubscribe(fn)
+    assert not bus.active
+    probe_site(4)
+    assert passive == active == [2, 3]
+
+
+# few subscribers and topics, and mostly publishes, so a stale route
+# (a topic published before a subscribe or unsubscribe and again
+# after it) is common
+SUBSCRIBERS = 3
+TOPICS = ("kernel.ready", "rtseed.job_done", "rq.pop")
+FILTERS = (None, ("kernel.*",), ("rtseed.job_done", "rq.*"),
+           ("kernel.ready",), ("*",))
+
+# (kind, subscriber, filter, passive, topic): 0 = subscribe,
+# 1 = unsubscribe, 2+ = publish
+bus_ops = st.lists(
+    st.tuples(st.integers(0, 5), st.integers(0, SUBSCRIBERS - 1),
+              st.integers(0, len(FILTERS) - 1), st.booleans(),
+              st.integers(0, len(TOPICS) - 1)),
+    min_size=10, max_size=60,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=bus_ops)
+def test_routes_deliver_what_a_per_event_filter_delivers(ops):
+    """Whatever subscribe / unsubscribe / publish interleaving, the
+    routed bus delivers what running every subscriber's filter on every
+    event, in subscription order, delivers."""
+    bus = ProbeBus(clock=FakeClock())
+    delivered = []
+    callbacks = [
+        (lambda t, _time, d, index=index: delivered.append((index, d["n"])))
+        for index in range(SUBSCRIBERS)
+    ]
+    model = []  # (index, matcher, passive), in subscription order
+    expected = []
+    for n, (kind, index, which, passive, topic_index) in enumerate(ops):
+        subscribed = any(entry[0] == index for entry in model)
+        if kind == 0:
+            if subscribed:
+                with pytest.raises(ValueError):
+                    bus.subscribe(callbacks[index])
+                continue
+            bus.subscribe(callbacks[index], topics=FILTERS[which],
+                          passive=passive)
+            model.append((index, _make_matcher(FILTERS[which]), passive))
+        elif kind == 1:
+            bus.unsubscribe(callbacks[index])
+            model = [entry for entry in model if entry[0] != index]
+        else:
+            topic = TOPICS[topic_index]
+            bus.publish(topic, n=n)
+            expected.extend(
+                (entry[0], n) for entry in model
+                if entry[1] is None or entry[1](topic))
+        assert len(bus) == len(model)
+        assert bus.active == any(not entry[2] for entry in model)
+    assert delivered == expected

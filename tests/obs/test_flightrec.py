@@ -206,6 +206,12 @@ def test_attach_wires_kernel_and_detach_unwires():
     assert recorder.capacity == DEFAULT_CAPACITY
     recorder.detach()
     assert kernel.probes.flight is None
+    # ``_on_event`` is a new bound-method object on every access, and
+    # detaching still finds the one the bus holds
+    assert len(kernel.probes) == 0
+    kernel.probes.subscribe(lambda topic, time, data: None)
+    kernel.probes.publish("kernel.dispatch", thread="t")
+    assert recorder.recorded == 0
 
 
 def test_kernel_state_summary_on_live_run():

@@ -1,8 +1,11 @@
 """Tests for the metrics registry and the scheduler metrics collector."""
 
 import json
+from bisect import bisect_left, insort
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.middleware import RTSeed
 from repro.core.task import WorkloadTask
@@ -108,6 +111,78 @@ def test_histogram_summary_scaling():
 def test_histogram_rejects_empty_buckets():
     with pytest.raises(ValueError):
         Histogram(buckets=())
+
+
+class InsortHistogram(Histogram):
+    """The model: the histogram as it was when every retained sample was
+    inserted in order (``insort``) and a quantile read the list as it
+    stood."""
+
+    __slots__ = ()
+
+    def observe(self, value):
+        value = float(value)
+        self.count += 1
+        self.total += value
+        if self.min is None or value < self.min:
+            self.min = value
+        if self.max is None or value > self.max:
+            self.max = value
+        self.bucket_counts[bisect_left(self.buckets, value)] += 1
+        if len(self._samples) < self._sample_cap:
+            insort(self._samples, value)
+
+    def quantile(self, q):
+        if not 0.0 < q <= 1.0:
+            raise ValueError(f"quantile {q} outside (0, 1]")
+        if self.count == 0:
+            return None
+        if self.exact:
+            rank = max(int(q * self.count + 0.999999) - 1, 0)
+            return self._samples[rank]
+        return self._interpolate(q)
+
+
+#: Values that tie often, ``-0.0`` with ``0.0`` among them, so the
+#: order of equal samples shows in the quantiles' signs.
+sample_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 150.0, 150.0, 1e9]),
+    st.integers(-5, 5),
+    st.floats(min_value=-1e12, max_value=1e12, allow_nan=False),
+)
+quantiles = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+
+# (observe?, value, q): a sample, or a quantile read between samples
+histogram_ops = st.lists(
+    st.tuples(st.booleans(), sample_values, quantiles),
+    max_size=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=histogram_ops, sample_cap=st.integers(1, 12))
+def test_lazily_sorted_histogram_matches_the_insort_model(ops, sample_cap):
+    """Appending and sorting on read gives the insort histogram's
+    counts, exactness, quantiles and summary, bit for bit: sorting is
+    stable, so equal samples keep their arrival order as ``insort``
+    kept it, and a ``sample_cap`` below the sequence's length moves
+    both to bucket interpolation at the same sample."""
+    buckets = (-1.0, 0.0, 100.0, 200.0, 1e6)
+    histogram = Histogram(buckets=buckets, sample_cap=sample_cap)
+    model = InsortHistogram(buckets=buckets, sample_cap=sample_cap)
+    for observe, value, q in ops:
+        if observe:
+            histogram.observe(value)
+            model.observe(value)
+        else:
+            assert repr(histogram.quantile(q)) == repr(model.quantile(q))
+        assert histogram.count == model.count
+        assert histogram.exact == model.exact
+    for rank in range(1, histogram.count + 1):
+        q = rank / histogram.count
+        assert repr(histogram.quantile(q)) == repr(model.quantile(q))
+    assert repr(histogram.summary(scale=1000.0)) \
+        == repr(model.summary(scale=1000.0))
 
 
 # ---------------------------------------------------------------------------

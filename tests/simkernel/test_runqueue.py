@@ -244,14 +244,6 @@ def test_runqueue_empty_pop_rejected():
         fifo_runqueue(0).pop()
 
 
-def test_runqueue_peek_does_not_remove():
-    runqueue = fifo_runqueue(0)
-    a = Item("a")
-    runqueue.enqueue(a, 42)
-    assert runqueue.peek() == (a, 42)
-    assert len(runqueue) == 1
-
-
 def test_runqueue_threads_at_level():
     runqueue = fifo_runqueue(0)
     a, b = Item("a"), Item("b")

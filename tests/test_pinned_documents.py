@@ -47,4 +47,4 @@ def test_check_document_keeps_its_bytes(tmp_path, argv, digest):
 def test_faults_payload_keeps_its_bytes():
     payload = _stdout(["run", "--program", "faults", "--scenario",
                        "cpu_stall", "--seconds", "4", "--emit", "payload"])
-    assert _sha16(payload) == "5a37dc6986c7e8fd"
+    assert _sha16(payload) == "73875a487596d876"

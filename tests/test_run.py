@@ -93,18 +93,18 @@ def test_trade_payload_keeps_its_bytes(tmp_path):
                              "30", "--emit", f"payload={path}"])
     assert code == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] \
-        == "ec254e5682832035"
+        == "6e18679db3283ec7"
 
 
 @pytest.mark.parametrize("argv, digest", [
     # MACD needs slow + signal = 35 ticks of history, so the 30 s run
     # never refines it; this one does
-    (["--program", "trade", "--seconds", "60"], "ed4ceecc1150dd27"),
+    (["--program", "trade", "--seconds", "60"], "18fce18519958092"),
     # the Section V-A task on the loaded evaluation topology: lock
     # handoffs priced by background pressure, and SMT rates on cores
     # whose every hardware thread carries the load flag
     (["--program", "overheads", "--np", "57", "--jobs", "3", "--load",
-      "cpu_memory"], "e8c06c3586dbf855"),
+      "cpu_memory"], "059e30a1a332d2e1"),
 ], ids=["trade-60s", "overheads-np57-cpu-memory"])
 def test_long_and_loaded_payloads_keep_their_bytes(tmp_path, argv, digest):
     path = tmp_path / "payload.json"
